@@ -77,28 +77,26 @@ def _pair_label(f: FriezePattern, i: int, j: int):
     return diagonal_label(f, i, j)
 
 
-def _crossing_pairs(m: int):
-    diags = [(i, j) for i in range(1, m + 1) for j in range(i + 2, m + 1)
-             if (i, j) != (1, m)]
-    for (i, j), (k, l) in itertools.combinations(diags, 2):
-        if i < k < j < l or k < i < l < j:
-            yield tuple(sorted(((i, j), (k, l))))
-
-
 def check_ptolemy(f: FriezePattern, sample: int | None = None) -> bool:
-    """Whether c_{i,j} c_{k,l} = c_{i,k} c_{j,l} + c_{i,l} c_{j,k} holds for
-    crossing diagonal pairs; all pairs, or `sample` of them drawn with a
-    fixed seed."""
-    pairs = list(_crossing_pairs(f.m))
-    if sample is not None:
-        rng = random.Random(1729)
-        pairs = [rng.choice(pairs) for _ in range(sample)] if pairs else []
-    def lab(a, b):
-        return _pair_label(f, min(a, b), max(a, b))
+    """Whether c_{a,c} c_{b,d} = c_{a,b} c_{c,d} + c_{a,d} c_{b,c} holds for
+    crossing diagonal pairs; all pairs, or `sample` of them drawn with
+    replacement and a fixed seed.
 
-    for (i, j), (k, l) in pairs:
-        left = lab(i, j) * lab(k, l)
-        right = lab(i, k) * lab(j, l) + lab(i, l) * lab(j, k)
+    The crossing pairs of the m-gon are exactly (a, c) and (b, d) for the
+    4-subsets a < b < c < d of its vertices, so a sample is a 4-subset.
+    """
+    vertices = range(1, f.m + 1)
+    if sample is None:
+        quads = itertools.combinations(vertices, 4)
+    elif f.m < 4:
+        quads = []
+    else:
+        rng = random.Random(1729)
+        quads = [sorted(rng.sample(vertices, 4)) for _ in range(sample)]
+    for a, b, c, d in quads:
+        left = _pair_label(f, a, c) * _pair_label(f, b, d)
+        right = (_pair_label(f, a, b) * _pair_label(f, c, d)
+                 + _pair_label(f, a, d) * _pair_label(f, b, c))
         if left != right:
             return False
     return True

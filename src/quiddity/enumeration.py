@@ -13,7 +13,6 @@ infinitely many divisors.
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -35,15 +34,12 @@ __all__ = [
 ]
 
 
-# The compiled kernel is preferred when present; QUIDDITY_PURE=1 forces the
-# fallback, which is what the benchmark and the twin-kernel tests rely on.
-if os.environ.get("QUIDDITY_PURE"):
+# The compiled kernel is preferred when present; kernel="pure" forces the
+# fallback for a single call.
+try:
+    from quiddity import _speedups as _default  # type: ignore[no-redef]
+except ImportError:
     _default = _pure
-else:
-    try:
-        from quiddity import _speedups as _default  # type: ignore[no-redef]
-    except ImportError:
-        _default = _pure
 
 
 def active_kernel() -> str:
@@ -109,6 +105,8 @@ def _search_all(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) ->
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
     if n < 1:
         raise UsageError(f"height must be at least 1, got {n}")
+    if n > _pure.MAX_DEPTH:
+        raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
     mod = _kernel_module(kernel)
     pairs, limit = _kernel_inputs(ring, n)
     tasks = _search_tasks(ring, n, pairs)

@@ -43,7 +43,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import apply_glue_to_sums, invert_trace, reduce_to_base
+from quiddity.reduction import apply_glue_to_sums, reduce_to_base
 from quiddity.rings import Z
 
 __all__ = [
@@ -96,28 +96,28 @@ class Triangulation:
         object.__setattr__(self, "triangles", self._derive_triangles())
 
     def _derive_triangles(self) -> tuple:
-        if self.m == 2:
+        m = self.m
+        if m == 2:
             return ()
-        edges = set(self.diagonals)
-        for v in range(1, self.m):
-            edges.add((v, v + 1))
-        edges.add((1, self.m))
+        nbrs = {v: {v % m + 1, (v - 2) % m + 1} for v in range(1, m + 1)}
+        for a, b in self.diagonals:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         out = []
-
-        def split(a: int, b: int):
-            # triangle over edge (a, b) on the side of vertices a+1..b-1
-            if b - a < 2:
-                return
-            apex = [c for c in range(a + 1, b)
-                    if tuple(sorted((a, c))) in edges and tuple(sorted((c, b))) in edges]
+        stack = [(1, m)]
+        while stack:
+            # the triangle over edge (a, b) on the side of vertices a+1..b-1
+            # has its apex among the common neighbours of a and b
+            a, b = stack.pop()
+            apex = [c for c in nbrs[a] & nbrs[b] if a < c < b]
             assert len(apex) == 1, "edge must support exactly one triangle"
             c = apex[0]
             out.append((a, c, b))
-            split(a, c)
-            split(c, b)
-
-        split(1, self.m)
-        assert len(out) == self.m - 2
+            if c - a >= 2:
+                stack.append((a, c))
+            if b - c >= 2:
+                stack.append((c, b))
+        assert len(out) == m - 2
         return tuple(sorted(out))
 
     def incident_triangles(self, v: int) -> tuple:
@@ -365,14 +365,8 @@ class _PolygonBuilder:
                 out[v - 1] += x
         return tuple(out)
 
-    def rotate_to(self, target: tuple):
-        s = self.sums()
-        assert len(s) == len(target)
-        for r in range(len(s)):
-            if s[r:] + s[:r] == target:
-                break
-        else:
-            raise AssertionError("replayed sums are not a rotation of the target")
+    def rotate(self, r: int):
+        """Renumber so that vertex r + 1 becomes vertex 1."""
         if r:
             def ren(v):
                 return (v - 1 - r) % self.m + 1
@@ -390,22 +384,24 @@ class _PolygonBuilder:
 def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """An admissible labelling whose vertex sums are exactly `cycle`.
 
-    Built by reducing the cycle to (0,0) and replaying the inverted trace as
-    block gluings on the 2-gon.  The result is one of possibly several
-    admissible labellings for the cycle.
+    Built by reducing the cycle to (0,0) and replaying the reduction steps
+    backwards as block gluings on the 2-gon, each followed by the step's
+    recorded rotation.  The result is one of possibly several admissible
+    labellings for the cycle.
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
     if not is_quiddity(cycle):
         raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     builder = _PolygonBuilder()
-    for target, script in invert_trace(reduce_to_base(cycle)):
+    for step in reversed(reduce_to_base(cycle).steps):
         expected = builder.sums()
-        for instr in script:
+        for instr in step.glue_script:
             expected = apply_glue_to_sums(expected, instr)
             builder.apply(instr)
             assert builder.sums() == expected, "polygon and sum replay diverged"
-        builder.rotate_to(target)
+        builder.rotate(step.rotation)
+        assert builder.sums() == step.before.entries, "replay missed the step input"
         assert is_admissible(builder.freeze()), "replay lost admissibility"
     result = builder.freeze()
     assert cycle_from_labelling(result).entries == cycle.entries
@@ -482,8 +478,9 @@ def _remove_ear(lab: Labelling, k: int) -> Labelling:
     return Labelling(Triangulation(m - 1, new_diags), labels)
 
 
-def _square_at(lab: Labelling, k: int):
-    """The matched square occupying vertices (k-1, k, k+1, k+2), if any.
+def _square_at(pairs: set, m: int, k: int):
+    """The matched square occupying vertices (k-1, k, k+1, k+2) of an m-gon,
+    if any.
 
     Both internal-diagonal orientations are recognized:
 
@@ -493,16 +490,13 @@ def _square_at(lab: Labelling, k: int):
            \\|/   /              \\   \\|         v = k+1, b = k+2
             *----                 ----*
 
-    Returns the triangle pair or None.  Only pairs from the canonical
-    square partition count; a coincidental opposite-label adjacency that the
-    partition does not pair is not a removable square.
+    Returns the triangle pair or None.  Only pairs from the labelling's
+    square partition, passed in as the set `pairs`, count; a coincidental
+    opposite-label adjacency that the partition does not pair is not a
+    removable square.
     """
-    m = lab.m
     a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
     if len({a, u, v, b}) != 4:
-        return None
-    pairs = square_partition(lab)
-    if not pairs:
         return None
     for t1, t2 in ((tuple(sorted((a, u, v))), tuple(sorted((a, v, b)))),
                    (tuple(sorted((a, u, b))), tuple(sorted((u, v, b))))):
@@ -511,11 +505,12 @@ def _square_at(lab: Labelling, k: int):
     return None
 
 
-def _remove_square(lab: Labelling, k: int) -> Labelling:
+def _remove_square(lab: Labelling, k: int, pairs: set) -> Labelling:
     """Drop the square on vertices (k-1 .. k+2): both triangles and the two
-    middle vertices; densely renumber."""
+    middle vertices; densely renumber.  `pairs` is the labelling's square
+    partition."""
     m = lab.m
-    square = _square_at(lab, k)
+    square = _square_at(pairs, m, k)
     assert square is not None
     a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
     gone = set(square)
@@ -557,6 +552,7 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
         return LabellingStep("TC0", (), lab, lab)
 
     tri = lab.triangulation
+    pairs = set(square_partition(lab))
     ears_one = [k for k in range(1, m + 1)
                 if tri.is_ear(k)
                 and lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))] == 1]
@@ -566,10 +562,10 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
         assert is_admissible(after)
         return LabellingStep("TC1", (k,), lab, after)
 
-    squares = [k for k in range(1, m + 1) if _square_at(lab, k) is not None]
+    squares = [k for k in range(1, m + 1) if _square_at(pairs, m, k) is not None]
     if squares and m % 2 == 1:
         k = squares[0]
-        after = _negated(_remove_square(lab, k))
+        after = _negated(_remove_square(lab, k, pairs))
         assert is_admissible(after)
         return LabellingStep("TC2", (k,), lab, after)
 
@@ -586,10 +582,11 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
                     for k in squares[i + 1:] if k - j > 1]
     if square_pairs:
         j, k = square_pairs[0]
-        mid = _remove_square(lab, k)
+        mid = _remove_square(lab, k, pairs)
         # the window at k removes vertices {k, k+1 cyclic}; only the wrapped
         # window k = m deletes vertex 1 and shifts j's window down by one
-        after = _remove_square(mid, j - 1 if k == m else j)
+        after = _remove_square(mid, j - 1 if k == m else j,
+                               set(square_partition(mid)))
         assert is_admissible(after)
         return LabellingStep("TC4", (j, k), lab, after)
 

@@ -21,9 +21,12 @@ Every step also records a glue script: instructions that rebuild `before`
 from `after` by gluing labelled blocks (triangles labelled +-1, squares
 labelled (x, -x)) onto a polygon, plus negation markers.  The labelling
 module replays these scripts on actual triangulations; here they are
-constructed and validated on vertex sums alone.  Replay may reproduce the
-input only up to rotation when a contraction window wrapped, so consumers
-re-align against the recorded `before` afterwards.
+constructed and validated on vertex sums alone.  Both the glue edges and the
+step's `rotation` are computed from the contraction indices: when a
+contraction window wrapped past vertex 1, its blocks are glued onto the wrap
+edge and land at the end, and `rotation` is the 0-based position of
+`before`'s first vertex among the rebuilt sums.  Rotating the rebuilt sums
+left by it gives `before` exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def apply_glue_to_sums(entries: tuple, instr: tuple) -> tuple:
                            (..., a, b, ...) -> (..., a, x, 0, b-x, ...)
 
     p = len(entries) addresses the wrap edge; the new vertices then land at
-    the end of the tuple, which is why replays can come back rotated.
+    the end of the tuple, so the result starts at the old vertex 1 and a
+    step's `rotation` records where its own first vertex landed.
     """
     mu = len(entries)
     kind = instr[0]
@@ -88,19 +92,30 @@ def _replay_sums(entries: tuple, script: tuple) -> tuple:
     return entries
 
 
-def _is_rotation(a: tuple, b: tuple) -> bool:
-    return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
+_WIDTH = {"triangle": 1, "square": 2}
 
 
-def _search_glue(base: tuple, kind: str, value, target: tuple):
-    """Smallest edge position p such that gluing (kind, p, value) onto `base`
-    yields a rotation of `target`.  Existence is guaranteed by construction;
-    failure means the reduction bookkeeping is wrong."""
-    for p in range(1, len(base) + 1):
-        instr = (kind, p, value)
-        if _is_rotation(apply_glue_to_sums(base, instr), target):
-            return instr, apply_glue_to_sums(base, instr)
-    raise RuntimeError(f"no {kind} gluing rebuilds the contracted window")
+def _undo_contraction(n: int, k: int, kind: str, value, offset: int = 0):
+    """The glue instruction that undoes a contraction at index k, and the
+    rotation it leaves.
+
+    The contraction removed the w vertices k-w+1 .. k of a cycle and left n
+    (w = 1 for a triangle, 2 for a square).  The block goes back onto edge
+    k - w, or onto the wrap edge n when the window held vertex 1; its new
+    vertices then land at the end, and the cycle's vertex 1 is new vertex
+    number w - k among them.  The n-gon glued onto may read the contracted
+    cycle rotated: `offset` is the 0-based position of that cycle's vertex 1
+    in it.  Returns the instruction and the 0-based position of the
+    uncontracted cycle's vertex 1 after gluing.
+    """
+    w = _WIDTH[kind]
+    if k > w:
+        edge = (k - w - 1 + offset) % n + 1
+        first = offset if offset < edge else offset + w
+    else:
+        edge = (n - 1 + offset) % n + 1
+        first = edge + w - k
+    return (kind, edge, value), first
 
 
 @dataclass(frozen=True)
@@ -112,6 +127,7 @@ class ReductionStep:
     eps_before: int
     eps_after: int
     glue_script: tuple = field(default_factory=tuple)
+    rotation: int = 0
 
     @property
     def terminal(self) -> bool:
@@ -120,7 +136,8 @@ class ReductionStep:
     def __post_init__(self):
         if self.glue_script:
             rebuilt = _replay_sums(self.after.entries, self.glue_script)
-            assert _is_rotation(rebuilt, self.before.entries), \
+            r = self.rotation
+            assert rebuilt[r:] + rebuilt[:r] == self.before.entries, \
                 "glue script does not rebuild the step input"
 
 
@@ -176,21 +193,20 @@ def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
     if ones:
         k = ones[0]
         after = contract_one(cycle, k).cycle
-        instr, _ = _search_glue(after.entries, "triangle", 1, cycle.entries)
-        return ReductionStep("I1", (k,), cycle, after, eps, eps, (instr,))
+        instr, r = _undo_contraction(after.m, k, "triangle", 1)
+        return ReductionStep("I1", (k,), cycle, after, eps, eps, (instr,), r)
     zeros = _positions_of(cycle, 0)
     if zeros:
         k = zeros[0]
         after = contract_zero(cycle, k).cycle
-        instr, _ = _search_glue(after.entries, "square", cycle.entry(k - 1),
-                                cycle.entries)
-        return ReductionStep("I2", (k,), cycle, after, eps, -eps, (instr,))
+        instr, r = _undo_contraction(after.m, k, "square", cycle.entry(k - 1))
+        return ReductionStep("I2", (k,), cycle, after, eps, -eps, (instr,), r)
     minus = _positions_of(cycle, -1)
     if minus:
         k = minus[0]
         after = contract_minus_one(cycle, k).cycle
-        instr, _ = _search_glue(after.entries, "triangle", -1, cycle.entries)
-        return ReductionStep("I3", (k,), cycle, after, eps, -eps, (instr,))
+        instr, r = _undo_contraction(after.m, k, "triangle", -1)
+        return ReductionStep("I3", (k,), cycle, after, eps, -eps, (instr,), r)
     raise RuntimeError("no entry in {-1,0,1}; contradicts the small-entry corollary")
 
 
@@ -215,8 +231,8 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         k = ones[0]
         after = contract_one(cycle, k).cycle
         assert is_quiddity(after)
-        instr, _ = _search_glue(after.entries, "triangle", 1, cycle.entries)
-        return ReductionStep("T1", (k,), cycle, after, -1, -1, (instr,))
+        instr, r = _undo_contraction(after.m, k, "triangle", 1)
+        return ReductionStep("T1", (k,), cycle, after, -1, -1, (instr,), r)
 
     zeros = _positions_of(cycle, 0)
     if zeros and m % 2 == 1:
@@ -224,10 +240,9 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         mid = contract_zero(cycle, k).cycle
         after = negate(mid)
         assert is_quiddity(after)
-        instr, _ = _search_glue(mid.entries, "square", cycle.entry(k - 1),
-                                cycle.entries)
+        instr, r = _undo_contraction(mid.m, k, "square", cycle.entry(k - 1))
         return ReductionStep("T2", (k,), cycle, after, -1, -1,
-                             (("negate",), instr))
+                             (("negate",), instr), r)
 
     minus = _positions_of(cycle, -1)
     if minus and m % 2 == 0:
@@ -235,9 +250,9 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         mid = contract_minus_one(cycle, k).cycle
         after = negate(mid)
         assert is_quiddity(after)
-        instr, _ = _search_glue(mid.entries, "triangle", -1, cycle.entries)
+        instr, r = _undo_contraction(mid.m, k, "triangle", -1)
         return ReductionStep("T3", (k,), cycle, after, -1, -1,
-                             (("negate",), instr))
+                             (("negate",), instr), r)
 
     pairs = _separated_pairs(zeros, m)
     if pairs:
@@ -247,12 +262,11 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         jmid = _survivor_position(m, removed, j)
         after = contract_zero(mid, jmid).cycle
         assert is_quiddity(after)
-        first, rebuilt = _search_glue(after.entries, "square",
-                                      mid.entry(jmid - 1), mid.entries)
-        second, _ = _search_glue(rebuilt, "square", cycle.entry(k - 1),
-                                 cycle.entries)
+        first, r = _undo_contraction(after.m, jmid, "square",
+                                     mid.entry(jmid - 1))
+        second, r = _undo_contraction(mid.m, k, "square", cycle.entry(k - 1), r)
         return ReductionStep("T4", (j, k), cycle, after, -1, -1,
-                             (first, second))
+                             (first, second), r)
 
     pairs = _separated_pairs(minus, m)
     if pairs:
@@ -260,10 +274,10 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         mid = contract_minus_one(cycle, k).cycle
         after = contract_minus_one(mid, j).cycle
         assert is_quiddity(after)
-        first, rebuilt = _search_glue(after.entries, "triangle", -1, mid.entries)
-        second, _ = _search_glue(rebuilt, "triangle", -1, cycle.entries)
+        first, r = _undo_contraction(after.m, j, "triangle", -1)
+        second, r = _undo_contraction(mid.m, k, "triangle", -1, r)
         return ReductionStep("T5", (j, k), cycle, after, -1, -1,
-                             (first, second))
+                             (first, second), r)
 
     raise RuntimeError("no case applies; contradicts the reduction theorem")
 
@@ -283,9 +297,8 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     while current.entries != (0, 0):
         if current.entries == (1, 1, 1):
             after = contract_one(current, 1).cycle
-            instr, _ = _search_glue(after.entries, "triangle", 1,
-                                    current.entries)
-            step = ReductionStep("T1", (1,), current, after, -1, -1, (instr,))
+            instr, r = _undo_contraction(after.m, 1, "triangle", 1)
+            step = ReductionStep("T1", (1,), current, after, -1, -1, (instr,), r)
         else:
             step = reduce_step_Z(current)
             assert not step.terminal
@@ -299,8 +312,9 @@ def invert_trace(trace: ReductionTrace) -> list:
     """Gluing stages that rebuild the traced cycle from the 2-gon.
 
     Returns (target_entries, glue_script) pairs in replay order: apply the
-    script to the current polygon, then re-align its vertex numbering so the
-    sums read exactly `target_entries`.  The last target is the traced input.
+    script to the current polygon, then rotate its vertex numbering by the
+    step's `rotation` so the sums read exactly `target_entries`.  The last
+    target is the traced input.
     """
     assert trace.end.entries == (0, 0), "trace must end at the 2-gon"
     return [(step.before.entries, step.glue_script)

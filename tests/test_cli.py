@@ -290,6 +290,12 @@ def test_enumerate_compiled_kernel_missing_exits_2(runner, monkeypatch):
     assert "quiddity._speedups is not built" in result.output
 
 
+def test_enumerate_height_above_kernel_depth_exits_2(runner):
+    result = runner.invoke(main, ["enumerate", "--ring", "Z", "--height", "17"])
+    assert result.exit_code == 2
+    assert "height must be at most 16" in result.output
+
+
 def test_enumerate_rejects_bad_ring(runner):
     result = runner.invoke(main, ["enumerate", "--ring", "Q", "--height", "1"])
     assert result.exit_code == 2

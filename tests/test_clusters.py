@@ -69,6 +69,7 @@ def test_ptolemy_detects_corruption():
     rows[1][3] += 1  # the entry on diagonal (1, 4)
     broken = FriezePattern(HEXAGON, tuple(tuple(r) for r in rows))
     assert not check_ptolemy(broken)
+    assert not check_ptolemy(broken, sample=200)
 
 
 def test_degenerate_alternating():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from quiddity import enumeration
 from quiddity.bounds import candidate_entries
 from quiddity.cycles import Cycle, is_quiddity, reverse, rotate
 from quiddity.enumeration import (
@@ -74,6 +75,15 @@ def test_missing_compiled_kernel_is_a_usage_error(monkeypatch):
     monkeypatch.setitem(sys.modules, "quiddity._speedups", None)
     with pytest.raises(UsageError, match="quiddity._speedups is not built"):
         enumerate_nonzero(Z, 1, kernel="compiled")
+
+
+def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
+    def no_candidates(ring, n):
+        raise AssertionError(f"candidates built for height {n}")
+
+    monkeypatch.setattr(enumeration, "candidate_entries", no_candidates)
+    with pytest.raises(UsageError, match="at most 16"):
+        enumerate_nonzero(Z, 17)
 
 
 def test_committed_c_quotes_current_pyx():

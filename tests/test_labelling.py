@@ -57,6 +57,13 @@ def test_triangle_derivation():
     assert len(tri.incident_triangles(2)) == 4
 
 
+def test_triangle_derivation_of_a_large_fan():
+    # a fan this size is deeper than Python's recursion limit
+    m = 1200
+    tri = Triangulation(m, frozenset((1, j) for j in range(3, m)))
+    assert tri.triangles == tuple((1, j, j + 1) for j in range(2, m))
+
+
 def test_two_gon_is_allowed():
     tri = Triangulation(2, frozenset())
     assert tri.triangles == ()

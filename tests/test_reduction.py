@@ -173,6 +173,41 @@ def test_glue_negate_semantics():
         apply_glue_to_sums((1, 2), ("twist", 1, 1))
 
 
+# one step each whose contraction window reaches vertex 1 or vertex m
+WRAPPED_STEPS = (
+    ((1, 2, 1, 2), "T1", (1,)),
+    ((-1, -2, -1, -2), "T3", (1,)),
+    ((0, 0, -1, -1, -1), "T2", (1,)),
+    ((-1, 0, 0, -1, -1), "T2", (2,)),
+    ((2, 2, 0, -2, -2, 0), "T4", (3, 6)),
+    ((0, 0, 0, 0, 0, 0), "T4", (1, 3)),
+    ((-2, 2, -1, -1, -4, -2, -1), "T5", (3, 7)),
+    ((-1, -2, -1, -2, -1, -1, -1), "T5", (1, 3)),
+)
+
+
+def _rebuilds_exactly(step):
+    rebuilt = step.after.entries
+    for instr in step.glue_script:
+        rebuilt = apply_glue_to_sums(rebuilt, instr)
+    r = step.rotation
+    return rebuilt[r:] + rebuilt[:r] == step.before.entries
+
+
+def test_every_step_rebuilds_exactly(z_corpus):
+    # the corpus holds the worked reductions too
+    for cycle in z_corpus:
+        for step in reduce_to_base(cycle).steps:
+            assert _rebuilds_exactly(step)
+    for entries, tag, indices in WRAPPED_STEPS:
+        step = reduce_step_Z(Cycle(Z, entries))
+        assert (step.case_tag, step.indices) == (tag, indices)
+        assert _rebuilds_exactly(step)
+    # the epsilon engine's windows at index 1
+    for entries, eps in (((1, 1, 1), -1), ((0, 0, 0, 0), 1), ((-1, -1, -1), 1)):
+        assert _rebuilds_exactly(reduce_step_epsilon(Cycle(Z, entries), eps))
+
+
 def _rotations(entries):
     return [entries[i:] + entries[:i] for i in range(len(entries))]
 
