@@ -108,11 +108,16 @@ def verify_frieze(window_json):
     if not isinstance(data, dict) or "ring" not in data or "rows" not in data:
         raise UsageError("window JSON needs 'ring' and 'rows'")
     ring = ring_from_tag(data["ring"])
+    if not isinstance(data["rows"], list) or not all(isinstance(r, list) for r in data["rows"]):
+        raise UsageError("'rows' must be a list of lists")
     rows = tuple(
         tuple(ring.element_from_json(x) for x in row) for row in data["rows"]
     )
-    offsets = tuple(data.get("offsets", range(1, len(rows) + 1)))
-    report = verify(FriezeWindow(ring, rows, offsets))
+    offsets = data.get("offsets", list(range(1, len(rows) + 1)))
+    if (not isinstance(offsets, list) or len(offsets) != len(rows)
+            or any(type(o) is not int for o in offsets)):
+        raise UsageError("'offsets' must be a list of integers, one per row")
+    report = verify(FriezeWindow(ring, rows, tuple(offsets)))
     if report.sl2_ok and report.tame_ok:
         click.echo("FRIEZE: ok")
     else:

@@ -35,11 +35,15 @@ __all__ = [
 
 
 # The compiled kernel is preferred when present; kernel="pure" forces the
-# fallback for a single call.
+# fallback for a single call, and so does a cell with more candidates than
+# the compiled kernel holds.
 try:
     from quiddity import _speedups as _default  # type: ignore[no-redef]
 except ImportError:
     _default = _pure
+
+# The compiled kernel holds its candidates in fixed arrays of this size.
+_COMPILED_MAX_CANDIDATES = 128
 
 
 def active_kernel() -> str:
@@ -99,7 +103,9 @@ def _search_all(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) ->
     """Raw kernel output (tuples of pairs) for the whole space.
 
     Results arrive in task order and each task is internally deterministic,
-    so the outcome is identical for one worker and for many.
+    so the outcome is identical for one worker and for many.  A cell with
+    too many candidates for the compiled kernel runs on the pure one, unless
+    the compiled kernel was asked for by name.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -109,6 +115,12 @@ def _search_all(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) ->
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
     mod = _kernel_module(kernel)
     pairs, limit = _kernel_inputs(ring, n)
+    if mod.KERNEL_KIND == "compiled" and len(pairs) > _COMPILED_MAX_CANDIDATES:
+        if kernel is not None:
+            raise UsageError(
+                f"{ring.tag} at height {n} has {len(pairs)} candidates; the compiled "
+                f"kernel takes at most {_COMPILED_MAX_CANDIDATES} (use kernel 'pure')")
+        mod = _pure
     tasks = _search_tasks(ring, n, pairs)
     argl = [(mod.KERNEL_KIND, ring.kernel_id, n, t, pairs, limit) for t in tasks]
     if jobs is None or jobs <= 1:

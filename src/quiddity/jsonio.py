@@ -80,7 +80,7 @@ def labelling_from_json(data) -> Labelling:
         raise UsageError(f"'m' must be an integer, got {m!r}")
     if not isinstance(diagonals, list):
         raise UsageError("'diagonals' must be a list of [i, j] pairs")
-    tri = Triangulation(m, frozenset(tuple(d) for d in diagonals))
+    tri = Triangulation(m, diagonals)
     if not isinstance(labels, dict):
         raise UsageError("'labels' must map 'i,j,k' strings to integers")
     parsed = {}

@@ -61,17 +61,14 @@ __all__ = [
 ]
 
 
-def _crossing(d1: tuple, d2: tuple) -> bool:
-    (a, b), (c, d) = sorted((d1, d2))
-    return a < c < b < d
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """A triangulation of a convex m-gon, stored as its diagonal set.
 
     Diagonals are sorted vertex pairs (i, j) with i < j.  The triangle list
     is derived by splitting along the unique apex over each edge and cached.
+    That walk also validates the m - 3 chords: it finishes only by cutting
+    the polygon along m - 3 of them, all of the set, so none can cross.
     The 2-gon has no triangles at all; that degenerate case is allowed.
     """
 
@@ -82,6 +79,10 @@ class Triangulation:
         m = self.m
         if m < 2:
             raise UsageError("polygon needs at least 2 vertices")
+        for d in self.diagonals:
+            if not (isinstance(d, (tuple, list)) and len(d) == 2
+                    and type(d[0]) is int and type(d[1]) is int):
+                raise UsageError(f"a diagonal is a pair of integer vertices, got {d!r}")
         diags = frozenset(tuple(sorted(d)) for d in self.diagonals)
         object.__setattr__(self, "diagonals", diags)
         for i, j in diags:
@@ -89,10 +90,6 @@ class Triangulation:
                 raise UsageError(f"({i}, {j}) is not a chord of the {m}-gon")
         if len(diags) != max(m - 3, 0):
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
-        for d1 in diags:
-            for d2 in diags:
-                if d1 < d2 and _crossing(d1, d2):
-                    raise UsageError(f"diagonals {d1} and {d2} cross")
         object.__setattr__(self, "triangles", self._derive_triangles())
 
     def _derive_triangles(self) -> tuple:
@@ -110,7 +107,8 @@ class Triangulation:
             # has its apex among the common neighbours of a and b
             a, b = stack.pop()
             apex = [c for c in nbrs[a] & nbrs[b] if a < c < b]
-            assert len(apex) == 1, "edge must support exactly one triangle"
+            if len(apex) != 1:
+                raise UsageError(f"diagonals cross: edge ({a}, {b}) has {len(apex)} apexes")
             c = apex[0]
             out.append((a, c, b))
             if c - a >= 2:
@@ -299,6 +297,12 @@ def cc_quiddity(tri: Triangulation) -> Cycle:
     return cycle
 
 
+def _renumbered(diagonals, labels: dict, ren) -> tuple:
+    """The diagonals and the triangle labels with each vertex v renamed ren(v)."""
+    return ({tuple(sorted((ren(a), ren(b)))) for a, b in diagonals},
+            {tuple(sorted(ren(v) for v in t)): x for t, x in labels.items()})
+
+
 class _PolygonBuilder:
     """Mutable polygon-with-labelling used to replay glue scripts."""
 
@@ -311,9 +315,7 @@ class _PolygonBuilder:
         def ren(v):
             return v + by if v > threshold else v
 
-        self.diagonals = {tuple(sorted((ren(a), ren(b)))) for a, b in self.diagonals}
-        self.labels = {tuple(sorted(ren(v) for v in t)): x
-                       for t, x in self.labels.items()}
+        self.diagonals, self.labels = _renumbered(self.diagonals, self.labels, ren)
 
     def _add_chord(self, a: int, b: int):
         a, b = sorted((a, b))
@@ -371,10 +373,7 @@ class _PolygonBuilder:
             def ren(v):
                 return (v - 1 - r) % self.m + 1
 
-            self.diagonals = {tuple(sorted((ren(a), ren(b))))
-                              for a, b in self.diagonals}
-            self.labels = {tuple(sorted(ren(v) for v in t)): x
-                           for t, x in self.labels.items()}
+            self.diagonals, self.labels = _renumbered(self.diagonals, self.labels, ren)
 
     def freeze(self) -> Labelling:
         return Labelling(Triangulation(self.m, frozenset(self.diagonals)),
@@ -472,10 +471,9 @@ def _remove_ear(lab: Labelling, k: int) -> Labelling:
     def ren(v):
         return v - 1 if v > k else v
 
-    new_diags = frozenset(tuple(sorted((ren(a), ren(b)))) for a, b in diagonals)
-    labels = {tuple(sorted(ren(v) for v in t)): x
-              for t, x in lab.labels.items() if t != ear}
-    return Labelling(Triangulation(m - 1, new_diags), labels)
+    labels = {t: x for t, x in lab.labels.items() if t != ear}
+    diagonals, labels = _renumbered(diagonals, labels, ren)
+    return Labelling(Triangulation(m - 1, diagonals), labels)
 
 
 def _square_at(pairs: set, m: int, k: int):
@@ -523,10 +521,9 @@ def _remove_square(lab: Labelling, k: int, pairs: set) -> Labelling:
     def ren(x):
         return x - sum(1 for r in removed if r < x)
 
-    new_diags = frozenset(tuple(sorted((ren(p), ren(q)))) for p, q in diagonals)
-    labels = {tuple(sorted(ren(x) for x in t)): val
-              for t, val in lab.labels.items() if t not in gone}
-    return Labelling(Triangulation(m - 2, new_diags), labels)
+    labels = {t: val for t, val in lab.labels.items() if t not in gone}
+    diagonals, labels = _renumbered(diagonals, labels, ren)
+    return Labelling(Triangulation(m - 2, diagonals), labels)
 
 
 def _negated(lab: Labelling) -> Labelling:
@@ -543,7 +540,8 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     separated -1 ears.  The result is admissible (asserted); at least one
     case always applies on admissible input.
     """
-    if not is_admissible(lab):
+    partition = square_partition(lab)
+    if partition is None or labelling_sign(lab) != 1:
         raise InvalidLabellingError("labelling is not admissible")
     m = lab.m
 
@@ -552,7 +550,7 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
         return LabellingStep("TC0", (), lab, lab)
 
     tri = lab.triangulation
-    pairs = set(square_partition(lab))
+    pairs = set(partition)
     ears_one = [k for k in range(1, m + 1)
                 if tri.is_ear(k)
                 and lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))] == 1]

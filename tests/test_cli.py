@@ -90,6 +90,20 @@ def test_verify_frieze_needs_keys(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("window", [
+    '{"ring": "Z", "rows": [[1, 2], 3]}',
+    '{"ring": "Z", "rows": 5}',
+    '{"ring": "Z", "rows": [[1], [1]], "offsets": ["a", 2]}',
+    '{"ring": "Z", "rows": [[1], [1]], "offsets": [1, true]}',
+    '{"ring": "Z", "rows": [[1], [1]], "offsets": [1]}',
+    '{"ring": "Z", "rows": [[1], [1]], "offsets": 1}',
+])
+def test_verify_frieze_rejects_malformed_window(runner, window):
+    result = runner.invoke(main, ["verify-frieze", window])
+    assert result.exit_code == 2
+    assert "error:" in result.output
+
+
 def test_transform_expand_one(runner):
     result = runner.invoke(main, [
         "transform", "--cycle", '{"ring": "Z", "entries": [0, 0]}',
@@ -213,6 +227,14 @@ def test_label_round_trip_through_cli(runner):
     assert back.output == "cycle=(1, 4, 1, 2, 2, 2)\n"
 
 
+@pytest.mark.parametrize("diagonals", [[[1, 3, 4], [1, 4]], [5, [1, 4]], [["a", "b"], [1, 4]]])
+def test_label_to_cycle_rejects_malformed_diagonals(runner, diagonals):
+    lab = {"m": 5, "diagonals": diagonals, "labels": {}}
+    result = runner.invoke(main, ["label-to-cycle", json.dumps(lab)])
+    assert result.exit_code == 2
+    assert "a diagonal is a pair of integer vertices" in result.output
+
+
 def test_label_to_cycle_inadmissible(runner):
     lab = {"m": 4, "diagonals": [[1, 3]], "labels": {"1,2,3": 5, "1,3,4": -5}}
     result = runner.invoke(main, ["label-to-cycle", json.dumps(lab)])
@@ -288,6 +310,19 @@ def test_enumerate_compiled_kernel_missing_exits_2(runner, monkeypatch):
         "enumerate", "--ring", "Z", "--height", "1", "--kernel", "compiled"])
     assert result.exit_code == 2
     assert "quiddity._speedups is not built" in result.output
+
+
+def test_enumerate_compiled_kernel_candidate_cap_exits_2(runner, compiled_kernel, monkeypatch):
+    from quiddity import enumeration
+
+    def no_task(args):
+        raise AssertionError("a search task ran")
+
+    monkeypatch.setattr(enumeration, "_run_task", no_task)
+    result = runner.invoke(main, [
+        "enumerate", "--ring", "Zi", "--height", "6", "--kernel", "compiled"])
+    assert result.exit_code == 2
+    assert "compiled kernel takes at most 128" in result.output
 
 
 def test_enumerate_height_above_kernel_depth_exits_2(runner):

@@ -77,6 +77,43 @@ def test_missing_compiled_kernel_is_a_usage_error(monkeypatch):
         enumerate_nonzero(Z, 1, kernel="compiled")
 
 
+def test_compiled_kernel_candidate_cap(compiled_kernel):
+    # ties the cap in enumeration to the array size compiled into the kernel
+    cap = enumeration._COMPILED_MAX_CANDIDATES
+    assert cap == 128
+    pairs = [(k, 0) for k in range(cap)]
+    compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs, 4)
+    with pytest.raises(ValueError, match="too many candidates"):
+        compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs + [(cap, 0)], 4)
+
+
+def _no_task(args):
+    raise AssertionError("a search task ran")
+
+
+def test_compiled_kernel_by_name_refuses_too_many_candidates(compiled_kernel, monkeypatch):
+    monkeypatch.setattr(enumeration, "_run_task", _no_task)
+    assert len(candidate_entries(Zi, 6)) > enumeration._COMPILED_MAX_CANDIDATES
+    with pytest.raises(UsageError, match="148 candidates"):
+        enumerate_nonzero(Zi, 6, kernel="compiled")
+
+
+def test_default_compiled_kernel_hands_too_many_candidates_to_pure(compiled_kernel, monkeypatch):
+    kinds = set()
+
+    def record(args):
+        kinds.add(args[0])
+        return []
+
+    monkeypatch.setattr(enumeration, "_default", compiled_kernel)
+    monkeypatch.setattr(enumeration, "_run_task", record)
+    assert enumerate_nonzero(Zi, 6) == []
+    assert kinds == {"pure"}
+    kinds.clear()
+    enumerate_nonzero(Zi, 1)
+    assert kinds == {"compiled"}
+
+
 def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
     def no_candidates(ring, n):
         raise AssertionError(f"candidates built for height {n}")

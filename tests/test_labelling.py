@@ -1,6 +1,8 @@
 """Labelled triangulations: admissibility, vertex sums, and the
 combinatorial reduction engine."""
 
+import itertools
+
 import pytest
 
 from quiddity.cycles import Cycle, is_quiddity
@@ -47,6 +49,32 @@ def test_triangulation_validation():
         Triangulation(4, frozenset({(1, 4)}))  # wrap edge, not a chord
     with pytest.raises(UsageError):
         Triangulation(1, frozenset())
+    for bad in ((1, 3, 4), (5,), ("a", "b"), (True, 3), (1.0, 3.0), 5, "13"):
+        with pytest.raises(UsageError, match="pair of integer vertices"):
+            Triangulation(5, [bad, (1, 4)])
+
+
+def _chords_cross(d1, d2):
+    (a, b), (c, d) = sorted((d1, d2))
+    return a < c < b < d
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_triangle_walk_rejects_exactly_the_crossing_chord_sets(m):
+    # the pairwise crossing test is the independent reference for the walk
+    chords = [(i, j) for i in range(1, m + 1) for j in range(i + 2, m + 1) if (i, j) != (1, m)]
+    accepted = set()
+    for chosen in itertools.combinations(chords, max(m - 3, 0)):
+        crossing = any(_chords_cross(d1, d2) for d1, d2 in itertools.combinations(chosen, 2))
+        try:
+            tri = Triangulation(m, frozenset(chosen))
+        except UsageError:
+            assert crossing, chosen
+            continue
+        assert not crossing, chosen
+        assert len(tri.triangles) == m - 2
+        accepted.add(tri.diagonals)
+    assert accepted == {t.diagonals for t in enumerate_triangulations(m)}
 
 
 def test_triangle_derivation():
