@@ -2,10 +2,14 @@
 
 The search itself runs in a small kernel over machine-integer pairs: a
 compiled extension when the build produced one, otherwise a pure-Python
-twin with the identical contract.  This module prepares candidate sets,
-splits the space into independent prefix tasks, reassembles and sorts the
-results, and groups cycles into orbits of the dihedral symmetry that
-rotates and reflects them.  It also builds the one-parameter family of
+twin with the identical contract.  The dihedral symmetry that rotates and
+reflects cycles splits the solutions into orbits, and only the canonical
+cycle of each orbit (its least rotation or reflection) is searched for:
+the first entry is fixed to the cycle's least one, which has norm below 4,
+and later entries range only over candidates at least as large.  This
+module prepares the candidate set, splits that search into independent
+prefix tasks, keeps the canonical survivors, and expands each orbit when
+every cycle is asked for.  It also builds the one-parameter family of
 cycles indexed by divisors of 2, which exists over every ring where 2 has
 infinitely many divisors.
 """
@@ -68,29 +72,38 @@ def _kernel_module(kernel: str | None):
 
 
 def _kernel_inputs(ring: Ring, n: int):
-    """Candidate entry pairs in the ring's total order, plus the norm cap."""
+    """Candidate entries and their pairs in the ring's total order, plus the
+    norm cap."""
     if ring.kernel_id is None:
         raise UnsupportedRingError(f"no search kernel for {ring.tag}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    return pairs, (n + 1) ** 2
+    return elems, pairs, (n + 1) ** 2
 
 
-def _search_tasks(ring: Ring, n: int, pairs: list) -> list:
-    """Disjoint search prefixes covering the whole space, in output order.
+def _canonical_tasks(ring: Ring, n: int, pairs: list) -> list:
+    """Search prefixes, each with the index its candidates start from.
 
-    Height 1 has a single free position, so tasks are single entries; from
-    height 2 on the space is split by the first two entries, dropping pairs
-    with product 1 since no quiddity cycle can contain one.
+    A canonical cycle starts with its least entry, which has norm below 4
+    (`bounds.find_two_small`: every quiddity cycle has two such entries),
+    and no later entry is smaller.  So the first entry c1 = pairs[i] ranges
+    over the candidates of norm below 4, which lead the norm-first order,
+    and every later choice is made from the suffix pairs[i:].  Height 1 has
+    a single free position, so prefixes are single entries; from height 2
+    on the second entry is fixed too, dropping pairs with product 1 since
+    no quiddity cycle can contain one.
     """
-    if n == 1:
-        return [(c,) for c in pairs]
     rid = ring.kernel_id
     tasks = []
-    for c1 in pairs:
-        for c2 in pairs:
+    for i, c1 in enumerate(pairs):
+        if _pure._norm(rid, c1[0], c1[1]) >= 4:
+            break
+        if n == 1:
+            tasks.append(((c1,), i))
+            continue
+        for c2 in pairs[i:]:
             if _pure._mul(rid, c1[0], c1[1], c2[0], c2[1]) != (1, 0):
-                tasks.append((c1, c2))
+                tasks.append(((c1, c2), i))
     return tasks
 
 
@@ -99,11 +112,21 @@ def _run_task(args):
     return _kernel_module(kind).search_from_prefix(rid, n, list(prefix), pairs, limit)
 
 
-def _search_all(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) -> list:
-    """Raw kernel output (tuples of pairs) for the whole space.
+def _orbit(key: tuple) -> set:
+    """The distinct rotations and reflections of a tuple."""
+    rev = key[::-1]
+    return {v[s:] + v[:s] for v in (key, rev) for s in range(len(key))}
 
-    Results arrive in task order and each task is internally deterministic,
-    so the outcome is identical for one worker and for many.  A cell with
+
+def _search_orbits(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None):
+    """The candidate entries and the canonical cycle of every orbit.
+
+    Cycles come back as tuples of indices into the candidate list, which
+    holds every possible entry in the ring's total order, so comparing
+    index tuples compares cycles.  The kernel forces the last three entries
+    without restricting them to the task's candidates, so a survivor is kept
+    exactly when it equals the least of its rotations and reflections.  The
+    result is sorted and independent of the number of workers.  A cell with
     too many candidates for the compiled kernel runs on the pure one, unless
     the compiled kernel was asked for by name.
     """
@@ -114,37 +137,43 @@ def _search_all(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) ->
     if n > _pure.MAX_DEPTH:
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
     mod = _kernel_module(kernel)
-    pairs, limit = _kernel_inputs(ring, n)
+    elems, pairs, limit = _kernel_inputs(ring, n)
     if mod.KERNEL_KIND == "compiled" and len(pairs) > _COMPILED_MAX_CANDIDATES:
         if kernel is not None:
             raise UsageError(
                 f"{ring.tag} at height {n} has {len(pairs)} candidates; the compiled "
                 f"kernel takes at most {_COMPILED_MAX_CANDIDATES} (use kernel 'pure')")
         mod = _pure
-    tasks = _search_tasks(ring, n, pairs)
-    argl = [(mod.KERNEL_KIND, ring.kernel_id, n, t, pairs, limit) for t in tasks]
+    argl = [(mod.KERNEL_KIND, ring.kernel_id, n, prefix, pairs[i:], limit)
+            for prefix, i in _canonical_tasks(ring, n, pairs)]
     if jobs is None or jobs <= 1:
         chunks = map(_run_task, argl)
     else:
         with get_context("fork").Pool(jobs) as pool:
             chunks = pool.map(_run_task, argl, chunksize=max(1, len(argl) // (8 * jobs)))
-    out = []
+    rank = {p: k for k, p in enumerate(pairs)}
+    canonical = []
     for chunk in chunks:
-        out.extend(chunk)
-    return out
+        for tup in chunk:
+            key = tuple(rank[p] for p in tup)
+            if key == min(_orbit(key)):
+                canonical.append(key)
+    canonical.sort()
+    return elems, canonical
 
 
 def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) -> list:
     """Every quiddity cycle of height n with a frieze free of zero entries.
 
     Cycles are based sequences: each rotation or reflection of a solution is
-    listed separately.  The list is sorted by the entrywise total order of
-    the ring, so repeated runs and different job counts agree exactly.
+    listed separately.  The search finds one canonical cycle per orbit, and
+    each orbit is expanded here.  The list is sorted by the entrywise total
+    order of the ring, so repeated runs and different job counts agree
+    exactly.
     """
-    raw = _search_all(ring, n, jobs=jobs, kernel=kernel)
-    cycles = [Cycle(ring, tuple(ring.from_pair(p) for p in tup)) for tup in raw]
-    cycles.sort(key=lambda c: tuple(ring.sort_key(x) for x in c.entries))
-    return cycles
+    elems, canonical = _search_orbits(ring, n, jobs=jobs, kernel=kernel)
+    keys = sorted(v for key in canonical for v in _orbit(key))
+    return [Cycle(ring, tuple(elems[k] for k in key)) for key in keys]
 
 
 def canonical_form(cycle: Cycle) -> Cycle:
@@ -152,14 +181,11 @@ def canonical_form(cycle: Cycle) -> Cycle:
 
     "Least" is lexicographic in the ring's total order, so two cycles are
     related by a dihedral symmetry exactly when their canonical forms match.
+    The order compares norms first, and a canonical form starts with the
+    cycle's least entry.
     """
     ring = cycle.ring
-    ent = cycle.entries
-    rev = tuple(reversed(ent))
-    m = len(ent)
-    variants = [ent[s:] + ent[:s] for s in range(m)]
-    variants += [rev[s:] + rev[:s] for s in range(m)]
-    best = min(variants, key=lambda v: tuple(ring.sort_key(x) for x in v))
+    best = min(_orbit(cycle.entries), key=lambda v: tuple(ring.sort_key(x) for x in v))
     return Cycle(ring, best)
 
 
@@ -179,14 +205,16 @@ class EnumerationResult:
 
 
 def count_nonzero(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) -> EnumerationResult:
-    """Enumerate and group by dihedral symmetry: totals, orbits, representatives."""
-    cycles = enumerate_nonzero(ring, n, jobs=jobs, kernel=kernel)
-    reps = {}
-    for c in cycles:
-        canon = canonical_form(c)
-        reps.setdefault(tuple(ring.sort_key(x) for x in canon.entries), canon)
-    ordered = tuple(reps[k] for k in sorted(reps))
-    return EnumerationResult(ring, n, len(cycles), len(ordered), ordered)
+    """Totals, orbits and representatives under the dihedral symmetry.
+
+    The representatives are the canonical cycles the search finds, one per
+    orbit, sorted; the total adds up the orbit sizes (the distinct rotations
+    and reflections of each), so no cycle outside them is ever built.
+    """
+    elems, canonical = _search_orbits(ring, n, jobs=jobs, kernel=kernel)
+    total = sum(len(_orbit(key)) for key in canonical)
+    reps = tuple(Cycle(ring, tuple(elems[k] for k in key)) for key in canonical)
+    return EnumerationResult(ring, n, total, len(reps), reps)
 
 
 def unit_family_cycle(ring: Ring, n: int, t) -> Cycle:

@@ -93,6 +93,9 @@ class FriezeWindow:
     def __post_init__(self):
         if len(self.rows) != len(self.offsets):
             raise UsageError("one offset per row required")
+        for off in self.offsets:
+            if type(off) is not int:
+                raise UsageError(f"a row offset is an integer column, got {off!r}")
         for row in self.rows:
             for x in row:
                 self.ring.check_element(x)

@@ -77,8 +77,12 @@ class Triangulation:
 
     def __post_init__(self):
         m = self.m
+        if type(m) is not int:
+            raise UsageError(f"the vertex count is an integer, got {m!r}")
         if m < 2:
             raise UsageError("polygon needs at least 2 vertices")
+        if not isinstance(self.diagonals, (list, tuple, set, frozenset)):
+            raise UsageError(f"diagonals are a collection of pairs, got {self.diagonals!r}")
         for d in self.diagonals:
             if not (isinstance(d, (tuple, list)) and len(d) == 2
                     and type(d[0]) is int and type(d[1]) is int):

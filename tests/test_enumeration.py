@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from quiddity import enumeration
+from quiddity import _kernel, enumeration
 from quiddity.bounds import candidate_entries
 from quiddity.cycles import Cycle, is_quiddity, reverse, rotate
 from quiddity.enumeration import (
@@ -44,6 +44,43 @@ def naive_nonzero(ring, n):
 def test_engine_matches_naive_scan(ring, n):
     got = [c.entries for c in enumerate_nonzero(ring, n)]
     assert got == naive_nonzero(ring, n)
+
+
+def full_search(ring, n):
+    """Every cycle, rotations and reflections included, from the full grid
+    of prefixes: every (c1, c2) with c1*c2 != 1 (single entries at height
+    1), each run through the pure kernel with all candidates."""
+    elems = candidate_entries(ring, n)
+    pairs = [ring.to_pair(x) for x in elems]
+    if n == 1:
+        prefixes = [(c,) for c in pairs]
+    else:
+        prefixes = [(ring.to_pair(x), ring.to_pair(y)) for x in elems for y in elems
+                    if x * y != ring.one]
+    out = []
+    for prefix in prefixes:
+        for tup in _kernel.search_from_prefix(ring.kernel_id, n, list(prefix), pairs,
+                                              (n + 1) ** 2):
+            out.append(tuple(ring.from_pair(p) for p in tup))
+    return sorted(out, key=lambda e: tuple(ring.sort_key(x) for x in e))
+
+
+FULL_SEARCH_CELLS = [(Z, n) for n in range(1, 6)] + [(Zi, n) for n in (1, 2, 3)] \
+    + [(Zzeta6, n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("ring,n", FULL_SEARCH_CELLS)
+def test_canonical_search_matches_full_search(ring, n):
+    reference = full_search(ring, n)
+    assert [c.entries for c in enumerate_nonzero(ring, n)] == reference
+    canon = {canonical_form(Cycle(ring, e)).entries for e in reference}
+    # the task cut rests on this: a canonical cycle starts with an entry of
+    # norm below 4 (two such entries exist in every quiddity cycle)
+    assert all(ring.norm_sq(e[0]) < 4 for e in canon)
+    result = count_nonzero(ring, n)
+    assert result.total == len(reference)
+    assert [r.entries for r in result.representatives] == \
+        sorted(canon, key=lambda e: tuple(ring.sort_key(x) for x in e))
 
 
 SMALL_TABLE = [

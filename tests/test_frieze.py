@@ -145,6 +145,15 @@ def test_verify_checks_tameness():
     assert ("tame", 0, 1) in report.failures
 
 
+def test_window_checks_offsets():
+    rows = ((1, 2), (1,))
+    for offsets in (("a", 2), (1, True), (1, 2.0), (None, 2)):
+        with pytest.raises(UsageError, match="offset is an integer"):
+            verify(FriezeWindow(Z, rows, offsets))
+    with pytest.raises(UsageError, match="one offset per row"):
+        FriezeWindow(Z, rows, (1,))
+
+
 def test_window_render_is_a_staircase():
     f = frieze_from_cycle(Cycle(Z, (0, 0)))
     text = f.window().render()

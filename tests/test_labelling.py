@@ -52,6 +52,12 @@ def test_triangulation_validation():
     for bad in ((1, 3, 4), (5,), ("a", "b"), (True, 3), (1.0, 3.0), 5, "13"):
         with pytest.raises(UsageError, match="pair of integer vertices"):
             Triangulation(5, [bad, (1, 4)])
+    for m in ("5", 5.0, True, None):
+        with pytest.raises(UsageError, match="vertex count is an integer"):
+            Triangulation(m, [])
+    for diagonals in (5, "13", None, {(1, 3): 1}):
+        with pytest.raises(UsageError, match="collection of pairs"):
+            Triangulation(5, diagonals)
 
 
 def _chords_cross(d1, d2):
