@@ -23,7 +23,7 @@ from quiddity.errors import (
     UsageError,
 )
 from quiddity.frieze import FriezePattern, frieze_from_cycle
-from quiddity.labelling import Triangulation, enumerate_triangulations
+from quiddity.labelling import Triangulation
 from quiddity.rings import Z
 
 __all__ = [
@@ -163,29 +163,61 @@ def all_ones_cluster(m: int, ring=Z) -> Cluster:
 
 
 def find_zero_free_cluster(cycle: Cycle):
-    """First triangulation (in enumeration order) whose diagonals all carry
-    nonzero frieze entries, or None when the cycle is all-zero.
+    """First triangulation (in `enumerate_triangulations` order) whose
+    diagonals all carry nonzero frieze entries, or None when the cycle is
+    all-zero.
+
+    An interval dynamic programme over the frieze, O(m^3) bit operations:
+    O(m^2) intervals, each one AND of two m-bit masks.  For widths 2 .. m-1,
+    the apex of the sub-polygon a..b is the least c strictly between a and
+    b for which both sides (a, c) and (c, b) are edges, or diagonals with a
+    nonzero label whose own sub-polygon has an apex.  The enumeration
+    orders the triangulations of a..b by apex, then left part, then right
+    part, and the two parts are independent, so the least apex at every
+    interval picks exactly the first zero-free triangulation.
 
     Existence for any quiddity cycle with a nonzero entry and m >= 4 is a
     theorem; an exhausted search on such input raises rather than returning
     None.
     """
-    if cycle.m < 4:
+    m = cycle.m
+    if m < 4:
         raise NotApplicableError("clusters need at least one diagonal")
-    if not is_quiddity(cycle):
-        raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     ring = cycle.ring
     f = frieze_from_cycle(cycle)
-    for tri in enumerate_triangulations(cycle.m):
-        labels = {}
-        for i, j in sorted(tri.diagonals):
-            value = diagonal_label(f, i, j)
-            if value == ring.zero:
-                labels = None
-                break
-            labels[(i, j)] = value
-        if labels is not None:
-            return Cluster(tri, labels)
-    if all(c == ring.zero for c in cycle.entries):
-        return None
-    raise RuntimeError("no zero-free cluster found; contradicts the theorem")
+    # Bit c of right[a] is set when (a, c), a < c, is an edge or a usable
+    # diagonal (nonzero label, sub-polygon a..c has an apex); bit c of
+    # left[b] likewise for (c, b), c < b.  So right[a] & left[b] holds
+    # exactly the feasible apexes of a..b, all strictly between a and b.
+    right = [0] * (m + 1)
+    left = [0] * (m + 1)
+    for a in range(1, m):
+        right[a] |= 1 << (a + 1)
+        left[a + 1] |= 1 << a
+    apex = {}
+    for width in range(2, m):
+        for a in range(1, m - width + 1):
+            b = a + width
+            feasible = right[a] & left[b]
+            if not feasible:
+                continue
+            apex[(a, b)] = (feasible & -feasible).bit_length() - 1
+            if width < m - 1 and diagonal_label(f, a, b) != ring.zero:
+                right[a] |= 1 << b
+                left[b] |= 1 << a
+    if (1, m) not in apex:
+        if all(c == ring.zero for c in cycle.entries):
+            return None
+        raise RuntimeError("no zero-free cluster found; contradicts the theorem")
+    diagonals = []
+    stack = [(1, m)]
+    while stack:
+        a, b = stack.pop()
+        c = apex[(a, b)]
+        for p, q in ((a, c), (c, b)):
+            if q - p >= 2:
+                diagonals.append((p, q))
+                stack.append((p, q))
+    tri = Triangulation(m, frozenset(diagonals))
+    labels = {(i, j): diagonal_label(f, i, j) for i, j in sorted(tri.diagonals)}
+    return Cluster(tri, labels)

@@ -1,8 +1,11 @@
 """Shared exception types.
 
-The CLI maps these onto exit codes: UsageError becomes exit 2 (bad input or
-schema), everything else derived from QuiddityError becomes exit 1 (a
-mathematically negative answer such as "rule not applicable here").
+The CLI maps these onto exit codes: InvalidCycleError becomes exit 1 (the
+input is not a quiddity cycle, a mathematically negative answer); every
+other QuiddityError, UsageError, NotApplicableError and SingularError
+included, becomes exit 2 (bad input or schema, or an inapplicable request).
+A verb that answers a well-posed question in the negative exits 1 itself,
+after printing its answer, such as `NONE` or `QUIDDITY: no`.
 """
 
 from __future__ import annotations

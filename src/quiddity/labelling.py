@@ -33,7 +33,6 @@ integer-cycle reduction cases one for one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import (
@@ -132,10 +131,18 @@ class Triangulation:
         return tuple(sorted((prev, v, nxt))) in self.triangles
 
 
-@lru_cache(maxsize=None)
-def _triangulation_diagonal_sets(m: int) -> tuple:
-    if m == 2:
-        return (frozenset(),)
+def enumerate_triangulations(m: int) -> list:
+    """All triangulations of the m-gon in a fixed recursive order.
+
+    The count is the Catalan number C(m-2): 1, 1, 2, 5, 14, ... for
+    m = 2, 3, 4, 5, 6, ...  The triangulations of the sub-polygon a..b come
+    ordered by the apex c of the triangle over (a, b), then by those of
+    a..c, then by those of c..b.  This is a reference enumeration for tests
+    and small m: the whole list is built on every call, and nothing in the
+    library relies on it.
+    """
+    if m < 2:
+        raise UsageError("polygon needs at least 2 vertices")
 
     def fill(a: int, b: int) -> list:
         # all diagonal sets triangulating the sub-polygon a..b
@@ -143,25 +150,13 @@ def _triangulation_diagonal_sets(m: int) -> tuple:
             return [frozenset()]
         out = []
         for c in range(a + 1, b):
-            left = [frozenset({(a, c)}) if c - a >= 2 else frozenset()]
-            right = [frozenset({(c, b)}) if b - c >= 2 else frozenset()]
+            sides = frozenset(d for d in ((a, c), (c, b)) if d[1] - d[0] >= 2)
             for ls in fill(a, c):
                 for rs in fill(c, b):
-                    out.append(left[0] | right[0] | ls | rs)
+                    out.append(sides | ls | rs)
         return out
 
-    return tuple(fill(1, m))
-
-
-def enumerate_triangulations(m: int) -> list:
-    """All triangulations of the m-gon in a fixed recursive order.
-
-    The count is the Catalan number C(m-2): 1, 1, 2, 5, 14, ... for
-    m = 2, 3, 4, 5, 6, ...
-    """
-    if m < 2:
-        raise UsageError("polygon needs at least 2 vertices")
-    return [Triangulation(m, d) for d in _triangulation_diagonal_sets(m)]
+    return [Triangulation(m, d) for d in fill(1, m)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI verb through click's test runner."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -8,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from quiddity.cli import main
+from quiddity.clusters import diagonal_label
 from quiddity.cycles import Cycle
+from quiddity.frieze import frieze_from_cycle
 from quiddity.jsonio import dumps, result_from_json, result_to_json
 from quiddity.rings import Z
 
@@ -260,6 +263,40 @@ def test_cluster_json(runner):
     data = json.loads(result.output)
     assert set(data) == {"diagonals", "labels"}
     assert len(data["diagonals"]) == 3
+
+
+def _conway_coxeter(m: int, seed: int) -> list:
+    # triangle counts at the vertices of a random triangulation, built by
+    # gluing m - 3 ears onto a triangle
+    rng = random.Random(seed)
+    entries = [1, 1, 1]
+    while len(entries) < m:
+        p = rng.randrange(len(entries))
+        entries[p] += 1
+        entries[(p + 1) % len(entries)] += 1
+        entries.insert(p + 1, 1)
+    return entries
+
+
+@pytest.mark.parametrize("entries", [_conway_coxeter(200, 1), [1] * 201],
+                         ids=["conway_coxeter_200", "all_ones_201"])
+def test_cluster_json_at_large_m(runner, entries):
+    m = len(entries)
+    cycle_json = json.dumps({"ring": "Z", "entries": entries})
+    result = runner.invoke(main, ["cluster", "--cycle", cycle_json, "--format", "json"])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    f = frieze_from_cycle(Cycle(Z, tuple(entries)))
+    diagonals = [tuple(d) for d in data["diagonals"]]
+    assert len(set(diagonals)) == m - 3
+    assert set(data["labels"]) == {f"{i},{j}" for i, j in diagonals}
+    for i, j in diagonals:
+        label = data["labels"][f"{i},{j}"]
+        assert label != 0
+        assert label == diagonal_label(f, i, j)
+    if entries == [1] * 201:
+        # the all-ones frieze vanishes on gaps divisible by 3
+        assert all((j - i) % 3 != 0 for i, j in diagonals)
 
 
 def test_enumerate_table(runner):

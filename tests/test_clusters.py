@@ -1,5 +1,6 @@
 """Diagonal labels, Ptolemy relations, and zero-free clusters."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from quiddity.clusters import (
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, NotApplicableError, UsageError
 from quiddity.frieze import FriezePattern, frieze_from_cycle
-from quiddity.labelling import Triangulation
+from quiddity.labelling import Triangulation, enumerate_triangulations
 from quiddity.rings import GaussianInt, Q, Z, Zi
 
 
@@ -148,6 +149,76 @@ def test_zero_free_cluster_on_corpus_sample(z_corpus):
             assert cluster is None
         else:
             assert cluster is not None and not cluster.has_zero(Z)
+
+
+def first_zero_free_reference(cycle: Cycle, triangulations: list):
+    """Diagonals of the first triangulation in the list whose diagonals
+    all carry nonzero labels, or None: the exhaustive search."""
+    f = frieze_from_cycle(cycle)
+    for tri in triangulations:
+        if all(diagonal_label(f, i, j) != 0 for i, j in tri.diagonals):
+            return tri.diagonals
+    return None
+
+
+def glued_cycle(rng: random.Random, m: int) -> tuple:
+    """Vertex sums of a random labelled triangulation of the m-gon.
+
+    Blocks are glued onto edges of the 2-gon with sums (0, 0): a triangle
+    labelled +1 or -1 turns sums (a, b) into (a+s, s, b+s), a square
+    labelled x, -x with x in -2..2 turns them into (a, x, 0, b-x).  Each
+    -1 triangle and each square flips the sign of the eta product, and the
+    last triangle's label makes the number of flips even.
+    """
+    squares = rng.randint(0, (m - 3) // 2)
+    moves = ["square"] * squares + [rng.choice((1, -1)) for _ in range(m - 3 - 2 * squares)]
+    rng.shuffle(moves)
+    flips = squares + moves.count(-1)
+    moves.append(-1 if flips % 2 else 1)
+    sums = [0, 0]
+    for move in moves:
+        p = rng.randrange(len(sums))
+        q = (p + 1) % len(sums)
+        if move == "square":
+            x = rng.randint(-2, 2)
+            sums[q] -= x
+            sums[p + 1:p + 1] = [x, 0]
+        else:
+            sums[p] += move
+            sums[q] += move
+            sums.insert(p + 1, move)
+    assert len(sums) == m
+    return tuple(sums)
+
+
+def test_zero_free_cluster_matches_exhaustive_search(z_corpus):
+    rng = random.Random(20171110)
+    by_m = {m: [] for m in range(4, 12)}
+    for cycle in z_corpus:
+        if cycle.m in by_m:
+            by_m[cycle.m].append(cycle)
+    for m in by_m:
+        by_m[m] += [Cycle(Z, glued_cycle(rng, m)) for _ in range(40)]
+    with_zero = with_negative = 0
+    for m, cycles in by_m.items():
+        triangulations = enumerate_triangulations(m)
+        for cycle in cycles:
+            assert is_quiddity(cycle)
+            with_zero += 0 in cycle.entries
+            with_negative += any(c < 0 for c in cycle.entries)
+            found = find_zero_free_cluster(cycle)
+            got = None if found is None else found.triangulation.diagonals
+            assert got == first_zero_free_reference(cycle, triangulations), cycle
+    assert with_zero >= 100 and with_negative >= 100
+
+
+def test_zero_free_cluster_at_large_m():
+    # the all-zero 202-gon is quiddity (202 = 2 mod 4) and has no cluster
+    assert find_zero_free_cluster(Cycle(Z, (0,) * 202)) is None
+    cycle = Cycle(Z, glued_cycle(random.Random(7), 150))
+    cluster = find_zero_free_cluster(cycle)
+    assert len(cluster.triangulation.diagonals) == 147
+    assert not cluster.has_zero(Z)
 
 
 def rank_two_cycle(x1: Fraction, x2: Fraction) -> Cycle:
