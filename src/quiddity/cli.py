@@ -283,16 +283,14 @@ def cluster_cmd(cycle_json, fmt):
 @click.option("--height", "n", required=True, type=int)
 @click.option("--orbits", is_flag=True, help="Also count dihedral orbits.")
 @click.option("--jobs", default=1, show_default=True, type=int)
-@click.option("--kernel", type=click.Choice(["pure", "compiled"]), default=None,
-              help="Force a search kernel (default: compiled when built).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True),
               help="Also write the full result as JSON to this file.")
 @_format_option
 @_guard
-def enumerate_cmd(tag, n, orbits, jobs, kernel, out_path, fmt):
+def enumerate_cmd(tag, n, orbits, jobs, out_path, fmt):
     """Count all quiddity cycles of one height with zero-free friezes."""
     ring = ring_from_tag(tag)
-    result = enumeration.count_nonzero(ring, n, jobs=jobs, kernel=kernel)
+    result = enumeration.count_nonzero(ring, n, jobs=jobs)
     if fmt == "json":
         click.echo(jsonio.dumps(jsonio.result_to_json(result)))
     else:

@@ -185,6 +185,8 @@ def find_zero_free_cluster(cycle: Cycle):
         raise NotApplicableError("clusters need at least one diagonal")
     ring = cycle.ring
     f = frieze_from_cycle(cycle)
+    # diagonal_label(f, a, b) is rows[a][b - a] for 1 <= a < b <= m
+    rows = f.rows
     # Bit c of right[a] is set when (a, c), a < c, is an edge or a usable
     # diagonal (nonzero label, sub-polygon a..c has an apex); bit c of
     # left[b] likewise for (c, b), c < b.  So right[a] & left[b] holds
@@ -202,7 +204,7 @@ def find_zero_free_cluster(cycle: Cycle):
             if not feasible:
                 continue
             apex[(a, b)] = (feasible & -feasible).bit_length() - 1
-            if width < m - 1 and diagonal_label(f, a, b) != ring.zero:
+            if width < m - 1 and rows[a][b - a] != ring.zero:
                 right[a] |= 1 << b
                 left[b] |= 1 << a
     if (1, m) not in apex:

@@ -1,22 +1,23 @@
 """Exhaustive search for quiddity cycles whose friezes have no zero entry.
 
 The search itself runs in a small kernel over machine-integer pairs: a
-compiled extension when the build produced one, otherwise a pure-Python
-twin with the identical contract.  The dihedral symmetry that rotates and
-reflects cycles splits the solutions into orbits, and only the canonical
-cycle of each orbit (its least rotation or reflection) is searched for:
-the first entry is fixed to the cycle's least one, which has norm below 4,
-and later entries range only over candidates at least as large.  This
-module prepares the candidate set, splits that search into independent
-prefix tasks, keeps the canonical survivors, and expands each orbit when
-every cycle is asked for.  It also builds the one-parameter family of
-cycles indexed by divisors of 2, which exists over every ring where 2 has
-infinitely many divisors.
+compiled extension when the build produced one and the cell has at most
+`_COMPILED_MAX_CANDIDATES` candidates, otherwise a pure-Python twin with
+the identical contract; the code picks between them, no caller does.  The
+dihedral symmetry that rotates and reflects cycles splits the solutions
+into orbits, and only the canonical cycle of each orbit (its least
+rotation or reflection) is searched for: the first entry is fixed to the
+cycle's least one, which has norm below 4, and later entries range only
+over candidates at least as large.  This module prepares the candidate
+set, splits that search into independent prefix tasks, keeps the
+canonical survivors, and expands each orbit when every cycle is asked
+for.  It also builds the one-parameter family of cycles indexed by
+divisors of 2, which exists over every ring where 2 has infinitely many
+divisors.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -38,9 +39,8 @@ __all__ = [
 ]
 
 
-# The compiled kernel is preferred when present; kernel="pure" forces the
-# fallback for a single call, and so does a cell with more candidates than
-# the compiled kernel holds.
+# The compiled kernel is preferred when present; a cell with more
+# candidates than the compiled kernel holds runs on the pure one.
 try:
     from quiddity import _speedups as _default  # type: ignore[no-redef]
 except ImportError:
@@ -51,24 +51,9 @@ _COMPILED_MAX_CANDIDATES = 128
 
 
 def active_kernel() -> str:
-    """Kernel used when no explicit choice is made: "compiled" or "pure"."""
+    """Kernel used for cells within the compiled kernel's candidate cap:
+    "compiled" or "pure"."""
     return _default.KERNEL_KIND
-
-
-def _kernel_module(kernel: str | None):
-    if kernel is None:
-        return _default
-    if kernel == "pure":
-        return _pure
-    if kernel == "compiled":
-        try:
-            return importlib.import_module("quiddity._speedups")
-        except ImportError as exc:
-            raise UsageError(
-                "compiled kernel unavailable: the extension quiddity._speedups "
-                "is not built (reinstall with a C compiler, or use kernel 'pure')"
-            ) from exc
-    raise UsageError(f"unknown kernel {kernel!r}, expected 'pure' or 'compiled'")
 
 
 def _kernel_inputs(ring: Ring, n: int):
@@ -109,7 +94,8 @@ def _canonical_tasks(ring: Ring, n: int, pairs: list) -> list:
 
 def _run_task(args):
     kind, rid, n, prefix, pairs, limit = args
-    return _kernel_module(kind).search_from_prefix(rid, n, list(prefix), pairs, limit)
+    mod = _pure if kind == "pure" else _default
+    return mod.search_from_prefix(rid, n, list(prefix), pairs, limit)
 
 
 def _orbit(key: tuple) -> set:
@@ -118,7 +104,7 @@ def _orbit(key: tuple) -> set:
     return {v[s:] + v[:s] for v in (key, rev) for s in range(len(key))}
 
 
-def _search_orbits(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None):
+def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     """The candidate entries and the canonical cycle of every orbit.
 
     Cycles come back as tuples of indices into the candidate list, which
@@ -126,9 +112,9 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None)
     index tuples compares cycles.  The kernel forces the last three entries
     without restricting them to the task's candidates, so a survivor is kept
     exactly when it equals the least of its rotations and reflections.  The
-    result is sorted and independent of the number of workers.  A cell with
-    too many candidates for the compiled kernel runs on the pure one, unless
-    the compiled kernel was asked for by name.
+    result is sorted and independent of the number of workers, and no more
+    workers start than there are prefix tasks.  A cell with too many
+    candidates for the compiled kernel runs on the pure one.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -136,21 +122,16 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None)
         raise UsageError(f"height must be at least 1, got {n}")
     if n > _pure.MAX_DEPTH:
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
-    mod = _kernel_module(kernel)
     elems, pairs, limit = _kernel_inputs(ring, n)
-    if mod.KERNEL_KIND == "compiled" and len(pairs) > _COMPILED_MAX_CANDIDATES:
-        if kernel is not None:
-            raise UsageError(
-                f"{ring.tag} at height {n} has {len(pairs)} candidates; the compiled "
-                f"kernel takes at most {_COMPILED_MAX_CANDIDATES} (use kernel 'pure')")
-        mod = _pure
-    argl = [(mod.KERNEL_KIND, ring.kernel_id, n, prefix, pairs[i:], limit)
+    kind = "pure" if len(pairs) > _COMPILED_MAX_CANDIDATES else _default.KERNEL_KIND
+    argl = [(kind, ring.kernel_id, n, prefix, pairs[i:], limit)
             for prefix, i in _canonical_tasks(ring, n, pairs)]
-    if jobs is None or jobs <= 1:
+    workers = min(jobs or 1, len(argl))
+    if workers <= 1:
         chunks = map(_run_task, argl)
     else:
-        with get_context("fork").Pool(jobs) as pool:
-            chunks = pool.map(_run_task, argl, chunksize=max(1, len(argl) // (8 * jobs)))
+        with get_context("fork").Pool(workers) as pool:
+            chunks = pool.map(_run_task, argl, chunksize=max(1, len(argl) // (8 * workers)))
     rank = {p: k for k, p in enumerate(pairs)}
     canonical = []
     for chunk in chunks:
@@ -162,7 +143,7 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None)
     return elems, canonical
 
 
-def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) -> list:
+def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1) -> list:
     """Every quiddity cycle of height n with a frieze free of zero entries.
 
     Cycles are based sequences: each rotation or reflection of a solution is
@@ -171,7 +152,7 @@ def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1, kernel: str | None = No
     order of the ring, so repeated runs and different job counts agree
     exactly.
     """
-    elems, canonical = _search_orbits(ring, n, jobs=jobs, kernel=kernel)
+    elems, canonical = _search_orbits(ring, n, jobs=jobs)
     keys = sorted(v for key in canonical for v in _orbit(key))
     return [Cycle(ring, tuple(elems[k] for k in key)) for key in keys]
 
@@ -204,14 +185,14 @@ class EnumerationResult:
         assert self.orbit_count == len(self.representatives)
 
 
-def count_nonzero(ring: Ring, n: int, jobs: int = 1, kernel: str | None = None) -> EnumerationResult:
+def count_nonzero(ring: Ring, n: int, jobs: int = 1) -> EnumerationResult:
     """Totals, orbits and representatives under the dihedral symmetry.
 
     The representatives are the canonical cycles the search finds, one per
     orbit, sorted; the total adds up the orbit sizes (the distinct rotations
     and reflections of each), so no cycle outside them is ever built.
     """
-    elems, canonical = _search_orbits(ring, n, jobs=jobs, kernel=kernel)
+    elems, canonical = _search_orbits(ring, n, jobs=jobs)
     total = sum(len(_orbit(key)) for key in canonical)
     reps = tuple(Cycle(ring, tuple(elems[k] for k in key)) for key in canonical)
     return EnumerationResult(ring, n, total, len(reps), reps)

@@ -389,10 +389,12 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
-    if not is_quiddity(cycle):
-        raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
+    # reduce_to_base raises InvalidCycleError unless the cycle is quiddity
+    steps = reduce_to_base(cycle).steps
     builder = _PolygonBuilder()
-    for step in reversed(reduce_to_base(cycle).steps):
+    result = builder.freeze()
+    assert is_admissible(result), "the 2-gon must be admissible"
+    for step in reversed(steps):
         expected = builder.sums()
         for instr in step.glue_script:
             expected = apply_glue_to_sums(expected, instr)
@@ -400,9 +402,9 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
             assert builder.sums() == expected, "polygon and sum replay diverged"
         builder.rotate(step.rotation)
         assert builder.sums() == step.before.entries, "replay missed the step input"
-        assert is_admissible(builder.freeze()), "replay lost admissibility"
-    result = builder.freeze()
-    assert cycle_from_labelling(result).entries == cycle.entries
+        result = builder.freeze()
+        assert is_admissible(result), "replay lost admissibility"
+    assert result.vertex_sums() == cycle.entries
     return result
 
 

@@ -86,7 +86,8 @@ def _c_toolchain_missing():
 
 
 @pytest.fixture(scope="session")
-def _compiled_kernel_module(tmp_path_factory):
+def compiled_kernel(tmp_path_factory):
+    """quiddity._speedups: the installed extension, or one built for this session."""
     try:
         return importlib.import_module("quiddity._speedups")
     except ImportError:
@@ -111,10 +112,3 @@ def _compiled_kernel_module(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.fixture()
-def compiled_kernel(_compiled_kernel_module, monkeypatch):
-    """quiddity._speedups, importable for the duration of one test."""
-    monkeypatch.setitem(sys.modules, "quiddity._speedups", _compiled_kernel_module)
-    return _compiled_kernel_module

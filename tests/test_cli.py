@@ -334,32 +334,16 @@ def test_enumerate_out_file(runner, tmp_path):
 
 
 def test_enumerate_kernel_choice_and_jobs(runner):
-    pure = runner.invoke(main, [
-        "enumerate", "--ring", "Z", "--height", "3", "--kernel", "pure"])
-    fast = runner.invoke(main, [
+    one = runner.invoke(main, [
+        "enumerate", "--ring", "Z", "--height", "3", "--jobs", "1"])
+    two = runner.invoke(main, [
         "enumerate", "--ring", "Z", "--height", "3", "--jobs", "2"])
-    assert pure.output == fast.output
-
-
-def test_enumerate_compiled_kernel_missing_exits_2(runner, monkeypatch):
-    monkeypatch.setitem(sys.modules, "quiddity._speedups", None)
-    result = runner.invoke(main, [
-        "enumerate", "--ring", "Z", "--height", "1", "--kernel", "compiled"])
-    assert result.exit_code == 2
-    assert "quiddity._speedups is not built" in result.output
-
-
-def test_enumerate_compiled_kernel_candidate_cap_exits_2(runner, compiled_kernel, monkeypatch):
-    from quiddity import enumeration
-
-    def no_task(args):
-        raise AssertionError("a search task ran")
-
-    monkeypatch.setattr(enumeration, "_run_task", no_task)
-    result = runner.invoke(main, [
-        "enumerate", "--ring", "Zi", "--height", "6", "--kernel", "compiled"])
-    assert result.exit_code == 2
-    assert "compiled kernel takes at most 128" in result.output
+    assert one.exit_code == 0
+    assert one.output == two.output
+    gone = runner.invoke(main, [
+        "enumerate", "--ring", "Z", "--height", "3", "--kernel", "pure"])
+    assert gone.exit_code == 2
+    assert "No such option" in gone.output
 
 
 def test_enumerate_height_above_kernel_depth_exits_2(runner):

@@ -7,8 +7,8 @@ and its structural invariants are tested on the rest.
 
 import itertools
 import re
-import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -100,18 +100,27 @@ def test_count_table_small_cells(ring, n, total, orbits):
     assert (result.total, result.orbit_count) == (total, orbits)
 
 
-@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE)
-def test_kernels_agree(ring, n, total, orbits, compiled_kernel):
-    pure = enumerate_nonzero(ring, n, kernel="pure")
-    fast = enumerate_nonzero(ring, n, kernel="compiled")
+# the `enumerate` benchmark workload's largest cells
+BENCHMARK_CELLS = [
+    (Z, 5, 264, 24),
+    (Zi, 3, 668, 81),
+    (Zzeta6, 3, 1062, 127),
+]
+
+
+@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE + BENCHMARK_CELLS)
+def test_kernels_agree(ring, n, total, orbits, compiled_kernel, monkeypatch):
+    runs = []
+    for kernel in (_kernel, compiled_kernel):
+        monkeypatch.setattr(enumeration, "_default", kernel)
+        assert active_kernel() == kernel.KERNEL_KIND
+        runs.append((enumerate_nonzero(ring, n), count_nonzero(ring, n)))
+    (pure, pure_count), (fast, fast_count) = runs
     assert [c.entries for c in pure] == [c.entries for c in fast]
-    assert len(pure) == total
-
-
-def test_missing_compiled_kernel_is_a_usage_error(monkeypatch):
-    monkeypatch.setitem(sys.modules, "quiddity._speedups", None)
-    with pytest.raises(UsageError, match="quiddity._speedups is not built"):
-        enumerate_nonzero(Z, 1, kernel="compiled")
+    assert len(pure) == pure_count.total == fast_count.total == total
+    assert pure_count.orbit_count == orbits
+    assert [r.entries for r in pure_count.representatives] == \
+        [r.entries for r in fast_count.representatives]
 
 
 def test_compiled_kernel_candidate_cap(compiled_kernel):
@@ -122,17 +131,6 @@ def test_compiled_kernel_candidate_cap(compiled_kernel):
     compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs, 4)
     with pytest.raises(ValueError, match="too many candidates"):
         compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs + [(cap, 0)], 4)
-
-
-def _no_task(args):
-    raise AssertionError("a search task ran")
-
-
-def test_compiled_kernel_by_name_refuses_too_many_candidates(compiled_kernel, monkeypatch):
-    monkeypatch.setattr(enumeration, "_run_task", _no_task)
-    assert len(candidate_entries(Zi, 6)) > enumeration._COMPILED_MAX_CANDIDATES
-    with pytest.raises(UsageError, match="148 candidates"):
-        enumerate_nonzero(Zi, 6, kernel="compiled")
 
 
 def test_default_compiled_kernel_hands_too_many_candidates_to_pure(compiled_kernel, monkeypatch):
@@ -149,6 +147,37 @@ def test_default_compiled_kernel_hands_too_many_candidates_to_pure(compiled_kern
     kinds.clear()
     enumerate_nonzero(Zi, 1)
     assert kinds == {"compiled"}
+
+
+@pytest.mark.parametrize("ring,n", [(Z, 1), (Zi, 1), (Z, 5)])
+def test_jobs_never_exceed_tasks(ring, n, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for a process pool: records its size, maps in-process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(enumeration, "get_context",
+                        lambda method: SimpleNamespace(Pool=SerialPool))
+    tasks = len(enumeration._canonical_tasks(
+        ring, n, [ring.to_pair(x) for x in candidate_entries(ring, n)]))
+    serial = enumerate_nonzero(ring, n, jobs=1)
+    assert sizes == []
+    assert enumerate_nonzero(ring, n, jobs=2) == serial
+    assert enumerate_nonzero(ring, n, jobs=tasks + 6) == serial
+    assert count_nonzero(ring, n, jobs=tasks + 6) == count_nonzero(ring, n, jobs=1)
+    assert sizes == [2, tasks, tasks]
 
 
 def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
@@ -335,8 +364,6 @@ def test_search_guards():
         enumerate_nonzero(Q, 1)
     with pytest.raises(UsageError):
         enumerate_nonzero(Z, 0)
-    with pytest.raises(UsageError):
-        enumerate_nonzero(Z, 1, kernel="magic")
     with pytest.raises(UsageError):
         unit_family(Z, 1, -1)
 
