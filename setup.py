@@ -1,24 +1,13 @@
 """Build script: compiles the optional search kernel.
 
-The package is pure Python except for quiddity._speedups, a Cython twin of
-quiddity._kernel.  With Cython installed the extension is generated from
-_speedups.pyx; without it the committed _speedups.c is compiled as is.  The
-extension is optional: if it cannot be compiled (no C compiler, no Python
-headers) the build goes on without it and the pure kernel is used at runtime.
+The package is pure Python except for quiddity._speedups, a hand-written C
+twin of quiddity._kernel.  The extension is optional: if it cannot be
+compiled (no C compiler, no Python headers) the build goes on without it and
+the pure kernel is used at runtime.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = [
-        Extension("quiddity._speedups", ["src/quiddity/_speedups.c"], optional=True)
-    ]
-else:
-    ext_modules = cythonize(
-        [Extension("quiddity._speedups", ["src/quiddity/_speedups.pyx"], optional=True)],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("quiddity._speedups", ["src/quiddity/_speedups.c"], optional=True)
+])

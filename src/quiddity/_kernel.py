@@ -17,7 +17,8 @@ and (1 + P21)/u, which must divide exactly and stay inside the candidate
 norm bound.  Survivors get a full cyclic window check before being emitted.
 
 `quiddity._speedups` is the compiled twin of this module; both expose the
-same `search_from_prefix` and must return identical lists.
+same `search_from_prefix` and must return identical lists, except that the
+twin raises OverflowError where its int64 arithmetic would overflow.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Exhaustive search for quiddity cycles whose friezes have no zero entry.
 
 The search itself runs in a small kernel over machine-integer pairs: a
-compiled extension when the build produced one and the cell has at most
-`_COMPILED_MAX_CANDIDATES` candidates, otherwise a pure-Python twin with
-the identical contract; the code picks between them, no caller does.  The
+compiled extension when the build produced one, otherwise a pure-Python
+twin with the identical contract; the code picks between them, no caller
+does.  A task whose int64 arithmetic would overflow in the compiled kernel
+is rerun on the pure one, so every input gets the same answer.  The
 dihedral symmetry that rotates and reflects cycles splits the solutions
 into orbits, and only the canonical cycle of each orbit (its least
 rotation or reflection) is searched for: the first entry is fixed to the
@@ -39,20 +40,16 @@ __all__ = [
 ]
 
 
-# The compiled kernel is preferred when present; a cell with more
-# candidates than the compiled kernel holds runs on the pure one.
+# The compiled kernel is preferred when present.
 try:
     from quiddity import _speedups as _default  # type: ignore[no-redef]
 except ImportError:
     _default = _pure
 
-# The compiled kernel holds its candidates in fixed arrays of this size.
-_COMPILED_MAX_CANDIDATES = 128
-
 
 def active_kernel() -> str:
-    """Kernel used for cells within the compiled kernel's candidate cap:
-    "compiled" or "pure"."""
+    """Kernel the search runs on: "compiled" or "pure".  A task that
+    overflows int64 in the compiled kernel is rerun on the pure one."""
     return _default.KERNEL_KIND
 
 
@@ -93,9 +90,12 @@ def _canonical_tasks(ring: Ring, n: int, pairs: list) -> list:
 
 
 def _run_task(args):
-    kind, rid, n, prefix, pairs, limit = args
-    mod = _pure if kind == "pure" else _default
-    return mod.search_from_prefix(rid, n, list(prefix), pairs, limit)
+    rid, n, prefix, pairs, limit = args
+    try:
+        return _default.search_from_prefix(rid, n, list(prefix), pairs, limit)
+    except OverflowError:
+        # the compiled kernel's int64 arithmetic overflowed; Python ints do not
+        return _pure.search_from_prefix(rid, n, list(prefix), pairs, limit)
 
 
 def _orbit(key: tuple) -> set:
@@ -113,8 +113,7 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     without restricting them to the task's candidates, so a survivor is kept
     exactly when it equals the least of its rotations and reflections.  The
     result is sorted and independent of the number of workers, and no more
-    workers start than there are prefix tasks.  A cell with too many
-    candidates for the compiled kernel runs on the pure one.
+    workers start than there are prefix tasks; `jobs` must be at least 1.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -122,11 +121,12 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"height must be at least 1, got {n}")
     if n > _pure.MAX_DEPTH:
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems, pairs, limit = _kernel_inputs(ring, n)
-    kind = "pure" if len(pairs) > _COMPILED_MAX_CANDIDATES else _default.KERNEL_KIND
-    argl = [(kind, ring.kernel_id, n, prefix, pairs[i:], limit)
+    argl = [(ring.kernel_id, n, prefix, pairs[i:], limit)
             for prefix, i in _canonical_tasks(ring, n, pairs)]
-    workers = min(jobs or 1, len(argl))
+    workers = min(jobs, len(argl))
     if workers <= 1:
         chunks = map(_run_task, argl)
     else:

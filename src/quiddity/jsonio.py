@@ -113,9 +113,18 @@ def result_from_json(data) -> EnumerationResult:
     if not isinstance(data, dict) or set(data) != keys:
         raise UsageError(f"enumeration JSON needs exactly the keys {sorted(keys)}")
     ring = ring_from_tag(data["ring"])
+    for key in ("height", "total", "orbit_count"):
+        if isinstance(data[key], bool) or not isinstance(data[key], int):
+            raise UsageError(f"'{key}' must be an integer, got {data[key]!r}")
+    entry_lists = data["representatives"]
+    if not isinstance(entry_lists, list) or not all(isinstance(e, list) for e in entry_lists):
+        raise UsageError("'representatives' must be a list of entry lists")
+    if data["orbit_count"] != len(entry_lists):
+        raise UsageError("'orbit_count' must equal the number of representatives")
+    if data["total"] < data["orbit_count"]:
+        raise UsageError("'total' must be at least 'orbit_count'")
     reps = tuple(
-        Cycle(ring, [ring.element_from_json(e) for e in entries])
-        for entries in data["representatives"]
+        Cycle(ring, [ring.element_from_json(e) for e in entries]) for entries in entry_lists
     )
     return EnumerationResult(ring, data["height"], data["total"], data["orbit_count"], reps)
 

@@ -346,6 +346,13 @@ def test_enumerate_kernel_choice_and_jobs(runner):
     assert "No such option" in gone.output
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_jobs_below_one_exits_2(runner, jobs):
+    result = runner.invoke(main, ["enumerate", "--ring", "Z", "--height", "2", "--jobs", jobs])
+    assert result.exit_code == 2
+    assert "jobs must be at least 1" in result.output
+
+
 def test_enumerate_height_above_kernel_depth_exits_2(runner):
     result = runner.invoke(main, ["enumerate", "--ring", "Z", "--height", "17"])
     assert result.exit_code == 2

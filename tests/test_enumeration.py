@@ -6,8 +6,7 @@ and its structural invariants are tested on the rest.
 """
 
 import itertools
-import re
-from pathlib import Path
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -123,30 +122,86 @@ def test_kernels_agree(ring, n, total, orbits, compiled_kernel, monkeypatch):
         [r.entries for r in fast_count.representatives]
 
 
-def test_compiled_kernel_candidate_cap(compiled_kernel):
-    # ties the cap in enumeration to the array size compiled into the kernel
-    cap = enumeration._COMPILED_MAX_CANDIDATES
-    assert cap == 128
-    pairs = [(k, 0) for k in range(cap)]
-    compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs, 4)
-    with pytest.raises(ValueError, match="too many candidates"):
-        compiled_kernel.search_from_prefix(Z.kernel_id, 1, [(1, 0)], pairs + [(cap, 0)], 4)
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request):
+    if request.param == "pure":
+        return _kernel
+    return request.getfixturevalue("compiled_kernel")
 
 
-def test_default_compiled_kernel_hands_too_many_candidates_to_pure(compiled_kernel, monkeypatch):
-    kinds = set()
+@pytest.mark.parametrize("n,prefix", [(3, []), (3, [(1, 0)] * 4), (17, [(1, 0)])])
+def test_kernel_rejects_bad_prefix_or_height(kernel, n, prefix):
+    with pytest.raises(ValueError, match="bad prefix length or height"):
+        kernel.search_from_prefix(Z.kernel_id, n, prefix, [(1, 0)], (n + 1) ** 2)
 
-    def record(args):
-        kinds.add(args[0])
-        return []
 
+@pytest.mark.parametrize("prefix", [[(0, 0)], [(5, 0)], [(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
+def test_kernel_prunes_bad_prefix_entries(kernel, prefix):
+    # a zero entry, an entry above the norm limit, an adjacent product 1, and a
+    # zero continuant (1 * -1 + 1)
+    assert kernel.search_from_prefix(Z.kernel_id, 3, prefix, [(1, 0), (2, 0)], 16) == []
+
+
+def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
+    # entries near the int64 range: the compiled kernel returns the pure
+    # kernel's list or raises OverflowError, never a wrong list
+    rnd = random.Random(5)
+    outcomes = set()
+    for _ in range(400):
+        rid, n = rnd.randrange(3), rnd.randrange(1, 7)
+        big = rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1])
+
+        def elem():
+            return rnd.randint(-big, big), 0 if rid == 0 else rnd.randint(-big, big)
+
+        prefix = [elem() for _ in range(rnd.randint(1, n))]
+        cands = [elem() for _ in range(3)]
+        limit = rnd.choice([4, 81, 2**62])
+        pure = _kernel.search_from_prefix(rid, n, prefix, cands, limit)
+        try:
+            assert compiled_kernel.search_from_prefix(rid, n, prefix, cands, limit) == pure
+            outcomes.add("equal")
+        except OverflowError:
+            outcomes.add("overflow")
+    assert outcomes == {"equal", "overflow"}
+
+
+def test_kernels_agree_on_deep_prefixes(compiled_kernel):
+    # Zi:6 has more candidates (148) than the old compiled kernel's fixed
+    # arrays held (128).  The prefixes come from every rotation of the unit
+    # family's cycles, so each one completes to at least one cycle.
+    n = 6
+    pairs = [Zi.to_pair(x) for x in candidate_entries(Zi, n)]
+    assert len(pairs) > 128
+    prefixes = []
+    for _t, cyc in unit_family(Zi, n, 10):
+        entries = [Zi.to_pair(x) for x in cyc.entries]
+        for s in range(len(entries)):
+            prefixes.append(tuple((entries[s:] + entries[:s])[:5]))
+    prefixes += [p[:4] for p in prefixes[:9]]
+    found = 0
+    for prefix in prefixes:
+        pure = _kernel.search_from_prefix(Zi.kernel_id, n, list(prefix), pairs, (n + 1) ** 2)
+        fast = compiled_kernel.search_from_prefix(Zi.kernel_id, n, list(prefix), pairs,
+                                                  (n + 1) ** 2)
+        assert fast == pure, prefix
+        found += len(pure)
+    assert len(prefixes) == 99 and found > len(prefixes)
+
+
+# the forced entry u (about 2.6e18) fits in int64 but its norm does not
+OVERFLOW_TASK = (Z.kernel_id, 16, [(17, 0)] * 15, [(1, 0)], 289)
+
+
+def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
+    assert _kernel.search_from_prefix(*OVERFLOW_TASK) == []
+    with pytest.raises(OverflowError):
+        compiled_kernel.search_from_prefix(*OVERFLOW_TASK)
+
+
+def test_overflowing_task_reruns_on_pure_kernel(compiled_kernel, monkeypatch):
     monkeypatch.setattr(enumeration, "_default", compiled_kernel)
-    monkeypatch.setattr(enumeration, "_run_task", record)
-    assert enumerate_nonzero(Zi, 6) == []
-    assert kinds == {"pure"}
-    kinds.clear()
-    enumerate_nonzero(Zi, 1)
-    assert kinds == {"compiled"}
+    assert enumeration._run_task(OVERFLOW_TASK) == _kernel.search_from_prefix(*OVERFLOW_TASK)
 
 
 @pytest.mark.parametrize("ring,n", [(Z, 1), (Zi, 1), (Z, 5)])
@@ -187,31 +242,6 @@ def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
     monkeypatch.setattr(enumeration, "candidate_entries", no_candidates)
     with pytest.raises(UsageError, match="at most 16"):
         enumerate_nonzero(Z, 17)
-
-
-def test_committed_c_quotes_current_pyx():
-    # Cython marks each source line it compiled as `* <line>  # <<<...` under a
-    # `/* "quiddity/_speedups.pyx":N` header; stale C would quote old lines.
-    src = Path(__file__).resolve().parents[1] / "src" / "quiddity"
-    pyx = (src / "_speedups.pyx").read_text().splitlines()
-    c_lines = (src / "_speedups.c").read_text().splitlines()
-    header = re.compile(r'\s*/\* "quiddity/_speedups\.pyx":(\d+)$')
-    marker = re.compile(r" \* (.*?) +# <{14}$")
-    quoted = 0
-    for i, line in enumerate(c_lines):
-        head = header.match(line)
-        if head is None:
-            continue
-        for body in c_lines[i + 1:]:
-            if body.startswith("*/"):
-                raise AssertionError(f"no marked line after C line {i + 1}")
-            mark = marker.match(body)
-            if mark is not None:
-                break
-        lineno = int(head.group(1))
-        assert mark.group(1) == pyx[lineno - 1].rstrip(), f"_speedups.pyx:{lineno}"
-        quoted += 1
-    assert quoted > 0
 
 
 def test_height_three_deep_cells():
@@ -364,6 +394,8 @@ def test_search_guards():
         enumerate_nonzero(Q, 1)
     with pytest.raises(UsageError):
         enumerate_nonzero(Z, 0)
+    with pytest.raises(UsageError, match="jobs must be at least 1"):
+        count_nonzero(Z, 2, jobs=0)
     with pytest.raises(UsageError):
         unit_family(Z, 1, -1)
 

@@ -133,6 +133,11 @@ def test_result_json_errors():
     broken["extra"] = 1
     with pytest.raises(UsageError):
         result_from_json(broken)
+    for bad in ({"representatives": 5}, {"representatives": [5]},
+                {"height": "x", "total": 1, "orbit_count": 2}, {"height": True},
+                {"total": 1.0}, {"orbit_count": 3}, {"total": 1}):
+        with pytest.raises(UsageError):
+            result_from_json({**data, **bad})
 
 
 def test_frieze_json_rows_are_interiors():
