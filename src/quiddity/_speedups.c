@@ -1,8 +1,9 @@
-/* Compiled twin of quiddity._kernel: same rings, same search, same output.
+/* Compiled twin of quiddity._kernel: same contract, same search, same output.
 
-   Ring elements are pairs of int64 (a, b), in the encoding of the pure
-   kernel: ring 0 the integers (b = 0), ring 1 a + b*i, ring 2 a + b*w with
-   w^2 = w - 1.  The search walks positions 1..m-3 depth first over the
+   Ring elements are pairs of int64 (a, b) meaning a + b*omega with
+   omega^2 = t*omega - 1, t = 0 or 1; the encoding and its formulas are
+   stated once, in quiddity/rings.py, and mul, norm and divide below compute
+   exactly those.  The search walks positions 1..m-3 depth first over the
    candidate list, keeping the running eta-matrix product, and forces the
    last three entries; see quiddity/_kernel.py for the derivation.
 
@@ -31,11 +32,11 @@ typedef struct {
 } mat;
 
 typedef struct {
-    int ring_id, m, free;
+    int t, m, free, npre;
     Py_ssize_t ncand;
     int64_t limit;
-    const elem *cand;
-    elem e[MAXM];     /* the cycle being built */
+    const elem *pre, *cand;  /* the prefix entries and the candidates */
+    elem e[MAXM];            /* the cycle being built */
     PyObject *results;
 } search;
 
@@ -64,51 +65,47 @@ sub(elem x, elem y, elem *r)
     return 0;
 }
 
+/* x * y = (x.a y.a - x.b y.b) + (x.a y.b + x.b y.a + t x.b y.b) omega. */
 static int
-mul(int rid, elem x, elem y, elem *r)
+mul(int t, elem x, elem y, elem *r)
 {
-    int64_t aa, bb, ab, ba;
-    if (rid == 0) {
-        r->b = 0;
-        return __builtin_mul_overflow(x.a, y.a, &r->a) ? overflow() : 0;
-    }
+    int64_t aa, bb, ab, ba, tbb;
     if (__builtin_mul_overflow(x.a, y.a, &aa) || __builtin_mul_overflow(x.b, y.b, &bb)
         || __builtin_mul_overflow(x.a, y.b, &ab) || __builtin_mul_overflow(x.b, y.a, &ba)
+        || __builtin_mul_overflow(bb, t, &tbb)
         || __builtin_sub_overflow(aa, bb, &r->a) || __builtin_add_overflow(ab, ba, &r->b)
-        || (rid == 2 && __builtin_add_overflow(r->b, bb, &r->b)))
+        || __builtin_add_overflow(r->b, tbb, &r->b))
         return overflow();
     return 0;
 }
 
-static int
-norm(int rid, elem x, int64_t *r)
+/* norm(x) = x.a^2 + t x.a x.b + x.b^2, which is never negative; -1 on error. */
+static int64_t
+norm(int t, elem x)
 {
-    int64_t aa, bb = 0, ab = 0;
-    if (__builtin_mul_overflow(x.a, x.a, &aa)
-        || (rid != 0 && __builtin_mul_overflow(x.b, x.b, &bb))
-        || (rid == 2 && __builtin_mul_overflow(x.a, x.b, &ab))
-        || __builtin_add_overflow(aa, bb, r) || __builtin_add_overflow(*r, ab, r))
+    int64_t aa, bb, ab, n;
+    if (__builtin_mul_overflow(x.a, x.a, &aa) || __builtin_mul_overflow(x.b, x.b, &bb)
+        || __builtin_mul_overflow(x.a, x.b, &ab) || __builtin_mul_overflow(ab, t, &ab)
+        || __builtin_add_overflow(aa, bb, &n) || __builtin_add_overflow(n, ab, &n))
         return overflow();
-    return 0;
+    return n;
 }
 
-/* Exact quotient x / y = x * conj(y) / norm(y): 1 and *r set, 0 if y does
-   not divide x, -1 on error.  Over the integers conj(y) = y. */
+/* Exact quotient x / y = x * conj(y) / norm(y) with conj(y) = (y.a + t y.b)
+   - y.b omega: 1 and *r set, 0 if y does not divide x, -1 on error. */
 static int
-divide(int rid, elem x, elem y, elem *r)
+divide(int t, elem x, elem y, elem *r)
 {
     elem conj, num;
-    int64_t n;
-    if (norm(rid, y, &n) < 0)
+    int64_t n = norm(t, y), tb;
+    if (n < 0)
         return -1;
     if (n == 0)
         return 0;
-    conj.a = y.a;
-    if (rid == 2 && __builtin_add_overflow(y.a, y.b, &conj.a))
+    if (__builtin_mul_overflow(y.b, t, &tb) || __builtin_add_overflow(y.a, tb, &conj.a)
+        || __builtin_sub_overflow((int64_t)0, y.b, &conj.b))
         return overflow();
-    if (__builtin_sub_overflow((int64_t)0, y.b, &conj.b))
-        return overflow();
-    if (mul(rid, x, conj, &num) < 0)
+    if (mul(t, x, conj, &num) < 0)
         return -1;
     if (num.a % n != 0 || num.b % n != 0)
         return 0;
@@ -125,12 +122,12 @@ is_zero(elem x)
 
 /* 1 if x * y == 1, 0 if not, -1 on error. */
 static int
-product_is_one(int rid, elem x, elem y)
+product_is_one(int t, elem x, elem y)
 {
-    elem t;
-    if (mul(rid, x, y, &t) < 0)
+    elem p;
+    if (mul(t, x, y, &p) < 0)
         return -1;
-    return t.a == 1 && t.b == 0;
+    return p.a == 1 && p.b == 0;
 }
 
 /* 1 if x is zero or its norm exceeds the limit, 0 if not, -1 on error. */
@@ -140,7 +137,7 @@ out_of_range(const search *s, elem x)
     int64_t n;
     if (is_zero(x))
         return 1;
-    if (norm(s->ring_id, x, &n) < 0)
+    if ((n = norm(s->t, x)) < 0)
         return -1;
     return n > s->limit;
 }
@@ -152,14 +149,14 @@ windows_nonzero(const search *s)
 {
     int start, step, m = s->m;
     for (start = 0; start < m; start++) {
-        elem k = s->e[start], prev = one, t;
+        elem k = s->e[start], prev = one, next;
         if (is_zero(k))
             return 0;
         for (step = 1; step < m - 3; step++) {
-            if (mul(s->ring_id, k, s->e[(start + step) % m], &t) < 0 || sub(t, prev, &t) < 0)
+            if (mul(s->t, k, s->e[(start + step) % m], &next) < 0 || sub(next, prev, &next) < 0)
                 return -1;
             prev = k;
-            k = t;
+            k = next;
             if (is_zero(k))
                 return 0;
         }
@@ -192,15 +189,15 @@ emit(search *s)
 static int
 step(search *s, int depth, const mat *p, elem c, mat *q)
 {
-    elem t;
+    elem pc;
     int r;
-    if (depth > 0 && (r = product_is_one(s->ring_id, s->e[depth - 1], c)) != 0)
+    if (depth > 0 && (r = product_is_one(s->t, s->e[depth - 1], c)) != 0)
         return r < 0 ? -1 : 0;
-    if (mul(s->ring_id, p->p11, c, &t) < 0 || add(t, p->p12, &q->p11) < 0)
+    if (mul(s->t, p->p11, c, &pc) < 0 || add(pc, p->p12, &q->p11) < 0)
         return -1;
     if (is_zero(q->p11))
         return 0;
-    if (mul(s->ring_id, p->p21, c, &t) < 0 || add(t, p->p22, &q->p21) < 0
+    if (mul(s->t, p->p21, c, &pc) < 0 || add(pc, p->p22, &q->p21) < 0
         || sub(zero, p->p11, &q->p12) < 0 || sub(zero, p->p21, &q->p22) < 0)
         return -1;
     s->e[depth] = c;
@@ -212,26 +209,26 @@ step(search *s, int depth, const mat *p, elem c, mat *q)
 static int
 solve_tail(search *s, const mat *p)
 {
-    int rid = s->ring_id, r;
+    int t = s->t, r;
     elem u = p->p11, a, b, num;
     if ((r = out_of_range(s, u)) != 0)
         return r < 0 ? -1 : 0;
     if (sub(one, p->p12, &num) < 0)
         return -1;
-    if ((r = divide(rid, num, u, &a)) <= 0)
+    if ((r = divide(t, num, u, &a)) <= 0)
         return r;
     if ((r = out_of_range(s, a)) != 0)
         return r < 0 ? -1 : 0;
     if (add(one, p->p21, &num) < 0)
         return -1;
-    if ((r = divide(rid, num, u, &b)) <= 0)
+    if ((r = divide(t, num, u, &b)) <= 0)
         return r;
     if ((r = out_of_range(s, b)) != 0)
         return r < 0 ? -1 : 0;
-    if ((r = product_is_one(rid, s->e[s->free - 1], a)) != 0
-        || (r = product_is_one(rid, a, u)) != 0
-        || (r = product_is_one(rid, u, b)) != 0
-        || (r = product_is_one(rid, b, s->e[0])) != 0)
+    if ((r = product_is_one(t, s->e[s->free - 1], a)) != 0
+        || (r = product_is_one(t, a, u)) != 0
+        || (r = product_is_one(t, u, b)) != 0
+        || (r = product_is_one(t, b, s->e[0])) != 0)
         return r < 0 ? -1 : 0;
     s->e[s->free] = a;
     s->e[s->free + 1] = u;
@@ -241,16 +238,19 @@ solve_tail(search *s, const mat *p)
     return emit(s);
 }
 
+/* Positions below npre take their prefix entry, so the prefix is replayed
+   through the same pruning as the search. */
 static int
 extend(search *s, int depth, const mat *p)
 {
-    Py_ssize_t i;
+    const elem *choice = depth < s->npre ? &s->pre[depth] : s->cand;
+    Py_ssize_t i, nchoice = depth < s->npre ? 1 : s->ncand;
     mat q;
     int r;
     if (depth == s->free)
         return solve_tail(s, p);
-    for (i = 0; i < s->ncand; i++) {
-        if ((r = step(s, depth, p, s->cand[i], &q)) < 0)
+    for (i = 0; i < nchoice; i++) {
+        if ((r = step(s, depth, p, choice[i], &q)) < 0)
             return -1;
         if (r && extend(s, depth + 1, &q) < 0)
             return -1;
@@ -275,29 +275,8 @@ to_elem(PyObject *pair, elem *out)
     return PyErr_Occurred() ? -1 : 0;
 }
 
-/* The prefix replayed through the search's own pruning: 1 if it survives
-   with p the product so far, 0 if it is pruned, -1 on error. */
-static int
-replay(search *s, PyObject *prefix, mat *p)
-{
-    Py_ssize_t k;
-    mat q;
-    elem c;
-    int r;
-    for (k = 0; k < PySequence_Fast_GET_SIZE(prefix); k++) {
-        if (to_elem(PySequence_Fast_GET_ITEM(prefix, k), &c) < 0)
-            return -1;
-        if ((r = out_of_range(s, c)) != 0)
-            return r < 0 ? -1 : 0;
-        if ((r = step(s, (int)k, p, c, &q)) <= 0)
-            return r;
-        *p = q;
-    }
-    return 1;
-}
-
 PyDoc_STRVAR(search_from_prefix_doc,
-"search_from_prefix(ring_id, n, prefix, candidates, limit)\n--\n\n"
+"search_from_prefix(t, n, prefix, candidates, limit)\n--\n\n"
 "All cycles completing `prefix`, as tuples of element pairs.\n\n"
 "Same contract and output as the pure kernel's search_from_prefix; raises\n"
 "OverflowError where int64 arithmetic would overflow.");
@@ -305,24 +284,26 @@ PyDoc_STRVAR(search_from_prefix_doc,
 static PyObject *
 search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"ring_id", "n", "prefix", "candidates", "limit", NULL};
-    int ring_id, n, r;
+    static char *kwlist[] = {"t", "n", "prefix", "candidates", "limit", NULL};
+    int t, n, r = 0;
     long long limit;
     PyObject *prefix_arg, *cand_arg, *prefix = NULL, *cands = NULL;
-    elem *cand = NULL;
-    Py_ssize_t i, ncand;
+    elem *pool = NULL;
+    Py_ssize_t i, npre, ncand;
     mat p = {one, zero, zero, one};
     search s = {.results = NULL};
 
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOL:search_from_prefix", kwlist,
-                                     &ring_id, &n, &prefix_arg, &cand_arg, &limit))
+                                     &t, &n, &prefix_arg, &cand_arg, &limit))
         return NULL;
+    if (t != 0 && t != 1)
+        return PyErr_Format(PyExc_ValueError, "t must be 0 or 1, got %d", t);
     prefix = PySequence_Fast(prefix_arg, "prefix must be a sequence");
     if (prefix == NULL)
         return NULL;
-    if (!(1 <= PySequence_Fast_GET_SIZE(prefix) && PySequence_Fast_GET_SIZE(prefix) <= n
-          && n <= MAX_DEPTH)) {
+    npre = PySequence_Fast_GET_SIZE(prefix);
+    if (!(1 <= npre && npre <= n && n <= MAX_DEPTH)) {
         PyErr_SetString(PyExc_ValueError, "bad prefix length or height");
         goto done;
     }
@@ -330,31 +311,28 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
     if (cands == NULL)
         goto done;
     ncand = PySequence_Fast_GET_SIZE(cands);
-    cand = PyMem_New(elem, ncand > 0 ? ncand : 1);
-    if (cand == NULL) {
+    pool = PyMem_New(elem, npre + ncand);  /* the prefix entries, then the candidates */
+    if (pool == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (i = 0; i < ncand; i++)
-        if (to_elem(PySequence_Fast_GET_ITEM(cands, i), &cand[i]) < 0)
+    for (i = 0; i < npre + ncand; i++)
+        if (to_elem(i < npre ? PySequence_Fast_GET_ITEM(prefix, i)
+                             : PySequence_Fast_GET_ITEM(cands, i - npre), &pool[i]) < 0)
             goto done;
 
-    s.ring_id = ring_id;
-    s.m = n + 3;
-    s.free = n;
-    s.ncand = ncand;
-    s.limit = limit;
-    s.cand = cand;
-    s.results = PyList_New(0);
+    s = (search){.t = t, .m = n + 3, .free = n, .npre = (int)npre, .ncand = ncand,
+                 .limit = limit, .pre = pool, .cand = pool + npre, .results = PyList_New(0)};
     if (s.results == NULL)
         goto done;
-    r = replay(&s, prefix, &p);
-    if (r > 0)
-        r = extend(&s, (int)PySequence_Fast_GET_SIZE(prefix), &p);
+    for (i = 0; i < npre && r == 0; i++)
+        r = out_of_range(&s, pool[i]);
+    if (r == 0)
+        r = extend(&s, 0, &p);
     if (r < 0)
         Py_CLEAR(s.results);
 done:
-    PyMem_Free(cand);
+    PyMem_Free(pool);
     Py_XDECREF(cands);
     Py_DECREF(prefix);
     return s.results;
@@ -369,7 +347,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "quiddity._speedups",
-    .m_doc = "Compiled twin of quiddity._kernel: same rings, same search, same output.",
+    .m_doc = "Compiled twin of quiddity._kernel: same contract, same search, same output.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -53,49 +53,39 @@ def active_kernel() -> str:
     return _default.KERNEL_KIND
 
 
-def _kernel_inputs(ring: Ring, n: int):
-    """Candidate entries and their pairs in the ring's total order, plus the
-    norm cap."""
-    if ring.kernel_id is None:
-        raise UnsupportedRingError(f"no search kernel for {ring.tag}")
-    elems = candidate_entries(ring, n)
-    pairs = [ring.to_pair(x) for x in elems]
-    return elems, pairs, (n + 1) ** 2
-
-
-def _canonical_tasks(ring: Ring, n: int, pairs: list) -> list:
-    """Search prefixes, each with the index its candidates start from.
+def _canonical_tasks(ring: Ring, n: int, elems: list, pairs: list) -> list:
+    """Search prefixes as kernel pairs, each with the index its candidates
+    start from.
 
     A canonical cycle starts with its least entry, which has norm below 4
     (`bounds.find_two_small`: every quiddity cycle has two such entries),
-    and no later entry is smaller.  So the first entry c1 = pairs[i] ranges
+    and no later entry is smaller.  So the first entry c1 = elems[i] ranges
     over the candidates of norm below 4, which lead the norm-first order,
-    and every later choice is made from the suffix pairs[i:].  Height 1 has
+    and every later choice is made from the suffix elems[i:].  Height 1 has
     a single free position, so prefixes are single entries; from height 2
     on the second entry is fixed too, dropping pairs with product 1 since
     no quiddity cycle can contain one.
     """
-    rid = ring.kernel_id
     tasks = []
-    for i, c1 in enumerate(pairs):
-        if _pure._norm(rid, c1[0], c1[1]) >= 4:
+    for i, c1 in enumerate(elems):
+        if ring.norm_sq(c1) >= 4:
             break
         if n == 1:
-            tasks.append(((c1,), i))
+            tasks.append(((pairs[i],), i))
             continue
-        for c2 in pairs[i:]:
-            if _pure._mul(rid, c1[0], c1[1], c2[0], c2[1]) != (1, 0):
-                tasks.append(((c1, c2), i))
+        # c1 * c2 == 1 only for c2 = 1/c1, a unit and so a candidate if it exists
+        inverse = ring.exact_div(ring.one, c1)
+        skip = None if inverse is None else elems.index(inverse)
+        tasks.extend(((pairs[i], pairs[j]), i) for j in range(i, len(elems)) if j != skip)
     return tasks
 
 
 def _run_task(args):
-    rid, n, prefix, pairs, limit = args
     try:
-        return _default.search_from_prefix(rid, n, list(prefix), pairs, limit)
+        return _default.search_from_prefix(*args)
     except OverflowError:
         # the compiled kernel's int64 arithmetic overflowed; Python ints do not
-        return _pure.search_from_prefix(rid, n, list(prefix), pairs, limit)
+        return _pure.search_from_prefix(*args)
 
 
 def _orbit(key: tuple) -> set:
@@ -123,9 +113,10 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    elems, pairs, limit = _kernel_inputs(ring, n)
-    argl = [(ring.kernel_id, n, prefix, pairs[i:], limit)
-            for prefix, i in _canonical_tasks(ring, n, pairs)]
+    elems = candidate_entries(ring, n)
+    pairs = [ring.to_pair(x) for x in elems]
+    argl = [(ring.t, n, prefix, pairs[i:], (n + 1) ** 2)
+            for prefix, i in _canonical_tasks(ring, n, elems, pairs)]
     workers = min(jobs, len(argl))
     if workers <= 1:
         chunks = map(_run_task, argl)

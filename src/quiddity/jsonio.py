@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 
-from quiddity.cycles import Cycle
-from quiddity.enumeration import EnumerationResult
+from quiddity.cycles import Cycle, is_quiddity
+from quiddity.enumeration import EnumerationResult, _orbit, canonical_form
 from quiddity.errors import UsageError
-from quiddity.frieze import FriezePattern, frieze_from_cycle
+from quiddity.frieze import FriezePattern, frieze_from_cycle, is_nonzero
 from quiddity.labelling import Labelling, Triangulation
 from quiddity.rings import Ring, ring_from_tag
 
@@ -109,24 +109,40 @@ def result_to_json(result: EnumerationResult) -> dict:
 
 
 def result_from_json(data) -> EnumerationResult:
+    """The result `result_to_json` wrote, checked: each representative is the
+    canonical form of a zero-free quiddity cycle of length height + 3, they
+    are sorted and distinct, and their orbit sizes add up to 'total'."""
     keys = {"ring", "height", "total", "orbit_count", "representatives"}
     if not isinstance(data, dict) or set(data) != keys:
         raise UsageError(f"enumeration JSON needs exactly the keys {sorted(keys)}")
     ring = ring_from_tag(data["ring"])
+    if not ring.is_discrete:
+        raise UsageError(f"no enumeration results exist over {ring.tag}")
     for key in ("height", "total", "orbit_count"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise UsageError(f"'{key}' must be an integer, got {data[key]!r}")
+    n = data["height"]
+    if n < 1:
+        raise UsageError(f"'height' must be at least 1, got {n}")
     entry_lists = data["representatives"]
     if not isinstance(entry_lists, list) or not all(isinstance(e, list) for e in entry_lists):
         raise UsageError("'representatives' must be a list of entry lists")
     if data["orbit_count"] != len(entry_lists):
         raise UsageError("'orbit_count' must equal the number of representatives")
-    if data["total"] < data["orbit_count"]:
-        raise UsageError("'total' must be at least 'orbit_count'")
     reps = tuple(
         Cycle(ring, [ring.element_from_json(e) for e in entries]) for entries in entry_lists
     )
-    return EnumerationResult(ring, data["height"], data["total"], data["orbit_count"], reps)
+    for rep in reps:
+        if not (rep.m == n + 3 and is_quiddity(rep) and is_nonzero(frieze_from_cycle(rep))
+                and canonical_form(rep) == rep):
+            raise UsageError(f"representative {rep} is not the canonical form of a "
+                             f"zero-free quiddity cycle of length {n + 3}")
+    keys = [tuple(ring.sort_key(x) for x in rep.entries) for rep in reps]
+    if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
+        raise UsageError("'representatives' must be sorted and distinct")
+    if data["total"] != sum(len(_orbit(rep.entries)) for rep in reps):
+        raise UsageError("'total' must equal the sum of the representatives' orbit sizes")
+    return EnumerationResult(ring, n, data["total"], data["orbit_count"], reps)
 
 
 def frieze_to_json(f: FriezePattern) -> dict:

@@ -17,6 +17,16 @@ The three discrete rings (Z, Z[i], Z[w]) have minimal nonzero norm 1 and
 support bounded element enumeration; the fields and the general cyclotomic
 rings do not.  Cyclotomic rings support only ring arithmetic and exact
 division (no norms, no ordering).
+
+The pair encoding: the discrete rings are one family, Z[omega] with
+omega^2 = t*omega - 1.  t = 0 gives Z[i] (omega = i), t = 1 gives Z[w]
+(omega = w), and Z is the b = 0 part of either (searched as t = 0).  An
+element a + b*omega is the integer pair (a, b); as omega + conj(omega) = t
+and omega * conj(omega) = 1, conj(a + b*omega) = (a + t*b) - b*omega and
+the norm is a^2 + t*a*b + b^2.  `pair_mul`, `pair_norm`, `pair_conj` and
+`pair_div` are the only definition of this arithmetic: the element classes,
+the ring descriptors and both search kernels follow them, and `Ring.t` is
+the ring's t (None where there is no pair encoding).
 """
 
 from __future__ import annotations
@@ -30,6 +40,10 @@ from quiddity.errors import UnsupportedRingError, UsageError
 
 __all__ = [
     "Ring",
+    "pair_mul",
+    "pair_norm",
+    "pair_conj",
+    "pair_div",
     "GaussianInt",
     "EisensteinInt",
     "GaussianRational",
@@ -64,104 +78,111 @@ def _fmt_complex(a, b, unit: str) -> str:
     return f"{a}{sign}{bs}"
 
 
-class GaussianInt:
-    """Gaussian integer a + b*i in the basis {1, i}."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int = 0):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_int(cls, n: int) -> "GaussianInt":
-        return cls(n, 0)
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianInt):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash(("Zi", self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
-
-    def __str__(self) -> str:
-        return _fmt_complex(self.re, self.im, "i")
+# ---------------------------------------------------------------------------
+# Z[omega] pairs, omega^2 = t*omega - 1 (see the module docstring).
 
 
-class EisensteinInt:
-    """Element a + b*w of Z[w] where w = (1 + i*sqrt(3))/2.
+def pair_mul(t: int, x: tuple, y: tuple) -> tuple:
+    """The product of two pairs."""
+    a1, b1 = x
+    a2, b2 = y
+    bb = b1 * b2
+    return a1 * a2 - bb, a1 * b2 + b1 * a2 + t * bb
 
-    w is a primitive sixth root of unity, so w*w = w - 1 and the norm form is
-    a^2 + a*b + b^2 (positive definite).  The complex conjugate of w is 1 - w.
+
+def pair_norm(t: int, x: tuple) -> int:
+    """|a + b*omega|^2 = a^2 + t*a*b + b^2."""
+    a, b = x
+    return a * a + t * a * b + b * b
+
+
+def pair_conj(t: int, x: tuple) -> tuple:
+    a, b = x
+    return a + t * b, -b
+
+
+def pair_div(t: int, x: tuple, y: tuple):
+    """The exact quotient x * conj(y) / norm(y), or None if y does not divide x."""
+    n = pair_norm(t, y)
+    if n == 0:
+        return None
+    a, b = pair_mul(t, x, pair_conj(t, y))
+    if a % n or b % n:
+        return None
+    return a // n, b // n
+
+
+class _PairInt:
+    """An element a + b*omega of Z[omega], stored as the pair (a, b).
+
+    Subclasses fix t, the letter printed for omega, and the public names of
+    the two coordinates; all arithmetic goes through the pair functions.
+    Elements of different subclasses never combine or compare equal.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b")
+    t: int
+    unit: str
+    coords: tuple
 
     def __init__(self, a: int, b: int = 0):
-        self.a = a
-        self.b = b
+        self._a = a
+        self._b = b
 
-    @classmethod
-    def from_int(cls, n: int) -> "EisensteinInt":
-        return cls(n, 0)
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self._a + other._a, self._b + other._b)
 
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(self._a - other._a, self._b - other._b)
 
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
+    def __neg__(self):
+        return type(self)(-self._a, -self._b)
 
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(*pair_mul(self.t, (self._a, self._b), (other._a, other._b)))
 
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
-
-    def conjugate(self) -> "EisensteinInt":
-        return EisensteinInt(self.a + self.b, -self.b)
+    def conjugate(self):
+        return type(self)(*pair_conj(self.t, (self._a, self._b)))
 
     def norm(self) -> int:
-        return self.a * self.a + self.a * self.b + self.b * self.b
+        return pair_norm(self.t, (self._a, self._b))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, EisensteinInt):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash(("Zzeta6", self.a, self.b))
+        return hash((self.t, self._a, self._b))
 
     def __repr__(self) -> str:
-        return f"EisensteinInt({self.a}, {self.b})"
+        return f"{type(self).__name__}({self._a}, {self._b})"
 
     def __str__(self) -> str:
-        return _fmt_complex(self.a, self.b, "w")
+        return _fmt_complex(self._a, self._b, self.unit)
+
+
+class GaussianInt(_PairInt):
+    """Gaussian integer re + im*i: t = 0, omega = i."""
+
+    __slots__ = ()
+    t, unit, coords = 0, "i", ("re", "im")
+    re, im = _PairInt._a, _PairInt._b
+
+
+class EisensteinInt(_PairInt):
+    """Element a + b*w of Z[w], w = (1 + i*sqrt(3))/2 a primitive sixth root
+    of unity: t = 1, omega = w, so w*w = w - 1 and conj(w) = 1 - w."""
+
+    __slots__ = ()
+    t, unit, coords = 1, "w", ("a", "b")
+    a, b = _PairInt._a, _PairInt._b
 
 
 class GaussianRational:
@@ -369,7 +390,7 @@ class Ring:
     tag: str = "?"
     is_discrete: bool = False
     is_field: bool = False
-    kernel_id: int | None = None  # set for rings the search kernel accepts
+    t: int | None = None  # omega^2 = t*omega - 1 for rings with a pair encoding
 
     def __repr__(self) -> str:
         return f"<ring {self.tag}>"
@@ -384,16 +405,13 @@ class Ring:
         raise UnsupportedRingError(f"{self.tag} has no total order")
 
     def to_pair(self, x) -> tuple[int, int]:
-        raise UnsupportedRingError(f"{self.tag} has no kernel encoding")
-
-    def from_pair(self, pair) -> object:
-        raise UnsupportedRingError(f"{self.tag} has no kernel encoding")
+        raise UnsupportedRingError(f"{self.tag} has no pair encoding")
 
 
 class IntegerRing(Ring):
     tag = "Z"
     is_discrete = True
-    kernel_id = 0
+    t = 0  # Z is the b = 0 part of Z[i] (or of Z[w])
 
     zero = 0
     one = 1
@@ -427,11 +445,6 @@ class IntegerRing(Ring):
 
     def to_pair(self, x: int) -> tuple[int, int]:
         return (x, 0)
-
-    def from_pair(self, pair) -> int:
-        a, b = pair
-        assert b == 0
-        return a
 
 
 class RationalField(Ring):
@@ -480,100 +493,50 @@ class RationalField(Ring):
         raise UsageError(f"expected a rational, got {data!r}")
 
 
-class GaussianIntegerRing(Ring):
-    tag = "Zi"
+class PairIntegerRing(Ring):
+    """Z[omega] with omega^2 = t*omega - 1, its elements one _PairInt subclass."""
+
     is_discrete = True
-    kernel_id = 1
 
-    zero = GaussianInt(0, 0)
-    one = GaussianInt(1, 0)
+    def __init__(self, tag: str, element: type):
+        self.tag = tag
+        self.t = element.t
+        self.element = element
+        self.zero = element(0, 0)
+        self.one = element(1, 0)
 
-    def from_int(self, n: int) -> GaussianInt:
-        return GaussianInt(n, 0)
+    def from_int(self, n: int):
+        return self.element(n, 0)
 
     def check_element(self, x):
-        if not isinstance(x, GaussianInt):
-            raise UsageError(f"not an element of Z[i]: {x!r}")
+        if not isinstance(x, self.element):
+            raise UsageError(f"not an element of Z[{self.element.unit}]: {x!r}")
         return x
 
-    def norm_sq(self, x: GaussianInt) -> int:
+    def norm_sq(self, x) -> int:
         return x.norm()
 
-    def sort_key(self, x: GaussianInt):
-        return (x.norm(), x.re, x.im)
+    def sort_key(self, x):
+        # The real part is a + t*b/2 and the imaginary part a positive
+        # multiple of b, so (2a + tb, b) orders like (re, im) in the integers.
+        return (x.norm(), 2 * x._a + self.t * x._b, x._b)
 
-    def exact_div(self, x: GaussianInt, y: GaussianInt):
-        n = y.norm()
-        if n == 0:
-            return None
-        t = x * y.conjugate()
-        if t.re % n or t.im % n:
-            return None
-        return GaussianInt(t.re // n, t.im // n)
+    def exact_div(self, x, y):
+        q = pair_div(self.t, (x._a, x._b), (y._a, y._b))
+        return None if q is None else self.element(*q)
 
-    def element_to_json(self, x: GaussianInt):
-        return [x.re, x.im]
+    def element_to_json(self, x):
+        return [x._a, x._b]
 
     def element_from_json(self, data):
         if (not isinstance(data, (list, tuple)) or len(data) != 2
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in data)):
-            raise UsageError(f"expected [re, im] integers, got {data!r}")
-        return GaussianInt(data[0], data[1])
+            raise UsageError(f"expected [{', '.join(self.element.coords)}] integers, "
+                             f"got {data!r}")
+        return self.element(data[0], data[1])
 
-    def to_pair(self, x: GaussianInt) -> tuple[int, int]:
-        return (x.re, x.im)
-
-    def from_pair(self, pair) -> GaussianInt:
-        return GaussianInt(pair[0], pair[1])
-
-
-class EisensteinIntegerRing(Ring):
-    tag = "Zzeta6"
-    is_discrete = True
-    kernel_id = 2
-
-    zero = EisensteinInt(0, 0)
-    one = EisensteinInt(1, 0)
-
-    def from_int(self, n: int) -> EisensteinInt:
-        return EisensteinInt(n, 0)
-
-    def check_element(self, x):
-        if not isinstance(x, EisensteinInt):
-            raise UsageError(f"not an element of Z[w]: {x!r}")
-        return x
-
-    def norm_sq(self, x: EisensteinInt) -> int:
-        return x.norm()
-
-    def sort_key(self, x: EisensteinInt):
-        # Real part is a + b/2 and the imaginary part is b * sqrt(3)/2, so
-        # (2a+b, b) orders exactly like (re, im) without leaving the integers.
-        return (x.norm(), 2 * x.a + x.b, x.b)
-
-    def exact_div(self, x: EisensteinInt, y: EisensteinInt):
-        n = y.norm()
-        if n == 0:
-            return None
-        t = x * y.conjugate()
-        if t.a % n or t.b % n:
-            return None
-        return EisensteinInt(t.a // n, t.b // n)
-
-    def element_to_json(self, x: EisensteinInt):
-        return [x.a, x.b]
-
-    def element_from_json(self, data):
-        if (not isinstance(data, (list, tuple)) or len(data) != 2
-                or any(isinstance(c, bool) or not isinstance(c, int) for c in data)):
-            raise UsageError(f"expected [a, b] integers, got {data!r}")
-        return EisensteinInt(data[0], data[1])
-
-    def to_pair(self, x: EisensteinInt) -> tuple[int, int]:
-        return (x.a, x.b)
-
-    def from_pair(self, pair) -> EisensteinInt:
-        return EisensteinInt(pair[0], pair[1])
+    def to_pair(self, x) -> tuple[int, int]:
+        return (x._a, x._b)
 
 
 class GaussianRationalField(Ring):
@@ -693,8 +656,8 @@ class CyclotomicRing(Ring):
 
 Z = IntegerRing()
 Q = RationalField()
-Zi = GaussianIntegerRing()
-Zzeta6 = EisensteinIntegerRing()
+Zi = PairIntegerRing("Zi", GaussianInt)
+Zzeta6 = PairIntegerRing("Zzeta6", EisensteinInt)
 Qi = GaussianRationalField()
 
 
@@ -772,27 +735,16 @@ def elements_norm_at_most(ring: Ring, bound_sq) -> list:
     bound_sq = Fraction(bound_sq)
     if bound_sq < 1:
         return []
-    floor = math.floor(bound_sq)
-    out = []
     if ring is Z:
-        r = isqrt(floor)
+        r = isqrt(math.floor(bound_sq))
         out = [n for n in range(-r, r + 1) if n != 0]
-    elif ring is Zi:
-        r = isqrt(floor)
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                if (a or b) and a * a + b * b <= bound_sq:
-                    out.append(GaussianInt(a, b))
-    elif ring is Zzeta6:
-        # a^2 + ab + b^2 = (a + b/2)^2 + 3b^2/4, symmetric in a and b, so both
-        # coordinates are bounded by sqrt(4B/3)
-        r = isqrt(math.floor(4 * bound_sq / 3))
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                if (a or b) and a * a + a * b + b * b <= bound_sq:
-                    out.append(EisensteinInt(a, b))
-    else:  # pragma: no cover - all discrete rings handled above
-        raise UnsupportedRingError(f"no enumeration for {ring.tag}")
+    else:
+        # a^2 + tab + b^2 = (a + tb/2)^2 + (4 - t^2) b^2 / 4 is symmetric in
+        # a and b, so both coordinates are bounded by sqrt(4B / (4 - t^2))
+        t = ring.t
+        r = isqrt(math.floor(4 * bound_sq / (4 - t * t)))
+        out = [ring.element(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+               if (a or b) and pair_norm(t, (a, b)) <= bound_sq]
     out.sort(key=ring.sort_key)
     return out
 

@@ -70,19 +70,34 @@ def z_corpus():
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def _c_compiler():
+    """The C compiler command: CC, else the one Python was built with."""
+    return os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+
+
 def _c_toolchain_missing():
     """Why the extension cannot be compiled here, or None if it can.
 
     Only the two things the build needs from the machine are checked: a C
-    compiler (CC, else the one Python was built with) and Python.h.
+    compiler and Python.h.
     """
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    cc = _c_compiler()
     if shutil.which(shlex.split(cc)[0]) is None:
         return f"no C compiler found (looked for {cc!r})"
     include = sysconfig.get_paths()["include"]
     if not os.path.exists(os.path.join(include, "Python.h")):
         return f"no Python.h in {include}"
     return None
+
+
+@pytest.fixture(scope="session")
+def c_compiler():
+    """The C compiler command as an argument list; skips if the extension
+    cannot be compiled here."""
+    missing = _c_toolchain_missing()
+    if missing is not None:
+        pytest.skip(f"cannot compile C extensions here: {missing}")
+    return shlex.split(_c_compiler())
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,9 @@ and its structural invariants are tested on the rest.
 
 import itertools
 import random
+import subprocess
+import sysconfig
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -51,6 +54,7 @@ def full_search(ring, n):
     1), each run through the pure kernel with all candidates."""
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
+    element = dict(zip(pairs, elems))
     if n == 1:
         prefixes = [(c,) for c in pairs]
     else:
@@ -58,9 +62,8 @@ def full_search(ring, n):
                     if x * y != ring.one]
     out = []
     for prefix in prefixes:
-        for tup in _kernel.search_from_prefix(ring.kernel_id, n, list(prefix), pairs,
-                                              (n + 1) ** 2):
-            out.append(tuple(ring.from_pair(p) for p in tup))
+        for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs, (n + 1) ** 2):
+            out.append(tuple(element[p] for p in tup))
     return sorted(out, key=lambda e: tuple(ring.sort_key(x) for x in e))
 
 
@@ -129,17 +132,26 @@ def kernel(request):
     return request.getfixturevalue("compiled_kernel")
 
 
-@pytest.mark.parametrize("n,prefix", [(3, []), (3, [(1, 0)] * 4), (17, [(1, 0)])])
-def test_kernel_rejects_bad_prefix_or_height(kernel, n, prefix):
-    with pytest.raises(ValueError, match="bad prefix length or height"):
-        kernel.search_from_prefix(Z.kernel_id, n, prefix, [(1, 0)], (n + 1) ** 2)
+@pytest.mark.parametrize("t,n,prefix,message", [
+    pytest.param(0, 3, [], "bad prefix length or height", id="3-prefix0"),
+    pytest.param(0, 3, [(1, 0)] * 4, "bad prefix length or height", id="3-prefix1"),
+    pytest.param(0, 17, [(1, 0)], "bad prefix length or height", id="17-prefix2"),
+    # t outside {0, 1} names no ring; both kernels once fell through to a
+    # formula of their own here (the pure one to Z[w]'s, the compiled to Z[i]'s)
+    pytest.param(7, 3, [(1, 0)], "t must be 0 or 1", id="t7"),
+    pytest.param(-1, 3, [(1, 0)], "t must be 0 or 1", id="t-1"),
+    pytest.param(2, 3, [(1, 0)], "t must be 0 or 1", id="t2"),
+])
+def test_kernel_rejects_bad_prefix_or_height(kernel, t, n, prefix, message):
+    with pytest.raises(ValueError, match=message):
+        kernel.search_from_prefix(t, n, prefix, [(1, 0)], (n + 1) ** 2)
 
 
 @pytest.mark.parametrize("prefix", [[(0, 0)], [(5, 0)], [(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
 def test_kernel_prunes_bad_prefix_entries(kernel, prefix):
     # a zero entry, an entry above the norm limit, an adjacent product 1, and a
     # zero continuant (1 * -1 + 1)
-    assert kernel.search_from_prefix(Z.kernel_id, 3, prefix, [(1, 0), (2, 0)], 16) == []
+    assert kernel.search_from_prefix(Z.t, 3, prefix, [(1, 0), (2, 0)], 16) == []
 
 
 def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
@@ -148,18 +160,18 @@ def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
     rnd = random.Random(5)
     outcomes = set()
     for _ in range(400):
-        rid, n = rnd.randrange(3), rnd.randrange(1, 7)
+        ring, n = rnd.choice([Z, Zi, Zzeta6]), rnd.randrange(1, 7)
         big = rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1])
 
         def elem():
-            return rnd.randint(-big, big), 0 if rid == 0 else rnd.randint(-big, big)
+            return rnd.randint(-big, big), 0 if ring is Z else rnd.randint(-big, big)
 
         prefix = [elem() for _ in range(rnd.randint(1, n))]
         cands = [elem() for _ in range(3)]
         limit = rnd.choice([4, 81, 2**62])
-        pure = _kernel.search_from_prefix(rid, n, prefix, cands, limit)
+        pure = _kernel.search_from_prefix(ring.t, n, prefix, cands, limit)
         try:
-            assert compiled_kernel.search_from_prefix(rid, n, prefix, cands, limit) == pure
+            assert compiled_kernel.search_from_prefix(ring.t, n, prefix, cands, limit) == pure
             outcomes.add("equal")
         except OverflowError:
             outcomes.add("overflow")
@@ -181,22 +193,33 @@ def test_kernels_agree_on_deep_prefixes(compiled_kernel):
     prefixes += [p[:4] for p in prefixes[:9]]
     found = 0
     for prefix in prefixes:
-        pure = _kernel.search_from_prefix(Zi.kernel_id, n, list(prefix), pairs, (n + 1) ** 2)
-        fast = compiled_kernel.search_from_prefix(Zi.kernel_id, n, list(prefix), pairs,
-                                                  (n + 1) ** 2)
+        pure = _kernel.search_from_prefix(Zi.t, n, list(prefix), pairs, (n + 1) ** 2)
+        fast = compiled_kernel.search_from_prefix(Zi.t, n, list(prefix), pairs, (n + 1) ** 2)
         assert fast == pure, prefix
         found += len(pure)
     assert len(prefixes) == 99 and found > len(prefixes)
 
 
 # the forced entry u (about 2.6e18) fits in int64 but its norm does not
-OVERFLOW_TASK = (Z.kernel_id, 16, [(17, 0)] * 15, [(1, 0)], 289)
+OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)], 289)
 
 
 def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
     assert _kernel.search_from_prefix(*OVERFLOW_TASK) == []
     with pytest.raises(OverflowError):
         compiled_kernel.search_from_prefix(*OVERFLOW_TASK)
+
+
+@pytest.mark.parametrize("opt", ["-O1", "-O2"])
+def test_compiled_kernel_source_has_no_warnings(c_compiler, opt, tmp_path):
+    # -O1 reports possibly uninitialised variables that -O2 can miss
+    source = Path(_kernel.__file__).with_name("_speedups.c")
+    proc = subprocess.run(
+        [*c_compiler, opt, "-Wall", "-Wextra", "-Werror", "-I", sysconfig.get_paths()["include"],
+         "-c", str(source), "-o", str(tmp_path / "speedups.o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_overflowing_task_reruns_on_pure_kernel(compiled_kernel, monkeypatch):
@@ -225,8 +248,8 @@ def test_jobs_never_exceed_tasks(ring, n, monkeypatch):
 
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method: SimpleNamespace(Pool=SerialPool))
-    tasks = len(enumeration._canonical_tasks(
-        ring, n, [ring.to_pair(x) for x in candidate_entries(ring, n)]))
+    elems = candidate_entries(ring, n)
+    tasks = len(enumeration._canonical_tasks(ring, n, elems, [ring.to_pair(x) for x in elems]))
     serial = enumerate_nonzero(ring, n, jobs=1)
     assert sizes == []
     assert enumerate_nonzero(ring, n, jobs=2) == serial

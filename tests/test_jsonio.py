@@ -22,7 +22,7 @@ from quiddity.jsonio import (
     result_to_json,
 )
 from quiddity.labelling import labelling_from_cycle
-from quiddity.rings import Cyclotomic, GaussianInt, Q, Z, Zi
+from quiddity.rings import Cyclotomic, GaussianInt, Q, Z, Zi, Zzeta6
 
 
 def roundtrip_text(data, reader, writer):
@@ -138,6 +138,28 @@ def test_result_json_errors():
                 {"total": 1.0}, {"orbit_count": 3}, {"total": 1}):
         with pytest.raises(UsageError):
             result_from_json({**data, **bad})
+    # the representatives themselves: (1, 1) is no height-1 quiddity cycle;
+    # the orbit of (1, 2, 1, 2) has 2 members, not 4; (2, 1, 2, 1) is not
+    # canonical; (1, 1, 1, 1) is not a quiddity cycle; the zero hexagon is a
+    # quiddity cycle whose frieze has zeros; then unsorted and repeated lists;
+    # and Q has no enumeration
+    z_cells = [
+        (1, 4, [[1, 1]]), (1, 4, [[1, 2, 1, 2]]), (1, 2, [[2, 1, 2, 1]]),
+        (1, 1, [[1, 1, 1, 1]]), (3, 1, [[0] * 6]),
+        (1, 4, [[1, 2, 1, 2], [-1, -2, -1, -2]]), (1, 4, [[1, 2, 1, 2], [1, 2, 1, 2]]),
+    ]
+    for height, total, reps in z_cells:
+        bad = {"ring": "Z", "height": height, "total": total,
+               "orbit_count": len(reps), "representatives": reps}
+        with pytest.raises(UsageError):
+            result_from_json(bad)
+    for bad in ({"ring": "Q"}, {"height": 0}):
+        with pytest.raises(UsageError):
+            result_from_json({**data, **bad})
+    # what count_nonzero writes still loads, on every discrete ring
+    for ring, n in ((Z, 3), (Zi, 2), (Zzeta6, 2)):
+        result = count_nonzero(ring, n)
+        assert result_from_json(result_to_json(result)) == result
 
 
 def test_frieze_json_rows_are_interiors():

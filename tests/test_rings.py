@@ -20,6 +20,9 @@ from quiddity.rings import (
     divisors_of_two,
     elements_norm_at_most,
     norm_sq,
+    pair_div,
+    pair_mul,
+    pair_norm,
     ring_from_tag,
 )
 
@@ -161,10 +164,67 @@ def test_check_element_rejects_impostors():
 
 
 def test_pair_encoding_round_trip():
-    for ring, x in [(Z, -7), (Zi, GaussianInt(2, -3)), (Zzeta6, EisensteinInt(-1, 4))]:
-        pair = ring.to_pair(x)
-        assert isinstance(pair, tuple) and len(pair) == 2
-        assert ring.from_pair(pair) == x
+    # to_pair is the element's coordinate pair, and the pair functions at the
+    # ring's t agree with the element arithmetic
+    for ring, x, y, pair in [(Z, -7, 3, (-7, 0)),
+                             (Zi, GaussianInt(2, -3), GaussianInt(1, 1), (2, -3)),
+                             (Zzeta6, EisensteinInt(-1, 4), EisensteinInt(2, 1), (-1, 4))]:
+        assert ring.to_pair(x) == pair
+        py = ring.to_pair(y)
+        assert pair_mul(ring.t, pair, py) == ring.to_pair(x * y)
+        assert pair_norm(ring.t, pair) == ring.norm_sq(x)
+        assert pair_div(ring.t, ring.to_pair(x * y), py) == pair
+    assert [r.t for r in (Z, Zi, Zzeta6, Q, Qi, Cyclotomic(5))] == [0, 0, 1, None, None, None]
+
+
+def companion(t, x):
+    """The matrix of multiplication by a + b*omega on the basis (1, omega):
+    aI + bC with C = [[0, -1], [1, t]], the companion matrix of
+    omega^2 - t*omega + 1."""
+    a, b = x
+    return ((a, -b), (b, a + t * b))
+
+
+def matmul(p, q):
+    return tuple(tuple(sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_pair_rule_matches_companion_matrices(t):
+    rng = random.Random(7100 + t)
+    for _ in range(2000):
+        big = rng.choice([3, 100, 10**12])
+        x = (rng.randint(-big, big), rng.randint(-big, big))
+        y = (rng.randint(-big, big), rng.randint(-big, big))
+        assert companion(t, pair_mul(t, x, y)) == matmul(companion(t, x), companion(t, y))
+        (p, q), (r, s) = companion(t, x)
+        assert pair_norm(t, x) == p * s - q * r
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_pair_division_matches_brute_force(t):
+    box = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    # a quotient of pairs in `box` has norm at most 27, so both coordinates
+    # lie within sqrt(4 * 27 / 3) = 6
+    wide = [(a, b) for a in range(-7, 8) for b in range(-7, 8)]
+    for y in box:
+        if y == (0, 0):
+            assert all(pair_div(t, x, y) is None for x in box)
+            continue
+        quotient = {pair_mul(t, q, y): q for q in wide}
+        for x in box:
+            assert pair_div(t, x, y) == quotient.get(x)
+
+
+@pytest.mark.parametrize("t", [0, 1])
+def test_pair_rule_on_integers_is_int_arithmetic(t):
+    for a in range(-12, 13):
+        assert pair_norm(t, (a, 0)) == a * a
+        for c in range(-12, 13):
+            assert pair_mul(t, (a, 0), (c, 0)) == (a * c, 0)
+            want = (a // c, 0) if c and a % c == 0 else None
+            assert pair_div(t, (a, 0), (c, 0)) == want
 
 
 def test_cyclotomic_inverse_of_unit():
