@@ -25,9 +25,15 @@ The blocks act on vertex sums exactly like the glue instructions of
                                                      (diagonal p-v)
     sums (..., a, b, ...) become (..., a, x, 0, b-x, ...)
 
+The dual graph of a triangulation is a tree.  The walk that derives the
+triangles from the edge (1, m) records it, each triangle with its parent,
+and the square pairing of (i) is read off that walk children first, in
+O(m): it is forced whenever it exists.
+
 The combinatorial reduction engine works in the other direction, removing
 ears (vertices in a single triangle) and squares; its six cases mirror the
-integer-cycle reduction cases one for one.
+integer-cycle reduction cases one for one.  A square is removable at window
+k when its four corners are the consecutive vertices k-1..k+2.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import apply_glue_to_sums, reduce_to_base
+from quiddity.reduction import _first_separated_pair, apply_glue_to_sums, reduce_to_base
 from quiddity.rings import Z
 
 __all__ = [
@@ -65,7 +71,8 @@ class Triangulation:
     """A triangulation of a convex m-gon, stored as its diagonal set.
 
     Diagonals are sorted vertex pairs (i, j) with i < j.  The triangle list
-    is derived by splitting along the unique apex over each edge and cached.
+    is derived by splitting along the unique apex over each edge and cached,
+    together with the walk's record of the dual tree.
     That walk also validates the m - 3 chords: it finishes only by cutting
     the polygon along m - 3 of them, all of the set, so none can cross.
     The 2-gon has no triangles at all; that degenerate case is allowed.
@@ -93,33 +100,42 @@ class Triangulation:
                 raise UsageError(f"({i}, {j}) is not a chord of the {m}-gon")
         if len(diags) != max(m - 3, 0):
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
-        object.__setattr__(self, "triangles", self._derive_triangles())
+        walk, parent = self._derive_triangles()
+        object.__setattr__(self, "triangles", tuple(sorted(walk)))
+        object.__setattr__(self, "_walk", walk)
+        object.__setattr__(self, "_parent", parent)
 
     def _derive_triangles(self) -> tuple:
+        """The triangles in walk order from the edge (1, m), and each one's
+        parent: the triangle across the side it hangs from, None for the
+        triangle on (1, m).  This is the dual tree of the triangulation."""
         m = self.m
         if m == 2:
-            return ()
+            return (), {}
         nbrs = {v: {v % m + 1, (v - 2) % m + 1} for v in range(1, m + 1)}
         for a, b in self.diagonals:
             nbrs[a].add(b)
             nbrs[b].add(a)
         out = []
-        stack = [(1, m)]
+        parent = {}
+        stack = [(1, m, None)]
         while stack:
             # the triangle over edge (a, b) on the side of vertices a+1..b-1
             # has its apex among the common neighbours of a and b
-            a, b = stack.pop()
+            a, b, up = stack.pop()
             apex = [c for c in nbrs[a] & nbrs[b] if a < c < b]
             if len(apex) != 1:
                 raise UsageError(f"diagonals cross: edge ({a}, {b}) has {len(apex)} apexes")
             c = apex[0]
-            out.append((a, c, b))
+            t = (a, c, b)
+            out.append(t)
+            parent[t] = up
             if c - a >= 2:
-                stack.append((a, c))
+                stack.append((a, c, t))
             if b - c >= 2:
-                stack.append((c, b))
+                stack.append((c, b, t))
         assert len(out) == m - 2
-        return tuple(sorted(out))
+        return tuple(out), parent
 
     def incident_triangles(self, v: int) -> tuple:
         return tuple(t for t in self.triangles if v in t)
@@ -128,7 +144,7 @@ class Triangulation:
         """True iff vertex v lies in exactly one triangle."""
         prev = (v - 2) % self.m + 1
         nxt = v % self.m + 1
-        return tuple(sorted((prev, v, nxt))) in self.triangles
+        return tuple(sorted((prev, v, nxt))) in self._parent
 
 
 def enumerate_triangulations(m: int) -> list:
@@ -165,8 +181,20 @@ class Labelling:
     labels: dict  # sorted triangle tuple -> int
 
     def __post_init__(self):
+        if not isinstance(self.triangulation, Triangulation):
+            raise UsageError(f"a labelling needs a Triangulation, got {self.triangulation!r}")
+        if not isinstance(self.labels, dict):
+            raise UsageError(f"labels map triangles to integers, got {self.labels!r}")
         tris = set(self.triangulation.triangles)
-        keyed = {tuple(sorted(t)): v for t, v in self.labels.items()}
+        keyed = {}
+        for t, v in self.labels.items():
+            try:
+                key = tuple(sorted(t))
+            except TypeError:
+                key = None
+            if key not in tris:
+                raise InvalidLabellingError(f"{t!r} is not a triangle of the triangulation")
+            keyed[key] = v
         if set(keyed) != tris:
             raise InvalidLabellingError("labels must cover exactly the triangles")
         for v in keyed.values():
@@ -186,68 +214,29 @@ class Labelling:
         return tuple(sums)
 
 
-def _dual_neighbours(tri: Triangulation) -> dict:
-    # triangles sharing a diagonal are neighbours; the result is a tree
-    by_edge = {}
-    for t in tri.triangles:
-        a, b, c = t
-        for e in ((a, b), (b, c), (a, c)):
-            by_edge.setdefault(e, []).append(t)
-    nbrs = {t: [] for t in tri.triangles}
-    for d in tri.diagonals:
-        pair = by_edge.get(d, [])
-        assert len(pair) == 2, "a diagonal borders exactly two triangles"
-        nbrs[pair[0]].append(pair[1])
-        nbrs[pair[1]].append(pair[0])
-    return nbrs
-
-
 def square_partition(lab: Labelling):
     """The forced pairing of non-(+-1)-labelled triangles into adjacent
-    opposite-label squares, or None if no such pairing exists.
+    opposite-label squares, as a sorted list of sorted triangle pairs, or
+    None if no such pairing exists.
 
-    The dual graph of a triangulation is a tree, so the pairing is unique
-    when it exists: a leaf triangle that needs a partner can only take its
-    single neighbour.
+    The dual graph of a triangulation is a tree, and the triangle walk
+    records it.  Visiting the triangles children first (the walk in
+    reverse), a triangle that still needs a partner can only take its
+    parent, so the pairing is unique when it exists and is read off in O(m).
     """
     tri = lab.triangulation
-    if not tri.triangles:
-        return []
-    nbrs = _dual_neighbours(tri)
-    need = {t for t in tri.triangles if lab.labels[t] not in (1, -1)}
-    # peel leaves of the dual tree, matching forced pairs as they surface
-    degree = {t: len(ns) for t, ns in nbrs.items()}
-    alive = set(tri.triangles)
-    matched = {}
-    order = [t for t in tri.triangles if degree[t] <= 1]
+    labels = lab.labels
+    taken = set()
     pairs = []
-    while order:
-        t = order.pop()
-        if t not in alive:
+    for t in reversed(tri._walk):
+        x = labels[t]
+        if x in (1, -1) or t in taken:
             continue
-        alive.discard(t)
-        parent = next((n for n in nbrs[t] if n in alive), None)
-        if t in need and t not in matched:
-            if parent is None or parent not in need or parent in matched:
-                return None
-            if lab.labels[t] != -lab.labels[parent]:
-                return None
-            matched[t] = parent
-            matched[parent] = t
-            pairs.append(tuple(sorted((t, parent))))
-            alive.discard(parent)
-            for n in nbrs[parent]:
-                if n in alive:
-                    degree[n] -= 1
-                    if degree[n] <= 1:
-                        order.append(n)
-        else:
-            if parent is not None:
-                degree[parent] -= 1
-                if degree[parent] <= 1:
-                    order.append(parent)
-    if any(t in need and t not in matched for t in tri.triangles):
-        return None
+        up = tri._parent[t]
+        if up is None or up in taken or labels[up] != -x:
+            return None
+        taken.add(up)
+        pairs.append((up, t) if up < t else (t, up))
     return sorted(pairs)
 
 
@@ -477,41 +466,36 @@ def _remove_ear(lab: Labelling, k: int) -> Labelling:
     return Labelling(Triangulation(m - 1, diagonals), labels)
 
 
-def _square_at(pairs: set, m: int, k: int):
-    """The matched square occupying vertices (k-1, k, k+1, k+2) of an m-gon,
-    if any.
-
-    Both internal-diagonal orientations are recognized:
+def _square_windows(partition: list, m: int) -> dict:
+    """The removable squares of a square partition, keyed by window: the
+    square at window k has the four corners a, u, v, b = k-1, k, k+1, k+2.
 
         a---u---v---b        a---u---v---b
          \\  |x /-x /          \\ -x\\ x| /
-          \\ | /   /      or    \\   \\ |/        a = k-1, u = k,
-           \\|/   /              \\   \\|         v = k+1, b = k+2
+          \\ | /   /      or    \\   \\ |/
+           \\|/   /              \\   \\|
             *----                 ----*
 
-    Returns the triangle pair or None.  Only pairs from the labelling's
-    square partition, passed in as the set `pairs`, count; a coincidental
+    Its two triangles split the quadrilateral a, u, v, b along one of its
+    two diagonals.  Only pairs of the partition count; a coincidental
     opposite-label adjacency that the partition does not pair is not a
     removable square.
     """
-    a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
-    if len({a, u, v, b}) != 4:
-        return None
-    for t1, t2 in ((tuple(sorted((a, u, v))), tuple(sorted((a, v, b)))),
-                   (tuple(sorted((a, u, b))), tuple(sorted((u, v, b))))):
-        if tuple(sorted((t1, t2))) in pairs:
-            return (t1, t2)
-    return None
+    windows = {}
+    for pair in partition:
+        corners = set(pair[0] + pair[1])
+        for a in corners:
+            if corners == {_cyc(a + i, m) for i in range(4)}:
+                windows[_cyc(a + 1, m)] = pair
+    return windows
 
 
-def _remove_square(lab: Labelling, k: int, pairs: set) -> Labelling:
-    """Drop the square on vertices (k-1 .. k+2): both triangles and the two
-    middle vertices; densely renumber.  `pairs` is the labelling's square
-    partition."""
+def _remove_square(lab: Labelling, k: int, square: tuple) -> Labelling:
+    """Drop `square`, the matched square on vertices (k-1 .. k+2): both
+    triangles and the two middle vertices; densely renumber."""
     m = lab.m
-    square = _square_at(pairs, m, k)
-    assert square is not None
     a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
+    assert set(square[0] + square[1]) == {a, u, v, b}
     gone = set(square)
     diagonals = {d for d in lab.triangulation.diagonals
                  if u not in d and v not in d}
@@ -551,48 +535,49 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
         return LabellingStep("TC0", (), lab, lab)
 
     tri = lab.triangulation
-    pairs = set(partition)
-    ears_one = [k for k in range(1, m + 1)
-                if tri.is_ear(k)
-                and lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))] == 1]
+    ears = [k for k in range(1, m + 1) if tri.is_ear(k)]
+    ear_labels = [lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))]
+                  for k in ears]
+    ears_one = [k for k, x in zip(ears, ear_labels) if x == 1]
     if ears_one:
         k = ears_one[0]
         after = _remove_ear(lab, k)
         assert is_admissible(after)
         return LabellingStep("TC1", (k,), lab, after)
 
-    squares = [k for k in range(1, m + 1) if _square_at(pairs, m, k) is not None]
+    windows = _square_windows(partition, m)
+    squares = sorted(windows)
     if squares and m % 2 == 1:
         k = squares[0]
-        after = _negated(_remove_square(lab, k, pairs))
+        after = _negated(_remove_square(lab, k, windows[k]))
         assert is_admissible(after)
         return LabellingStep("TC2", (k,), lab, after)
 
-    ears_minus = [k for k in range(1, m + 1)
-                  if tri.is_ear(k)
-                  and lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))] == -1]
+    ears_minus = [k for k, x in zip(ears, ear_labels) if x == -1]
     if ears_minus and m % 2 == 0:
         k = ears_minus[0]
         after = _negated(_remove_ear(lab, k))
         assert is_admissible(after)
         return LabellingStep("TC3", (k,), lab, after)
 
-    square_pairs = [(j, k) for i, j in enumerate(squares)
-                    for k in squares[i + 1:] if k - j > 1]
-    if square_pairs:
-        j, k = square_pairs[0]
-        mid = _remove_square(lab, k, pairs)
+    # _first_separated_pair also skips the pair (1, m), which admissible
+    # input never holds: both ears, or both squares, would hold the one
+    # triangle on the boundary edge (m, 1)
+    pair = _first_separated_pair(squares, m)
+    if pair:
+        j, k = pair
+        mid = _remove_square(lab, k, windows[k])
         # the window at k removes vertices {k, k+1 cyclic}; only the wrapped
         # window k = m deletes vertex 1 and shifts j's window down by one
-        after = _remove_square(mid, j - 1 if k == m else j,
-                               set(square_partition(mid)))
+        j_mid = j - 1 if k == m else j
+        after = _remove_square(mid, j_mid,
+                               _square_windows(square_partition(mid), m - 2)[j_mid])
         assert is_admissible(after)
         return LabellingStep("TC4", (j, k), lab, after)
 
-    ear_pairs = [(j, k) for i, j in enumerate(ears_minus)
-                 for k in ears_minus[i + 1:] if k - j > 1]
-    if ear_pairs:
-        j, k = ear_pairs[0]
+    pair = _first_separated_pair(ears_minus, m)
+    if pair:
+        j, k = pair
         mid = _remove_ear(lab, k)
         after = _remove_ear(mid, j)
         assert is_admissible(after)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from quiddity.cycles import Cycle, is_epsilon_cycle, is_quiddity, negate
-from quiddity.errors import InvalidCycleError, UnsupportedRingError
+from quiddity.errors import InvalidCycleError, UnsupportedRingError, UsageError
 from quiddity.rings import Z
 from quiddity.transforms import contract_minus_one, contract_one, contract_zero
 
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 
+_ARITY = {"negate": 1, "triangle": 3, "square": 3}
+
+
 def apply_glue_to_sums(entries: tuple, instr: tuple) -> tuple:
     """Apply one glue instruction to a tuple of vertex sums.
 
@@ -60,13 +63,19 @@ def apply_glue_to_sums(entries: tuple, instr: tuple) -> tuple:
 
     p = len(entries) addresses the wrap edge; the new vertices then land at
     the end of the tuple, so the result starts at the old vertex 1 and a
-    step's `rotation` records where its own first vertex landed.
+    step's `rotation` records where its own first vertex landed.  An unknown
+    kind, a wrong arity, or an edge p outside 1..len(entries) raises
+    UsageError.
     """
     mu = len(entries)
-    kind = instr[0]
+    kind = instr[0] if isinstance(instr, tuple) and instr else None
+    if not isinstance(kind, str) or len(instr) != _ARITY.get(kind):
+        raise UsageError(f"malformed glue instruction {instr!r}")
     if kind == "negate":
         return tuple(-c for c in entries)
     p = instr[1]
+    if type(p) is not int or not 1 <= p <= mu:
+        raise UsageError(f"glue edge {p!r} is not an edge 1..{mu}")
     out = list(entries)
     if kind == "triangle":
         s = instr[2]
@@ -74,16 +83,14 @@ def apply_glue_to_sums(entries: tuple, instr: tuple) -> tuple:
         out[p % mu] = out[p % mu] + s
         out.insert(p, s) if p < mu else out.append(s)
         return tuple(out)
-    if kind == "square":
-        x = instr[2]
-        zero = x - x
-        out[p % mu] = out[p % mu] - x
-        if p < mu:
-            out[p:p] = [x, zero]
-        else:
-            out.extend([x, zero])
-        return tuple(out)
-    raise ValueError(f"unknown glue instruction {instr!r}")
+    x = instr[2]
+    zero = x - x
+    out[p % mu] = out[p % mu] - x
+    if p < mu:
+        out[p:p] = [x, zero]
+    else:
+        out.extend([x, zero])
+    return tuple(out)
 
 
 def _replay_sums(entries: tuple, script: tuple) -> tuple:
@@ -160,15 +167,14 @@ def _positions_of(cycle: Cycle, value) -> list:
     return [k for k in range(1, cycle.m + 1) if cycle.entry(k) == value]
 
 
-def _separated_pairs(positions: list, m: int) -> list:
-    out = []
-    for a in range(len(positions)):
-        for b in range(a + 1, len(positions)):
-            j, k = positions[a], positions[b]
+def _first_separated_pair(positions: list, m: int):
+    """The first pair (j, k) of the sorted positions that are neither
+    neighbours nor the wrap pair (1, m), or None."""
+    for i, j in enumerate(positions):
+        for k in positions[i + 1:]:
             if k - j > 1 and not (j == 1 and k == m):
-                out.append((j, k))
-    out.sort()
-    return out
+                return (j, k)
+    return None
 
 
 def _survivor_position(m: int, removed: set, original: int) -> int:
@@ -254,9 +260,9 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         return ReductionStep("T3", (k,), cycle, after, -1, -1,
                              (("negate",), instr), r)
 
-    pairs = _separated_pairs(zeros, m)
-    if pairs:
-        j, k = pairs[0]
+    pair = _first_separated_pair(zeros, m)
+    if pair:
+        j, k = pair
         mid = contract_zero(cycle, k).cycle
         removed = {(k - 2) % m + 1, k}
         jmid = _survivor_position(m, removed, j)
@@ -268,9 +274,9 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         return ReductionStep("T4", (j, k), cycle, after, -1, -1,
                              (first, second), r)
 
-    pairs = _separated_pairs(minus, m)
-    if pairs:
-        j, k = pairs[0]
+    pair = _first_separated_pair(minus, m)
+    if pair:
+        j, k = pair
         mid = contract_minus_one(cycle, k).cycle
         after = contract_minus_one(mid, j).cycle
         assert is_quiddity(after)

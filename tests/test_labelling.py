@@ -131,12 +131,61 @@ def test_labelling_validation():
         Labelling(tri, {(1, 2, 3): 1, (1, 3, 4): True})
 
 
+def test_labelling_argument_types():
+    tri = Triangulation(4, frozenset({(1, 3)}))
+    for triangulation in ("x", None, 4, (4, {(1, 3)})):
+        with pytest.raises(UsageError, match="needs a Triangulation"):
+            Labelling(triangulation, {})
+    for labels in ([1, 2], None, ((1, 2, 3), 1), "123"):
+        with pytest.raises(UsageError, match="labels map triangles"):
+            Labelling(tri, labels)
+    for key in (5, (1, 2, 4), (1, "a", 3), "abc", None):
+        with pytest.raises(InvalidLabellingError, match="not a triangle"):
+            Labelling(tri, {key: 1, (1, 3, 4): 1})
+    # corner order does not matter
+    lab = Labelling(tri, {(3, 2, 1): 2, (4, 1, 3): -2})
+    assert lab.labels == {(1, 2, 3): 2, (1, 3, 4): -2}
+
+
 def test_square_partition_pairs_opposite_labels():
     lab = split_square(5, -5)
     assert square_partition(lab) == [((1, 2, 3), (1, 3, 4))]
     assert square_partition(split_square(1, -1)) == []
     assert square_partition(split_square(5, -4)) is None
     assert square_partition(split_square(5, 5)) is None
+
+
+def brute_force_partitions(lab: Labelling) -> list:
+    """Every matching of the non-(+-1) triangles into pairs that share a
+    side and carry opposite labels, each as a sorted list of sorted pairs."""
+    need = sorted(t for t, x in lab.labels.items() if x not in (1, -1))
+
+    def match(rest):
+        if not rest:
+            return [[]]
+        t, others = rest[0], rest[1:]
+        out = []
+        for s in others:
+            if len(set(t) & set(s)) == 2 and lab.labels[s] == -lab.labels[t]:
+                rem = [r for r in others if r != s]
+                out += [[(t, s)] + tail for tail in match(rem)]
+        return out
+
+    return [sorted(pairs) for pairs in match(need)]
+
+
+def test_square_partition_matches_brute_force():
+    # every labelling with labels -2..2 of every triangulation with m <= 6
+    cases = 0
+    for m in range(2, 7):
+        for tri in enumerate_triangulations(m):
+            for values in itertools.product(range(-2, 3), repeat=len(tri.triangles)):
+                lab = Labelling(tri, dict(zip(tri.triangles, values)))
+                found = brute_force_partitions(lab)
+                assert len(found) <= 1, "the dual tree forces the pairing"
+                assert square_partition(lab) == (found[0] if found else None)
+                cases += 1
+    assert cases == 9431
 
 
 def test_lone_square_fails_the_sign_condition():
@@ -271,6 +320,17 @@ def test_labelling_reduction_case_tags():
     # no ear labelled 1 at the zigzag's +1 triangle? vertex 3 is such an ear
     assert step.case_tag == "TC1"
     assert step.indices == (3,)
+
+
+def test_labelling_reduction_wrapped_square_pair():
+    # squares at windows 3 (vertices 2..5) and 6 (vertices 5, 6, 1, 2);
+    # the window at 6 wraps past vertex 1, and the step records it as 6
+    lab = Labelling(fan_hexagon(), {(1, 2, 6): -5, (2, 3, 4): 3,
+                                    (2, 4, 5): -3, (2, 5, 6): 5})
+    assert lab.vertex_sums() == (-5, 0, 3, 0, 2, 0)
+    step = reduce_labelling_step(lab)
+    assert (step.case_tag, step.indices) == ("TC4", (3, 6))
+    assert step.after.m == 2 and step.after.labels == {}
 
 
 def test_labelling_reduction_rejects_inadmissible():

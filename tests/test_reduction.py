@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from quiddity.cycles import Cycle, is_quiddity
-from quiddity.errors import InvalidCycleError, UnsupportedRingError
+from quiddity.errors import InvalidCycleError, UnsupportedRingError, UsageError
 from quiddity.reduction import (
     ReductionTrace,
     apply_glue_to_sums,
@@ -169,8 +169,19 @@ def test_glue_square_semantics():
 
 def test_glue_negate_semantics():
     assert apply_glue_to_sums((1, -2, 0), ("negate",)) == (-1, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         apply_glue_to_sums((1, 2), ("twist", 1, 1))
+
+
+@pytest.mark.parametrize("instr", [
+    ("bogus",), (), None, "negate", ["negate"], (1, 2, 3),
+    ("negate", 1), ("triangle", 1), ("square", 1, 1, 1),
+    ("triangle", 0, 1), ("triangle", 4, 1), ("square", -1, 1), ("square", 4, 1),
+    ("triangle", 1.0, 1), ("square", True, 1), ("triangle", "1", 1),
+])
+def test_glue_rejects_malformed_instructions(instr):
+    with pytest.raises(UsageError):
+        apply_glue_to_sums((1, 2, 3), instr)
 
 
 # one step each whose contraction window reaches vertex 1 or vertex m
