@@ -185,18 +185,19 @@ emit(search *s)
 }
 
 /* Place c at position depth and extend the product p by it into q.
-   1 if the branch survives, 0 if it is pruned, -1 on error. */
+   1 if the branch survives, 0 if it is pruned, -1 on error.  The new p11 is
+   a frieze entry, so it must not be zero; at the last free position it is
+   the forced entry u, so it must also stay inside the norm limit. */
 static int
 step(search *s, int depth, const mat *p, elem c, mat *q)
 {
     elem pc;
     int r;
-    if (depth > 0 && (r = product_is_one(s->t, s->e[depth - 1], c)) != 0)
-        return r < 0 ? -1 : 0;
     if (mul(s->t, p->p11, c, &pc) < 0 || add(pc, p->p12, &q->p11) < 0)
         return -1;
-    if (is_zero(q->p11))
-        return 0;
+    r = depth + 1 == s->free ? out_of_range(s, q->p11) : is_zero(q->p11);
+    if (r != 0)
+        return r < 0 ? -1 : 0;
     if (mul(s->t, p->p21, c, &pc) < 0 || add(pc, p->p22, &q->p21) < 0
         || sub(zero, p->p11, &q->p12) < 0 || sub(zero, p->p21, &q->p22) < 0)
         return -1;
@@ -239,17 +240,24 @@ solve_tail(search *s, const mat *p)
 }
 
 /* Positions below npre take their prefix entry, so the prefix is replayed
-   through the same pruning as the search. */
+   through the same pruning as the search.  c * prev == 1 exactly when c is
+   the inverse of the previous entry, so that inverse, if there is one, is
+   found once per node and skipped. */
 static int
 extend(search *s, int depth, const mat *p)
 {
     const elem *choice = depth < s->npre ? &s->pre[depth] : s->cand;
     Py_ssize_t i, nchoice = depth < s->npre ? 1 : s->ncand;
+    elem inv;
     mat q;
-    int r;
+    int r, has_inv = 0;
     if (depth == s->free)
         return solve_tail(s, p);
+    if (depth > 0 && (has_inv = divide(s->t, one, s->e[depth - 1], &inv)) < 0)
+        return -1;
     for (i = 0; i < nchoice; i++) {
+        if (has_inv && choice[i].a == inv.a && choice[i].b == inv.b)
+            continue;
         if ((r = step(s, depth, p, choice[i], &q)) < 0)
             return -1;
         if (r && extend(s, depth + 1, &q) < 0)

@@ -107,6 +107,16 @@ def find_two_small(cycle: Cycle) -> tuple:
     return (small[0], small[1])
 
 
+def _first_separated_pair(positions: list, m: int):
+    """The first pair (j, k) of the sorted positions that are neither
+    neighbours nor the wrap pair (1, m), or None."""
+    for i, j in enumerate(positions):
+        for k in positions[i + 1:]:
+            if k - j > 1 and not (j == 1 and k == m):
+                return (j, k)
+    return None
+
+
 def find_two_small_separated(cycle: Cycle) -> tuple:
     """Positions j < k over the integers with |c_j|, |c_k| <= 1, k - j > 1 and
     (j, k) != (1, m).  Defined for integer quiddity cycles of length > 3."""
@@ -116,14 +126,11 @@ def find_two_small_separated(cycle: Cycle) -> tuple:
         raise NotApplicableError("need length > 3")
     if not is_quiddity(cycle):
         raise NotApplicableError("not a quiddity cycle")
-    m = cycle.m
-    small = [k for k in range(1, m + 1) if abs(cycle.entry(k)) <= 1]
-    for a in range(len(small)):
-        for b in range(a + 1, len(small)):
-            j, k = small[a], small[b]
-            if k - j > 1 and not (j == 1 and k == m):
-                return (j, k)
-    raise RuntimeError("no separated pair; contradicts the integer corollary")
+    small = [k for k, c in enumerate(cycle.entries, 1) if abs(c) <= 1]
+    pair = _first_separated_pair(small, cycle.m)
+    if pair is None:
+        raise RuntimeError("no separated pair; contradicts the integer corollary")
+    return pair
 
 
 def candidate_entries(ring: Ring, n: int) -> list:

@@ -10,6 +10,10 @@ M_{i,j} = eta(c_i) ... eta(c_j) over a cyclic sequence generate frieze rows; a
 quiddity cycle is a sequence whose full product is minus the identity, and an
 epsilon-cycle one whose full product is eps times the identity.
 
+Products are accumulated by the running-product rule the search kernels use:
+multiplying P = (P11, P12 / P21, P22) on the right by eta(c) gives
+(P11*c + P12, -P11 / P21*c + P22, -P21), so no matrix is built per factor.
+
 Cycles are 1-based and cyclic: entry(k) reduces k modulo the length, matching
 the convention that c_{k+m} = c_k.
 """
@@ -123,10 +127,12 @@ def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
     m = cycle.m
     while j < i - 1:
         j += m
-    acc = identity(cycle.ring)
-    for k in range(i, j + 1):
-        acc = acc * eta(cycle.ring, cycle.entry(k))
-    return acc
+    ring, entries = cycle.ring, cycle.entries
+    p11, p12, p21, p22 = ring.one, ring.zero, ring.zero, ring.one
+    for k in range(i - 1, j):
+        c = entries[k % m]
+        p11, p12, p21, p22 = p11 * c + p12, -p11, p21 * c + p22, -p21
+    return Mat2(p11, p12, p21, p22)
 
 
 def full_product(cycle: Cycle) -> Mat2:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from quiddity.cycles import Cycle, continuant, is_quiddity
+from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, UsageError
 from quiddity.rings import Ring
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from quiddity.bounds import _first_separated_pair
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import (
     InvalidCycleError,
@@ -48,7 +49,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import _first_separated_pair, apply_glue_to_sums, reduce_to_base
+from quiddity.reduction import apply_glue_to_sums, reduce_to_base
 from quiddity.rings import Z
 
 __all__ = [

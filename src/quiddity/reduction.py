@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from quiddity.bounds import _first_separated_pair
 from quiddity.cycles import Cycle, is_epsilon_cycle, is_quiddity, negate
 from quiddity.errors import InvalidCycleError, UnsupportedRingError, UsageError
 from quiddity.rings import Z
@@ -165,16 +166,6 @@ def _require_integer(cycle: Cycle):
 
 def _positions_of(cycle: Cycle, value) -> list:
     return [k for k in range(1, cycle.m + 1) if cycle.entry(k) == value]
-
-
-def _first_separated_pair(positions: list, m: int):
-    """The first pair (j, k) of the sorted positions that are neither
-    neighbours nor the wrap pair (1, m), or None."""
-    for i, j in enumerate(positions):
-        for k in positions[i + 1:]:
-            if k - j > 1 and not (j == 1 and k == m):
-                return (j, k)
-    return None
 
 
 def _survivor_position(m: int, removed: set, original: int) -> int:

@@ -27,6 +27,13 @@ the norm is a^2 + t*a*b + b^2.  `pair_mul`, `pair_norm`, `pair_conj` and
 `pair_div` are the only definition of this arithmetic: the element classes,
 the ring descriptors and both search kernels follow them, and `Ring.t` is
 the ring's t (None where there is no pair encoding).
+
+Exact division has one rule in every ring of integers here: x / y =
+x * r / N(y), where r is the product of y's other conjugates and
+N(y) = y * r is its norm, a rational integer; y divides x exactly when N(y)
+divides every coordinate of x * r.  In Z r is 1, in Z[omega] it is conj(y)
+(`pair_div`), and in Z[zeta_d] it is the product of the sigma_k(y),
+zeta -> zeta^k for 1 < k < d prime to d (`CyclotomicRing.exact_div`).
 """
 
 from __future__ import annotations
@@ -238,81 +245,37 @@ class GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over Q used by the cyclotomic rings.  Dense coefficient
-# lists, lowest degree first.
+# Integer polynomials for the cyclotomic rings: dense coefficient lists,
+# lowest degree first.
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def _poly_sub(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    out = [(p[i] if i < len(p) else Fraction(0))
-           - (q[i] if i < len(q) else Fraction(0)) for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
-    _poly_trim(num)
-    _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        coef = num[-1] / den[-1]
-        quot[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] -= coef * d
-        _poly_trim(num)
-    return _poly_trim(quot), num
+def _divmod_monic(num: list, den: tuple) -> tuple[list, list]:
+    """Quotient and remainder of num by the monic integer polynomial den."""
+    k = len(den) - 1
+    rem = list(num)
+    quot = [0] * max(0, len(rem) - k)
+    for s in range(len(quot) - 1, -1, -1):
+        c = rem.pop()  # the coefficient of x^(s+k); den is monic
+        if c:
+            quot[s] = c
+            for i in range(k):
+                rem[s + i] -= c * den[i]
+    return quot, rem
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(d: int) -> tuple:
-    """Coefficients of the d-th cyclotomic polynomial (exact, integer).
+    """Coefficients of the d-th cyclotomic polynomial.
 
-    Computed from x^d - 1 by dividing out the cyclotomic polynomials of the
-    proper divisors of d.
+    x^d - 1 is the product of the monic Phi_e over e | d, so dividing it by
+    Phi_e for the proper divisors e leaves Phi_d with no remainder.
     """
-    num = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num, rem = _poly_divmod(num, list(_cyclotomic_poly(e)))
-            assert not rem
-    assert all(c.denominator == 1 for c in num)
-    return tuple(int(c) for c in num)
-
-
-def _poly_ext_gcd(a: list, b: list) -> tuple[list, list, list]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    _poly_trim(r0)
-    _poly_trim(r1)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
+            num, rem = _divmod_monic(num, _cyclotomic_poly(e))
+            assert not any(rem)
+    return tuple(num)
 
 
 class CycloElement:
@@ -593,7 +556,13 @@ class GaussianRationalField(Ring):
 
 
 class CyclotomicRing(Ring):
-    """Z[zeta_d] for general d: ring arithmetic and exact division only."""
+    """Z[zeta_d] for general d: ring arithmetic and exact division only.
+
+    Elements are reduced modulo the cyclotomic polynomial Phi_d.  Division
+    is `pair_div`'s rule with all phi(d) - 1 other Galois conjugates in place
+    of the one complex conjugate: x / y = x * r / (y * r), r the product of
+    the sigma_k(y), and no rational arithmetic is involved.
+    """
 
     is_field = False
     is_discrete = False
@@ -610,16 +579,7 @@ class CyclotomicRing(Ring):
 
     def _reduce(self, coeffs: list) -> list:
         """Reduce an integer coefficient list modulo the minimal polynomial."""
-        cs = list(coeffs)
-        phi = self.phi
-        for k in range(len(cs) - 1, phi - 1, -1):
-            c = cs[k]
-            if c:
-                # subtract c * x^(k-phi) * poly; poly is monic so this clears cs[k]
-                for i, p in enumerate(self._poly):
-                    cs[k - phi + i] -= c * p
-            cs.pop()
-        return cs
+        return _divmod_monic(coeffs, self._poly)[1]
 
     def from_int(self, n: int) -> CycloElement:
         return CycloElement(self, [n])
@@ -630,19 +590,23 @@ class CyclotomicRing(Ring):
         return x
 
     def exact_div(self, x: CycloElement, y: CycloElement):
-        if all(c == 0 for c in y.coeffs):
+        # r is the product of the sigma_k(y); the norm y * r is 0 only for y = 0
+        d = self.d
+        r = self.one
+        for k in range(2, d):
+            if math.gcd(k, d) == 1:
+                conj = [0] * d
+                for j, c in enumerate(y.coeffs):
+                    conj[j * k % d] += c
+                r = r * CycloElement(self, conj)
+        n, *rest = (y * r).coeffs
+        assert not any(rest), "the norm of a cyclotomic integer is rational"
+        if n == 0:
             return None
-        g, s, _ = _poly_ext_gcd(list(y.coeffs), list(self._poly))
-        # the minimal polynomial is irreducible over Q, so gcd(y, poly) is a
-        # nonzero constant and s/g is the inverse of y mod poly
-        assert len(g) == 1
-        inv = [c / g[0] for c in s]
-        prod = _poly_mul([Fraction(c) for c in x.coeffs], inv)
-        _, rem = _poly_divmod(prod, [Fraction(c) for c in self._poly])
-        if any(c.denominator != 1 for c in rem):
+        q = (x * r).coeffs
+        if any(c % n for c in q):
             return None
-        out = [int(c) for c in rem]
-        return CycloElement(self, out)
+        return CycloElement(self, [c // n for c in q])
 
     def element_to_json(self, x: CycloElement):
         return list(x.coeffs)

@@ -53,6 +53,11 @@ def _families():
 
 
 @pytest.fixture(scope="session")
+def worked_reductions():
+    return WORKED_REDUCTIONS
+
+
+@pytest.fixture(scope="session")
 def z_corpus():
     cycles = []
     for n in (1, 2, 3, 4):

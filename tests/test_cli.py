@@ -1,13 +1,16 @@
 """End-to-end runs of every CLI verb through click's test runner."""
 
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quiddity
 from quiddity.cli import main
 from quiddity.clusters import diagonal_label
 from quiddity.cycles import Cycle
@@ -392,8 +395,13 @@ def test_examples_all_ok(runner):
 
 
 def test_module_entry_point():
+    # the child imports the same quiddity as this process, wherever pytest
+    # found it, so its src directory goes first on the child's path
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "quiddity", "--help"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "frieze" in proc.stdout

@@ -6,6 +6,7 @@ length-2/3 classification, so they get explicit checks.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,17 @@ from quiddity.cycles import (
     scalar_of_identity,
 )
 from quiddity.errors import UsageError
-from quiddity.rings import GaussianInt, Q, Z, Zi
+from quiddity.rings import (
+    Cyclotomic,
+    EisensteinInt,
+    GaussianInt,
+    GaussianRational,
+    Q,
+    Qi,
+    Z,
+    Zi,
+    Zzeta6,
+)
 
 
 def test_eta_shape():
@@ -113,6 +124,39 @@ def test_product_interval_cyclic_indexing():
     assert product_interval(c, 5, 7) == \
         eta(Z, 2) * eta(Z, 2) * eta(Z, 1)
     assert full_product(c) == minus_identity(Z)
+
+
+_ZETA5 = Cyclotomic(5)
+
+# a random element of each ring, small enough that products stay readable
+RANDOM_ELEMENT = {
+    Z: lambda rng: rng.randint(-4, 4),
+    Zi: lambda rng: GaussianInt(rng.randint(-3, 3), rng.randint(-3, 3)),
+    Zzeta6: lambda rng: EisensteinInt(rng.randint(-3, 3), rng.randint(-3, 3)),
+    Q: lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+    Qi: lambda rng: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                                     Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+    _ZETA5: lambda rng: _ZETA5.element_from_json([rng.randint(-2, 2) for _ in range(4)]),
+}
+
+
+@pytest.mark.parametrize("ring", list(RANDOM_ELEMENT), ids=lambda r: r.tag)
+def test_product_interval_matches_matrix_products(ring):
+    # the reference multiplies eta matrices left to right with Mat2.__mul__
+    rng = random.Random(f"product_interval {ring.tag}")
+    for m in range(1, 8):
+        for _ in range(3):
+            cycle = Cycle(ring, [RANDOM_ELEMENT[ring](rng) for _ in range(m)])
+            for i in range(1, m + 1):
+                want = identity(ring)
+                for length in range(m + 2):
+                    j = i + length - 1
+                    if length:
+                        want = want * eta(ring, cycle.entry(j))
+                    assert product_interval(cycle, i, j) == want
+                    if length < m:
+                        # j - m names the same end, wrapped below i
+                        assert product_interval(cycle, i, j - m) == want
 
 
 def test_full_product_has_det_one():

@@ -15,7 +15,6 @@ from quiddity.reduction import (
     reduce_to_base,
 )
 from quiddity.rings import Q, Z
-from tests.conftest import WORKED_REDUCTIONS
 
 
 def test_terminal_cases():
@@ -72,9 +71,9 @@ def test_case_separated_minus_ones():
     assert is_quiddity(step.after)
 
 
-def test_worked_reductions_reach_base():
+def test_worked_reductions_reach_base(worked_reductions):
     lengths = []
-    for entries in WORKED_REDUCTIONS:
+    for entries in worked_reductions:
         trace = reduce_to_base(Cycle(Z, entries))
         assert trace.end.entries == (0, 0)
         for step in trace.steps:
@@ -223,8 +222,8 @@ def _rotations(entries):
     return [entries[i:] + entries[:i] for i in range(len(entries))]
 
 
-def test_invert_trace_rebuilds_every_stage(z_corpus):
-    for cycle in z_corpus[:60] + [Cycle(Z, e) for e in WORKED_REDUCTIONS]:
+def test_invert_trace_rebuilds_every_stage(z_corpus, worked_reductions):
+    for cycle in z_corpus[:60] + [Cycle(Z, e) for e in worked_reductions]:
         trace = reduce_to_base(cycle)
         current = (0, 0)
         for target, script in invert_trace(trace):

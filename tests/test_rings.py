@@ -25,6 +25,7 @@ from quiddity.rings import (
     pair_norm,
     ring_from_tag,
 )
+from quiddity.rings import _cyclotomic_poly
 
 
 def test_gaussian_basics():
@@ -233,3 +234,68 @@ def test_cyclotomic_inverse_of_unit():
     prod = ring.exact_div(ring.one, z)
     assert prod is not None
     assert z * prod == ring.one
+
+
+def _poly_product(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_power_minus_one():
+    for d in range(1, 31):
+        prod = [1]
+        for e in range(1, d + 1):
+            if d % e == 0:
+                prod = _poly_product(prod, _cyclotomic_poly(e))
+        assert prod == [-1] + [0] * (d - 1) + [1]
+
+
+def _solve_by_multiplication_matrix(ring, x, y):
+    """x / y from the phi x phi system y * q = x over Q: column j of the
+    matrix holds the coordinates of y * zeta^j.  None when y is 0 or the
+    solution is not integral."""
+    phi = ring.phi
+    basis = [ring.element_from_json([0] * j + [1]) for j in range(phi)]
+    cols = [(y * b).coeffs for b in basis]
+    rows = [[Fraction(cols[j][i]) for j in range(phi)] + [Fraction(x.coeffs[i])]
+            for i in range(phi)]
+    for col in range(phi):
+        pivot = next((r for r in range(col, phi) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None  # y is singular, so y = 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(phi):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    q = [rows[i][phi] / rows[i][i] for i in range(phi)]
+    if any(c.denominator != 1 for c in q):
+        return None
+    return ring.element_from_json([int(c) for c in q])
+
+
+@pytest.mark.parametrize("d", [5, 7, 8, 9, 12, 15])
+def test_cyclotomic_division_matches_linear_solve(d):
+    ring = Cyclotomic(d)
+    rng = random.Random(7200 + d)
+
+    def element(size):
+        return ring.element_from_json([rng.randint(-size, size) for _ in range(ring.phi)])
+
+    ys = [ring.zero, ring.one, ring.zeta, ring.one + ring.zeta, ring.from_int(2)]
+    ys += [element(2) for _ in range(8)]
+    divisible = 0
+    for y in ys:
+        xs = [ring.zero, ring.one, element(3), element(3), y * element(3)]
+        for x in xs:
+            want = _solve_by_multiplication_matrix(ring, x, y)
+            got = ring.exact_div(x, y)
+            assert got == want
+            if want is not None:
+                divisible += 1
+                assert y * got == x
+    # the cases include both exact quotients and non-multiples
+    assert 0 < divisible < len(ys) * 5
