@@ -49,7 +49,7 @@ def _guard(fn):
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int past the digit limit
         raise UsageError(f"bad {what} JSON: {exc}") from None
 
 

@@ -79,7 +79,10 @@ class Cycle:
     entries: tuple
 
     def __init__(self, ring: Ring, entries: Iterable):
-        checked = tuple(ring.check_element(e) for e in entries)
+        # from a list, not a generator: tuple(generator) resizes the tuple it
+        # grows, which strands tuples of other sizes in the interpreter's
+        # free lists until a full garbage collection
+        checked = tuple([ring.check_element(e) for e in entries])
         if not checked:
             raise UsageError("a cycle needs at least one entry")
         object.__setattr__(self, "ring", ring)

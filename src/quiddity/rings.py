@@ -4,14 +4,15 @@ Supported rings: the integers Z, the Gaussian integers Z[i], the Eisenstein
 integers Z[w] with w = (1 + i*sqrt(3))/2 (a primitive sixth root of unity),
 the rationals Q, the Gaussian rationals Q(i), and Z[zeta_d] for a general
 primitive d-th root of unity.  Everything is exact: plain ints, Fractions and
-small coordinate classes; no floating point anywhere.
+small integer coordinate classes; no floating point anywhere.
 
 Ring objects are stateless singletons describing one ring each.  Elements are
-lightweight values (int for Z, Fraction for Q, coordinate pairs otherwise)
-that overload +, -, * so that generic matrix code works uniformly.  Because
-plain ints carry no ring of their own, the module-level operations take the
-ring as their first argument: norm_sq(ring, x), compare(ring, x, y), and so
-on.
+lightweight values that overload +, -, * so that generic matrix code works
+uniformly: int for Z, Fraction for Q, integer pairs for Z[i] and Z[w], the
+integer triple (a, b, d) for (a + b*i)/d in Q(i), and coefficient tuples for
+Z[zeta_d].  Because plain ints carry no ring of their own, the module-level
+operations take the ring as their first argument: norm_sq(ring, x),
+compare(ring, x, y), and so on.
 
 The three discrete rings (Z, Z[i], Z[w]) have minimal nonzero norm 1 and
 support bounded element enumeration; the fields and the general cyclotomic
@@ -34,11 +35,16 @@ N(y) = y * r is its norm, a rational integer; y divides x exactly when N(y)
 divides every coordinate of x * r.  In Z r is 1, in Z[omega] it is conj(y)
 (`pair_div`), and in Z[zeta_d] it is the product of the sigma_k(y),
 zeta -> zeta^k for 1 < k < d prime to d (`CyclotomicRing.exact_div`).
+Q(i) divides by the same rule, x / y = x * conj(y) / N(y), computed on the
+triples with N((c + e*i)/f) = (c^2 + e^2)/f^2; being a field, every nonzero
+y divides.  Each Q(i) operation ends with one gcd that puts its triple in
+normal form (d > 0, gcd(a, b, d) = 1).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -192,56 +198,114 @@ class EisensteinInt(_PairInt):
     a, b = _PairInt._a, _PairInt._b
 
 
-class GaussianRational:
-    """Element of Q(i) with Fraction coordinates."""
+def _check_rational(x):
+    """x itself when it is an int (not a bool) or a Fraction."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise UsageError(f"not a rational coordinate: {x!r}")
+    return x
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """Element (a + b*i)/d of Q(i), stored as the integer triple (a, b, d).
+
+    The triple is normal: d > 0 and gcd(a, b, d) = 1, so equal elements have
+    equal triples and zero is (0, 0, 1).  Every operation does its integer
+    arithmetic and then one gcd (`_qi`).  The constructor takes the two
+    coordinates, ints or Fractions; `re` and `im` read them back as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re = _check_rational(re)
+        im = _check_rational(im)
+        # over the lcm of the two reduced denominators the triple is normal
+        q, s = re.denominator, im.denominator
+        d = q * s // math.gcd(q, s)
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     @classmethod
     def from_int(cls, n: int) -> "GaussianRational":
-        return cls(Fraction(n), Fraction(0))
+        return cls(n, 0)
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __add__(self, other):
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _qi(self._a + other._a, self._b + other._b, d)
+        return _qi(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+
+    def __sub__(self, other):
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _qi(self._a - other._a, self._b - other._b, d)
+        return _qi(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        x = _new(GaussianRational)
+        x._a, x._b, x._d = -self._a, -self._b, self._d
+        return x
 
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other):
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _qi(a * c - b * e, a * e + b * c, self._d * other._d)
+
+    def _over(self, other) -> "GaussianRational":
+        # x / y = x * conj(y) / N(y); with y = (c + e*i)/f that is
+        # (a + b*i)(c - e*i) * f / (d * (c^2 + e^2)), for y != 0
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        return _qi((a * c + b * e) * f, (b * c - a * e) * f, self._d * (c * c + e * e))
 
     def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
-        if n == 0:
+        if not (self._a or self._b):
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return Qi.one._over(self)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianRational):
+        if type(other) is not GaussianRational:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(("Qi", self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
         return _fmt_complex(self.re, self.im, "i")
+
+
+_new = object.__new__
+
+
+def _qi(a: int, b: int, d: int) -> GaussianRational:
+    """The element (a + b*i)/d for d > 0, in normal form."""
+    g = math.gcd(a, b, d)
+    x = _new(GaussianRational)
+    if g == 1:
+        x._a, x._b, x._d = a, b, d
+    else:
+        x._a, x._b, x._d = a // g, b // g, d // g
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +508,33 @@ class RationalField(Ring):
         return f"{x.numerator}/{x.denominator}"
 
     def element_from_json(self, data):
-        if isinstance(data, bool):
-            raise UsageError(f"expected a rational, got {data!r}")
-        if isinstance(data, int):
-            return Fraction(data)
-        if isinstance(data, str):
-            try:
-                return Fraction(data)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"bad rational literal {data!r}") from exc
+        return _rational_from_json(data)
+
+
+def _rational_from_json(data) -> Fraction:
+    """A rational in JSON: an int or a literal such as "-3/4" or "1e3".
+
+    Its numerator and denominator must print back in decimal, so neither may
+    have more digits than the interpreter's int-to-str limit allows.
+    """
+    if isinstance(data, bool) or not isinstance(data, (int, str)):
         raise UsageError(f"expected a rational, got {data!r}")
+    try:
+        x = Fraction(data)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad rational literal {data!r}") from exc
+    limit = sys.get_int_max_str_digits()
+    big = max(abs(x.numerator), x.denominator)
+    # 2^(3k) < 10^k, so only a number of more than 3k bits can have k digits
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise UsageError(f"rational literal with more than {limit} digits")
+    return x
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms as "p/q", the text of `Q.element_to_json`."""
+    g = math.gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 class PairIntegerRing(Ring):
@@ -528,31 +609,17 @@ class GaussianRationalField(Ring):
         return (x.norm(), x.re, x.im)
 
     def exact_div(self, x: GaussianRational, y: GaussianRational):
-        if y.norm() == 0:
+        if not (y._a or y._b):
             return None
-        return x * y.inverse()
+        return x._over(y)
 
     def element_to_json(self, x: GaussianRational):
-        return [f"{x.re.numerator}/{x.re.denominator}",
-                f"{x.im.numerator}/{x.im.denominator}"]
+        return [_ratio_text(x._a, x._d), _ratio_text(x._b, x._d)]
 
     def element_from_json(self, data):
         if not isinstance(data, (list, tuple)) or len(data) != 2:
             raise UsageError(f"expected [re, im] rationals, got {data!r}")
-        coords = []
-        for c in data:
-            if isinstance(c, bool):
-                raise UsageError(f"bad rational component {c!r}")
-            if isinstance(c, int):
-                coords.append(Fraction(c))
-            elif isinstance(c, str):
-                try:
-                    coords.append(Fraction(c))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise UsageError(f"bad rational literal {c!r}") from exc
-            else:
-                raise UsageError(f"bad rational component {c!r}")
-        return GaussianRational(coords[0], coords[1])
+        return GaussianRational(_rational_from_json(data[0]), _rational_from_json(data[1]))
 
 
 class CyclotomicRing(Ring):
@@ -729,8 +796,8 @@ def _field_stream(ring: Ring):
             for pr in range(-height, height + 1):
                 for pi in range(-height, height + 1):
                     for q in range(1, height + 1):
-                        x = GaussianRational(Fraction(pr, q), Fraction(pi, q))
-                        if x.norm() != 0 and x not in seen:
+                        x = _qi(pr, pi, q)
+                        if (pr or pi) and x not in seen:
                             batch.append(x)
         batch.sort(key=ring.sort_key)
         for x in batch:

@@ -405,3 +405,21 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "frieze" in proc.stdout
+
+
+def test_integer_past_the_digit_limit_is_a_usage_error(runner):
+    big = "7" * (sys.get_int_max_str_digits() + 700)
+    result = runner.invoke(main, ["verify-cycle", f'{{"ring": "Z", "entries": [{big}, 1]}}'])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: bad cycle JSON")
+
+
+def test_rational_past_the_digit_limit_is_a_usage_error(runner):
+    # Fraction("1e5000") parses, but its numerator has too many digits to print
+    exponent = sys.get_int_max_str_digits() + 700
+    for entries in (f'["1e{exponent}", "1"]', f'[["1", "1e-{exponent}"], ["0", "1"]]'):
+        ring = "Q" if entries.startswith('["') else "Qi"
+        result = runner.invoke(main, [
+            "frieze", "--cycle", f'{{"ring": "{ring}", "entries": {entries}}}'])
+        assert result.exit_code == 2, (ring, result.exception)
+        assert "digits" in result.output

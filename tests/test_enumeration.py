@@ -29,6 +29,7 @@ from quiddity.enumeration import (
 )
 from quiddity.errors import NotRepresentableError, UnsupportedRingError, UsageError
 from quiddity.frieze import frieze_from_cycle, is_nonzero
+from quiddity.labelling import cc_quiddity, enumerate_triangulations
 from quiddity.rings import Cyclotomic, Q, Z, Zi, Zzeta6, elements_norm_at_most
 
 
@@ -286,6 +287,21 @@ def test_output_is_sorted_and_duplicate_free():
         keys = [tuple(ring.sort_key(x) for x in c.entries) for c in cycles]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("n,count", [(1, 4), (2, 5), (3, 28), (4, 42), (5, 264), (6, 429)])
+def test_z_cells_are_the_conway_coxeter_cycles(n, count):
+    # The paper's model generalises Conway-Coxeter theory; that the nonzero
+    # integer friezes of height n are exactly the triangle-count cycles of
+    # the triangulated (n+3)-gon, together with their negatives when n+3 is
+    # even, is an observed identity, checked here for n = 1..6.
+    m = n + 3
+    cc = {cc_quiddity(tri).entries for tri in enumerate_triangulations(m)}
+    if m % 2 == 0:
+        cc |= {tuple(-c for c in entries) for entries in cc}
+    order = sorted(cc, key=lambda entries: tuple(Z.sort_key(c) for c in entries))
+    assert [c.entries for c in enumerate_nonzero(Z, n)] == order
+    assert len(order) == count
 
 
 def test_dihedral_closure():
