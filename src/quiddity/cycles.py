@@ -174,7 +174,7 @@ def reverse(cycle: Cycle) -> Cycle:
 
 
 def negate(cycle: Cycle) -> Cycle:
-    return Cycle(cycle.ring, tuple(-e for e in cycle.entries))
+    return Cycle(cycle.ring, [-e for e in cycle.entries])
 
 
 def continuant(ring: Ring, entries) -> object:

@@ -145,7 +145,7 @@ def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1) -> list:
     """
     elems, canonical = _search_orbits(ring, n, jobs=jobs)
     keys = sorted(v for key in canonical for v in _orbit(key))
-    return [Cycle(ring, tuple(elems[k] for k in key)) for key in keys]
+    return [Cycle(ring, [elems[k] for k in key]) for key in keys]
 
 
 def canonical_form(cycle: Cycle) -> Cycle:
@@ -185,7 +185,7 @@ def count_nonzero(ring: Ring, n: int, jobs: int = 1) -> EnumerationResult:
     """
     elems, canonical = _search_orbits(ring, n, jobs=jobs)
     total = sum(len(_orbit(key)) for key in canonical)
-    reps = tuple(Cycle(ring, tuple(elems[k] for k in key)) for key in canonical)
+    reps = tuple([Cycle(ring, [elems[k] for k in key]) for key in canonical])
     return EnumerationResult(ring, n, total, len(reps), reps)
 
 

@@ -16,7 +16,7 @@ from quiddity.enumeration import EnumerationResult, _orbit, canonical_form
 from quiddity.errors import UsageError
 from quiddity.frieze import FriezePattern, frieze_from_cycle, is_nonzero
 from quiddity.labelling import Labelling, Triangulation
-from quiddity.rings import Ring, ring_from_tag
+from quiddity.rings import ring_from_tag
 
 __all__ = [
     "cycle_to_json",

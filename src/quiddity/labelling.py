@@ -25,6 +25,13 @@ The blocks act on vertex sums exactly like the glue instructions of
                                                      (diagonal p-v)
     sums (..., a, b, ...) become (..., a, x, 0, b-x, ...)
 
+`_PolygonBuilder` replays the scripts on vertex ids that never change, kept
+in counterclockwise order in a `boundary` list, so a glue is one list insert
+and a rotation one list rotation.  Each stage, and each polygon that the
+reduction below leaves, becomes a `Labelling` through one builder,
+`_from_triangles`, that reads the diagonals off the labelled triangles: they
+are the triangle sides that are not polygon edges.
+
 The dual graph of a triangulation is a tree.  The walk that derives the
 triangles from the edge (1, m) records it, each triangle with its parent,
 and the square pairing of (i) is read off that walk children first, in
@@ -286,87 +293,65 @@ def cc_quiddity(tri: Triangulation) -> Cycle:
     return cycle
 
 
-def _renumbered(diagonals, labels: dict, ren) -> tuple:
-    """The diagonals and the triangle labels with each vertex v renamed ren(v)."""
-    return ({tuple(sorted((ren(a), ren(b)))) for a, b in diagonals},
-            {tuple(sorted(ren(v) for v in t)): x for t, x in labels.items()})
+def _from_triangles(m: int, labels: dict) -> Labelling:
+    """The labelling of the m-gon with these labelled triangles (sorted
+    vertex triples).  Its diagonals are the triangle sides that are not
+    polygon edges; `Triangulation` and `Labelling` validate the result."""
+    diagonals = {d for a, b, c in labels for d in ((a, b), (b, c), (a, c))
+                 if d[1] - d[0] > 1 and d != (1, m)}
+    return Labelling(Triangulation(m, diagonals), labels)
 
 
 class _PolygonBuilder:
-    """Mutable polygon-with-labelling used to replay glue scripts."""
+    """Mutable polygon-with-labelling used to replay glue scripts.
+
+    Vertices are ids that never change; `boundary` lists them
+    counterclockwise, and `labels` maps each triangle, a triple of ids, to
+    its label.  Gluing onto edge p inserts the new ids at position p (p =
+    len(boundary) is the wrap edge: they land at the end) and adds one
+    triangle, or the two of a square; a rotation rotates the list.  Nothing
+    is renumbered: `freeze` assigns positions 1..m once per stage and hands
+    the labelled triangles to `_from_triangles`.
+    """
 
     def __init__(self):
-        self.m = 2
-        self.diagonals = set()
+        self.boundary = [0, 1]
         self.labels = {}
-
-    def _shift(self, threshold: int, by: int):
-        def ren(v):
-            return v + by if v > threshold else v
-
-        self.diagonals, self.labels = _renumbered(self.diagonals, self.labels, ren)
-
-    def _add_chord(self, a: int, b: int):
-        a, b = sorted((a, b))
-        if b - a >= 2 and (a, b) != (1, self.m):
-            self.diagonals.add((a, b))
-
-    def negate(self):
-        self.labels = {t: -x for t, x in self.labels.items()}
-
-    def glue_triangle(self, p: int, s: int):
-        q = p % self.m + 1
-        if p < self.m:
-            self._shift(p, 1)
-            new = p + 1
-            q = p + 2
-        else:
-            new = self.m + 1
-        self.m += 1
-        self._add_chord(p, q)  # the glued-over edge becomes interior
-        self.labels[tuple(sorted((p, new, q)))] = s
-
-    def glue_square(self, p: int, x: int):
-        q = p % self.m + 1
-        if p < self.m:
-            self._shift(p, 2)
-            u, v, q = p + 1, p + 2, p + 3
-        else:
-            u, v = self.m + 1, self.m + 2
-        self.m += 2
-        self._add_chord(p, q)  # glued-over edge
-        self._add_chord(p, v)  # internal diagonal of the square
-        self.labels[tuple(sorted((p, u, v)))] = x
-        self.labels[tuple(sorted((p, v, q)))] = -x
 
     def apply(self, instr: tuple):
         if instr[0] == "negate":
-            self.negate()
-        elif instr[0] == "triangle":
-            self.glue_triangle(instr[1], instr[2])
-        elif instr[0] == "square":
-            self.glue_square(instr[1], instr[2])
+            self.labels = {t: -x for t, x in self.labels.items()}
+            return
+        kind, p, x = instr
+        b = self.boundary
+        first, last = b[p - 1], b[p % len(b)]
+        n = len(b)  # no id ever leaves the boundary, so n is unused
+        if kind == "triangle":
+            b[p:p] = [n]
+            self.labels[(first, n, last)] = x
+        elif kind == "square":
+            b[p:p] = [n, n + 1]
+            self.labels[(first, n, n + 1)] = x
+            self.labels[(first, n + 1, last)] = -x
         else:
             raise ValueError(f"unknown glue instruction {instr!r}")
 
     def sums(self) -> tuple:
-        out = [0] * self.m
+        by_id = [0] * len(self.boundary)
         for t, x in self.labels.items():
             for v in t:
-                out[v - 1] += x
-        return tuple(out)
+                by_id[v] += x
+        return tuple([by_id[v] for v in self.boundary])
 
     def rotate(self, r: int):
         """Renumber so that vertex r + 1 becomes vertex 1."""
-        if r:
-            def ren(v):
-                return (v - 1 - r) % self.m + 1
-
-            self.diagonals, self.labels = _renumbered(self.diagonals, self.labels, ren)
+        self.boundary = self.boundary[r:] + self.boundary[:r]
 
     def freeze(self) -> Labelling:
-        return Labelling(Triangulation(self.m, frozenset(self.diagonals)),
-                         dict(self.labels))
+        pos = {v: i for i, v in enumerate(self.boundary, 1)}
+        return _from_triangles(len(pos), {
+            tuple(sorted((pos[a], pos[b], pos[c]))): x
+            for (a, b, c), x in self.labels.items()})
 
 
 def labelling_from_cycle(cycle: Cycle) -> Labelling:
@@ -444,27 +429,27 @@ def _cyc(v: int, m: int) -> int:
     return (v - 1) % m + 1
 
 
+def _without(lab: Labelling, vertices: set, triangles: set) -> Labelling:
+    """`lab` less `triangles` and the `vertices` only they held.  The other
+    vertices are renumbered densely in order, so each triple stays sorted."""
+    kept = [v for v in range(1, lab.m + 1) if v not in vertices]
+    new = {v: i for i, v in enumerate(kept, 1)}
+    return _from_triangles(len(kept), {(new[a], new[b], new[c]): x
+                                       for (a, b, c), x in lab.labels.items()
+                                       if (a, b, c) not in triangles})
+
+
 def _remove_ear(lab: Labelling, k: int) -> Labelling:
-    """Drop ear vertex k and its triangle; densely renumber.
+    """Drop ear vertex k and its triangle.
 
         p---k---q          p---q
          \\  |  /     ->     (edge p-q now on the boundary)
           \\ | /
     """
     m = lab.m
-    p, q = _cyc(k - 1, m), _cyc(k + 1, m)
-    ear = tuple(sorted((p, k, q)))
+    ear = tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))
     assert ear in lab.labels
-    base = tuple(sorted((p, q)))
-    diagonals = set(lab.triangulation.diagonals)
-    diagonals.discard(base)
-
-    def ren(v):
-        return v - 1 if v > k else v
-
-    labels = {t: x for t, x in lab.labels.items() if t != ear}
-    diagonals, labels = _renumbered(diagonals, labels, ren)
-    return Labelling(Triangulation(m - 1, diagonals), labels)
+    return _without(lab, {k}, {ear})
 
 
 def _square_windows(partition: list, m: int) -> dict:
@@ -493,23 +478,11 @@ def _square_windows(partition: list, m: int) -> dict:
 
 def _remove_square(lab: Labelling, k: int, square: tuple) -> Labelling:
     """Drop `square`, the matched square on vertices (k-1 .. k+2): both
-    triangles and the two middle vertices; densely renumber."""
+    triangles and the two middle vertices."""
     m = lab.m
     a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
     assert set(square[0] + square[1]) == {a, u, v, b}
-    gone = set(square)
-    diagonals = {d for d in lab.triangulation.diagonals
-                 if u not in d and v not in d}
-    diagonals.discard(tuple(sorted((a, b))))
-
-    removed = sorted((u, v))
-
-    def ren(x):
-        return x - sum(1 for r in removed if r < x)
-
-    labels = {t: val for t, val in lab.labels.items() if t not in gone}
-    diagonals, labels = _renumbered(diagonals, labels, ren)
-    return Labelling(Triangulation(m - 2, diagonals), labels)
+    return _without(lab, {u, v}, set(square))
 
 
 def _negated(lab: Labelling) -> Labelling:

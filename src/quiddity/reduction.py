@@ -15,7 +15,10 @@ pairing contractions or negating:
     T5  drop two separated -1s
 
 At least one case always applies; that is a theorem, and the engine raises
-RuntimeError rather than guessing if the scan comes up empty.
+RuntimeError rather than guessing if the scan comes up empty.  Every step
+asserts that its output is a quiddity cycle.  `reduce_step_Z` also checks
+its input; `reduce_to_base` checks only the first, so each cycle of a trace
+is checked exactly once.
 
 Every step also records a glue script: instructions that rebuild `before`
 from `after` by gluing labelled blocks (triangles labelled +-1, squares
@@ -168,13 +171,6 @@ def _positions_of(cycle: Cycle, value) -> list:
     return [k for k in range(1, cycle.m + 1) if cycle.entry(k) == value]
 
 
-def _survivor_position(m: int, removed: set, original: int) -> int:
-    """Position of a surviving original index after removal and re-basing at
-    the smallest survivor."""
-    assert original not in removed
-    return sum(1 for i in range(1, original + 1) if i not in removed)
-
-
 def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
     """One reduction case for an integer epsilon-cycle.
 
@@ -218,11 +214,16 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
     _require_integer(cycle)
     if not is_quiddity(cycle):
         raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
-    m = cycle.m
-
     if cycle.entries in ((0, 0), (1, 1, 1)):
         return ReductionStep("T0", (), cycle, cycle, -1, -1)
+    return _reduce_step(cycle)
 
+
+def _reduce_step(cycle: Cycle) -> ReductionStep:
+    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity; the
+    result is asserted quiddity, so a chain of steps checks each cycle once.
+    On (1, 1, 1) this is the T1 at 1 that ends at (0, 0)."""
+    m = cycle.m
     ones = _positions_of(cycle, 1)
     if ones:
         k = ones[0]
@@ -254,13 +255,12 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
     pair = _first_separated_pair(zeros, m)
     if pair:
         j, k = pair
+        # contracting at k removes k - 1 and k, both above j (k - j > 1),
+        # so j keeps its index in the middle cycle
         mid = contract_zero(cycle, k).cycle
-        removed = {(k - 2) % m + 1, k}
-        jmid = _survivor_position(m, removed, j)
-        after = contract_zero(mid, jmid).cycle
+        after = contract_zero(mid, j).cycle
         assert is_quiddity(after)
-        first, r = _undo_contraction(after.m, jmid, "square",
-                                     mid.entry(jmid - 1))
+        first, r = _undo_contraction(after.m, j, "square", mid.entry(j - 1))
         second, r = _undo_contraction(mid.m, k, "square", cycle.entry(k - 1), r)
         return ReductionStep("T4", (j, k), cycle, after, -1, -1,
                              (first, second), r)
@@ -282,9 +282,10 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
 def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     """Full reduction of an integer quiddity cycle to (0,0).
 
-    The terminal (1,1,1) is not left standing: one more T1 step takes it to
-    (0,0), so every trace ends at the 2-gon and can be inverted into a
-    triangulation labelling.
+    The input is checked once and every step asserts its output, so each
+    cycle of the trace is checked exactly once.  The terminal (1,1,1) is not
+    left standing: one more T1 step takes it to (0,0), so every trace ends
+    at the 2-gon and can be inverted into a triangulation labelling.
     """
     _require_integer(cycle)
     if not is_quiddity(cycle):
@@ -292,13 +293,7 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     steps = []
     current = cycle
     while current.entries != (0, 0):
-        if current.entries == (1, 1, 1):
-            after = contract_one(current, 1).cycle
-            instr, r = _undo_contraction(after.m, 1, "triangle", 1)
-            step = ReductionStep("T1", (1,), current, after, -1, -1, (instr,), r)
-        else:
-            step = reduce_step_Z(current)
-            assert not step.terminal
+        step = _reduce_step(current)
         steps.append(step)
         assert step.after.m < current.m, "reduction must shrink the cycle"
         current = step.after

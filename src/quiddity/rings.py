@@ -468,7 +468,7 @@ class IntegerRing(Ring):
     def element_from_json(self, data):
         if isinstance(data, bool) or not isinstance(data, int):
             raise UsageError(f"expected an integer, got {data!r}")
-        return data
+        return _printable(data)
 
     def to_pair(self, x: int) -> tuple[int, int]:
         return (x, 0)
@@ -523,12 +523,20 @@ def _rational_from_json(data) -> Fraction:
         x = Fraction(data)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational literal {data!r}") from exc
-    limit = sys.get_int_max_str_digits()
-    big = max(abs(x.numerator), x.denominator)
-    # 2^(3k) < 10^k, so only a number of more than 3k bits can have k digits
-    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
-        raise UsageError(f"rational literal with more than {limit} digits")
+    _printable(x.numerator)
+    _printable(x.denominator)
     return x
+
+
+def _printable(n: int) -> int:
+    """n, which must print back in decimal: a JSON integer with more digits
+    than the interpreter's int-to-str limit allows raises UsageError here,
+    not ValueError later when an error message formats it."""
+    limit = sys.get_int_max_str_digits()
+    # 2^(3k) < 10^k, so only a number of more than 3k bits can have k digits
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10 ** limit:
+        raise UsageError(f"number with more than {limit} digits")
+    return n
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -577,7 +585,7 @@ class PairIntegerRing(Ring):
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in data)):
             raise UsageError(f"expected [{', '.join(self.element.coords)}] integers, "
                              f"got {data!r}")
-        return self.element(data[0], data[1])
+        return self.element(_printable(data[0]), _printable(data[1]))
 
     def to_pair(self, x) -> tuple[int, int]:
         return (x._a, x._b)
@@ -682,7 +690,7 @@ class CyclotomicRing(Ring):
         if (not isinstance(data, list) or len(data) > self.phi
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in data)):
             raise UsageError(f"expected <= {self.phi} integer coefficients, got {data!r}")
-        return CycloElement(self, data)
+        return CycloElement(self, [_printable(c) for c in data])
 
 
 Z = IntegerRing()

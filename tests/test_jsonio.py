@@ -1,6 +1,7 @@
 """Serialization: emit -> read -> emit must be the identity on the text."""
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -188,3 +189,21 @@ def test_fixture_check_catches_tampering():
     data["rows"][0][0] = 99
     with pytest.raises(AssertionError):
         frieze_fixture_check(data)
+
+
+def _entries_with(ring: str, n: int) -> list:
+    """A two-entry cycle of `ring` in JSON with n as one integer coordinate."""
+    return {"Z": [n, 1], "Zi": [[n, 0], [1, 0]], "Zzeta6": [[0, -n], [1, 0]],
+            "Zzeta5": [[1, 0, n], [1]]}[ring]
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zi", "Zzeta6", "Zzeta5"])
+def test_integer_past_the_digit_limit_is_a_usage_error(ring):
+    # such an int cannot be formatted into a later error message, so the
+    # reader refuses it; one digit fewer still reads
+    limit = sys.get_int_max_str_digits()
+    too_long = {"ring": ring, "entries": _entries_with(ring, 10 ** limit)}
+    with pytest.raises(UsageError, match="digits"):
+        frieze_from_cycle(cycle_from_json(too_long))
+    longest = {"ring": ring, "entries": _entries_with(ring, 10 ** limit - 1)}
+    assert cycle_from_json(longest).m == 2

@@ -2,6 +2,7 @@
 combinatorial reduction engine."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from quiddity.errors import (
 )
 from quiddity.labelling import (
     Labelling,
+    _from_triangles,
     Triangulation,
     cc_quiddity,
     cycle_from_labelling,
@@ -96,6 +98,17 @@ def test_triangle_derivation_of_a_large_fan():
     m = 1200
     tri = Triangulation(m, frozenset((1, j) for j in range(3, m)))
     assert tri.triangles == tuple((1, j, j + 1) for j in range(2, m))
+
+
+def test_from_triangles_rebuilds_every_small_labelling():
+    rng = random.Random(9)
+    for m in range(2, 10):
+        for tri in enumerate_triangulations(m):
+            lab = Labelling(tri, {t: rng.randint(-3, 3) for t in tri.triangles})
+            again = _from_triangles(m, lab.labels)
+            assert again.triangulation.diagonals == tri.diagonals
+            assert again.triangulation.triangles == tri.triangles
+            assert again.labels == lab.labels
 
 
 def test_two_gon_is_allowed():

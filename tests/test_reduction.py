@@ -1,5 +1,6 @@
 """Reduction engines: case selection, totality, and trace inversion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,49 @@ def test_non_quiddity_rejected():
         reduce_step_Z(Cycle(Z, (1, 2, 3)))
     with pytest.raises(InvalidCycleError):
         reduce_to_base(Cycle(Z, (2, 2)))
+
+
+def _seeded_cycle(rng: random.Random, m: int) -> Cycle:
+    """An integer quiddity cycle of length m glued from random blocks.
+
+    Each square and each -1 triangle flips the sign of the labelling, and
+    the last triangle's label sets it right, so the sums are quiddity.
+    """
+    sums, flips = (0, 0), 0
+    while len(sums) < m - 1:
+        p = rng.randint(1, len(sums))
+        if len(sums) < m - 2 and rng.random() < 0.3:
+            sums = apply_glue_to_sums(sums, ("square", p, rng.randint(-2, 2)))
+            flips += 1
+        else:
+            s = rng.choice((1, -1))
+            sums = apply_glue_to_sums(sums, ("triangle", p, s))
+            flips += s < 0
+    last = -1 if flips % 2 else 1
+    sums = apply_glue_to_sums(sums, ("triangle", rng.randint(1, len(sums)), last))
+    cycle = Cycle(Z, sums)
+    assert is_quiddity(cycle)
+    return cycle
+
+
+def test_trace_checks_each_cycle_once():
+    # reduce_to_base checks only its input: every step must still be the one
+    # reduce_step_Z takes, bar the final T1 from (1, 1, 1), and one wrong
+    # entry anywhere must still be caught
+    rng = random.Random(14)
+    for m in range(4, 41):
+        cycle = _seeded_cycle(rng, m)
+        *inner, last = reduce_to_base(cycle).steps
+        for step in inner:
+            assert reduce_step_Z(step.before) == step
+        if last.before.entries == (1, 1, 1):
+            assert (last.case_tag, last.indices, last.after.entries) == ("T1", (1,), (0, 0))
+        else:
+            assert reduce_step_Z(last.before) == last
+        entries = list(cycle.entries)
+        entries[rng.randrange(m)] += rng.choice((1, -1))
+        with pytest.raises(InvalidCycleError):
+            reduce_to_base(Cycle(Z, entries))
 
 
 def test_glue_triangle_semantics():
