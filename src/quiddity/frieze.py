@@ -10,8 +10,9 @@ j = i, ..., i+m, where
 
 Interior entries are continuants: c_{i,j} is the top-left entry of the matrix
 product over the window c_i .. c_{j-2}.  The closing 1 and 0 are computed from
-that same formula and asserted against the declared border rather than being
-written by fiat.  The whole array repeats with c_{i,j} = c_{i+m,j+m}.
+that same formula, and a row that does not close with them rejects the cycle:
+that test is the quiddity test itself (see `frieze_from_cycle`).  The whole
+array repeats with c_{i,j} = c_{i+m,j+m}.
 
 "Non-zero" always refers to the interior band only; the structural border 0s
 and 1s never count.  Degenerate cycles are allowed: m = 2 gives height -1
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from quiddity.cycles import Cycle, is_quiddity
+from quiddity.cycles import Cycle
 from quiddity.errors import InvalidCycleError, UsageError
 from quiddity.rings import Ring
 
@@ -74,12 +75,9 @@ class FriezePattern:
         """Materialize rows row_start .. row_start+row_count-1 as a window."""
         if row_count is None:
             row_count = self.m
-        rows = []
-        offsets = []
-        for i in range(row_start, row_start + row_count):
-            rows.append(list(self.rows[(i - 1) % self.m]))
-            offsets.append(i)
-        return FriezeWindow(self.ring, tuple(tuple(r) for r in rows), tuple(offsets))
+        offsets = tuple(range(row_start, row_start + row_count))
+        return FriezeWindow(self.ring, tuple(self.rows[(i - 1) % self.m] for i in offsets),
+                            offsets)
 
 
 @dataclass(frozen=True)
@@ -138,15 +136,19 @@ class VerifyReport:
 def frieze_from_cycle(cycle: Cycle) -> FriezePattern:
     """Generate the pattern; requires a quiddity cycle of length >= 2.
 
-    The closing border of each row (the 1 and 0 at columns i+m-1 and i+m) is
-    produced by the continuant recurrence and asserted, not declared.
+    Each row comes from the continuant recurrence alone, and a row that does
+    not end in the closing 1, 0 rejects the cycle.  That is the quiddity
+    test.  The product M_i = eta(c_i) ... eta(c_{i+m-1}) has top-right entry
+    -K(c_{i+1} .. c_{i+m-1}) and bottom row (K(c_i .. c_{i+m-2}),
+    -K(c_{i+1} .. c_{i+m-2})), all read off rows i and i+1.  If both rows
+    close, M_i = -I: its top-left K(c_i .. c_{i+m-1}) is c_{i+m-1} * 0 - 1.
+    Conversely every rotation of a quiddity cycle is quiddity, so every M_i
+    is -I and every row closes.
     """
     ring = cycle.ring
     m = cycle.m
     if m < 2:
         raise InvalidCycleError("need length >= 2")
-    if not is_quiddity(cycle):
-        raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     rows = []
     for i in range(1, m + 1):
         row = [ring.zero, ring.one]
@@ -154,48 +156,48 @@ def frieze_from_cycle(cycle: Cycle) -> FriezePattern:
         for k in range(i, i + m - 1):
             prev2, prev = prev, prev * cycle.entry(k) - prev2
             row.append(prev)
-        assert row[m - 1] == ring.one, "computed closing 1 disagrees"
-        assert row[m] == ring.zero, "computed closing 0 disagrees"
+        if row[m - 1] != ring.one or row[m] != ring.zero:
+            raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
         rows.append(tuple(row))
     return FriezePattern(cycle, tuple(rows))
 
 
 def verify(window: FriezeWindow) -> VerifyReport:
     """Check determinant 1 on all complete adjacent 2x2 submatrices and
-    determinant 0 on all complete adjacent 3x3 submatrices."""
-    ring = window.ring
-    failures = []
-    sl2_ok = True
-    tame_ok = True
-    nrows = len(window.rows)
-    for r in range(nrows - 1):
-        lo = min(window.offsets[r], window.offsets[r + 1])
-        hi = max(window.offsets[r] + len(window.rows[r]),
-                 window.offsets[r + 1] + len(window.rows[r + 1]))
-        for c in range(lo, hi):
-            a = window.cell(r, c)
-            b = window.cell(r, c + 1)
-            x = window.cell(r + 1, c)
-            y = window.cell(r + 1, c + 1)
-            if None in (a, b, x, y):
-                continue
-            if a * y - b * x != ring.one:
-                sl2_ok = False
-                failures.append(("sl2", r, c))
-    for r in range(nrows - 2):
-        lo = min(window.offsets[r: r + 3])
-        hi = max(window.offsets[rr] + len(window.rows[rr]) for rr in range(r, r + 3))
-        for c in range(lo, hi):
-            sub = [[window.cell(r + dr, c + dc) for dc in range(3)] for dr in range(3)]
-            if any(x is None for row in sub for x in row):
-                continue
-            det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                   - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                   + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-            if det != ring.zero:
-                tame_ok = False
-                failures.append(("tame", r, c))
-    return VerifyReport(sl2_ok, tame_ok, tuple(failures))
+    determinant 0 on all complete adjacent 3x3 submatrices.
+
+    Blocks are read by index over the columns where all their rows are
+    present.  Each 3x3 determinant is expanded along its top row: the
+    cofactors of its outer entries are 2x2 minors of the two rows below,
+    kept from the first pass.  Failures list every "sl2" position, then
+    every "tame" one, each by row, then column.
+    """
+    one, zero = window.ring.one, window.ring.zero
+    rows, offsets = window.rows, window.offsets
+    ends = [off + len(row) for off, row in zip(offsets, rows)]
+    sl2, tame = [], []
+    minors = []  # minors[r][c]: rows r, r+1 at columns c, c+1
+    for r in range(len(rows) - 1):
+        top, bottom = rows[r], rows[r + 1]
+        o, p = offsets[r], offsets[r + 1]
+        minors.append({})
+        for c in range(max(o, p), min(ends[r], ends[r + 1]) - 1):
+            det = top[c - o] * bottom[c + 1 - p] - top[c + 1 - o] * bottom[c - p]
+            minors[r][c] = det
+            if det != one:
+                sl2.append(("sl2", r, c))
+    for r in range(len(rows) - 2):
+        top, middle, bottom = rows[r], rows[r + 1], rows[r + 2]
+        o, p, q = offsets[r: r + 3]
+        below = minors[r + 1]
+        for c in range(max(o, p, q), min(ends[r: r + 3]) - 2):
+            det = (top[c - o] * below[c + 1]
+                   - top[c + 1 - o] * (middle[c - p] * bottom[c + 2 - q]
+                                       - middle[c + 2 - p] * bottom[c - q])
+                   + top[c + 2 - o] * below[c])
+            if det != zero:
+                tame.append(("tame", r, c))
+    return VerifyReport(not sl2, not tame, tuple(sl2 + tame))
 
 
 def zero_positions(f: FriezePattern) -> set:

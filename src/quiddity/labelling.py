@@ -282,8 +282,6 @@ def cycle_from_labelling(lab: Labelling) -> Cycle:
 
 def cc_quiddity(tri: Triangulation) -> Cycle:
     """Per-vertex triangle counts: the all-ones labelling's quiddity cycle."""
-    if tri.m == 2:
-        return Cycle(Z, (0, 0))
     counts = [0] * tri.m
     for t in tri.triangles:
         for v in t:
@@ -400,13 +398,11 @@ def find_12_or_131(q: Cycle):
     m = q.m
     windows = [p for p in range(1, m + 1)
                if (q.entry(p), q.entry(p + 1)) in ((1, 2), (2, 1))]
-    for a in range(len(windows)):
-        for b in range(a + 1, len(windows)):
-            p1, p2 = windows[a], windows[b]
-            used1 = {(p1 - 1) % m, p1 % m}
-            used2 = {(p2 - 1) % m, p2 % m}
-            if not (used1 & used2):
-                return ("pairs", (p1, p2))
+    # the windows at p1 < p2 cover entries {p1, p1+1} and {p2, p2+1}
+    # cyclically; they overlap exactly when p2 = p1 + 1 or (p1, p2) = (1, m)
+    pair = _first_separated_pair(windows, m)
+    if pair:
+        return ("pairs", pair)
     for p in range(1, m + 1):
         if (q.entry(p), q.entry(p + 1), q.entry(p + 2)) == (1, 3, 1):
             return ("triple", (p,))
@@ -439,8 +435,9 @@ def _without(lab: Labelling, vertices: set, triangles: set) -> Labelling:
                                        if (a, b, c) not in triangles})
 
 
-def _remove_ear(lab: Labelling, k: int) -> Labelling:
-    """Drop ear vertex k and its triangle.
+def _ear(lab: Labelling, k: int) -> tuple:
+    """The vertices and triangles that removing ear vertex k drops: k and
+    its one triangle.
 
         p---k---q          p---q
          \\  |  /     ->     (edge p-q now on the boundary)
@@ -449,7 +446,7 @@ def _remove_ear(lab: Labelling, k: int) -> Labelling:
     m = lab.m
     ear = tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))
     assert ear in lab.labels
-    return _without(lab, {k}, {ear})
+    return {k}, {ear}
 
 
 def _square_windows(partition: list, m: int) -> dict:
@@ -476,13 +473,14 @@ def _square_windows(partition: list, m: int) -> dict:
     return windows
 
 
-def _remove_square(lab: Labelling, k: int, square: tuple) -> Labelling:
-    """Drop `square`, the matched square on vertices (k-1 .. k+2): both
-    triangles and the two middle vertices."""
+def _square(lab: Labelling, k: int, square: tuple) -> tuple:
+    """The vertices and triangles that removing `square`, the matched
+    square on vertices (k-1 .. k+2), drops: the two middle vertices and
+    both triangles."""
     m = lab.m
     a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
     assert set(square[0] + square[1]) == {a, u, v, b}
-    return _without(lab, {u, v}, set(square))
+    return {u, v}, set(square)
 
 
 def _negated(lab: Labelling) -> Labelling:
@@ -515,7 +513,7 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     ears_one = [k for k, x in zip(ears, ear_labels) if x == 1]
     if ears_one:
         k = ears_one[0]
-        after = _remove_ear(lab, k)
+        after = _without(lab, *_ear(lab, k))
         assert is_admissible(after)
         return LabellingStep("TC1", (k,), lab, after)
 
@@ -523,37 +521,35 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     squares = sorted(windows)
     if squares and m % 2 == 1:
         k = squares[0]
-        after = _negated(_remove_square(lab, k, windows[k]))
+        after = _negated(_without(lab, *_square(lab, k, windows[k])))
         assert is_admissible(after)
         return LabellingStep("TC2", (k,), lab, after)
 
     ears_minus = [k for k, x in zip(ears, ear_labels) if x == -1]
     if ears_minus and m % 2 == 0:
         k = ears_minus[0]
-        after = _negated(_remove_ear(lab, k))
+        after = _negated(_without(lab, *_ear(lab, k)))
         assert is_admissible(after)
         return LabellingStep("TC3", (k,), lab, after)
 
     # _first_separated_pair also skips the pair (1, m), which admissible
     # input never holds: both ears, or both squares, would hold the one
-    # triangle on the boundary edge (m, 1)
+    # triangle on the boundary edge (m, 1).  The two blocks of a separated
+    # pair share no removed vertex and no triangle, so one `_without` call
+    # drops both.
     pair = _first_separated_pair(squares, m)
     if pair:
         j, k = pair
-        mid = _remove_square(lab, k, windows[k])
-        # the window at k removes vertices {k, k+1 cyclic}; only the wrapped
-        # window k = m deletes vertex 1 and shifts j's window down by one
-        j_mid = j - 1 if k == m else j
-        after = _remove_square(mid, j_mid,
-                               _square_windows(square_partition(mid), m - 2)[j_mid])
+        (vj, tj), (vk, tk) = _square(lab, j, windows[j]), _square(lab, k, windows[k])
+        after = _without(lab, vj | vk, tj | tk)
         assert is_admissible(after)
         return LabellingStep("TC4", (j, k), lab, after)
 
     pair = _first_separated_pair(ears_minus, m)
     if pair:
         j, k = pair
-        mid = _remove_ear(lab, k)
-        after = _remove_ear(mid, j)
+        (vj, tj), (vk, tk) = _ear(lab, j), _ear(lab, k)
+        after = _without(lab, vj | vk, tj | tk)
         assert is_admissible(after)
         return LabellingStep("TC5", (j, k), lab, after)
 

@@ -1,17 +1,31 @@
 """Frieze generation against the displayed example arrays, plus window checks."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from quiddity.cycles import Cycle
+from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, UsageError
 from quiddity.frieze import (
     FriezeWindow,
+    VerifyReport,
     frieze_from_cycle,
     is_nonzero,
     verify,
     zero_positions,
 )
-from quiddity.rings import GaussianInt, Z, Zi
+from quiddity.rings import (
+    Cyclotomic,
+    EisensteinInt,
+    GaussianInt,
+    GaussianRational,
+    Q,
+    Qi,
+    Z,
+    Zi,
+    Zzeta6,
+)
 
 
 def interior_rows(f):
@@ -114,6 +128,10 @@ def test_frieze_rejects_non_quiddity():
         frieze_from_cycle(Cycle(Z, (1, 2, 3)))
     with pytest.raises(InvalidCycleError):
         frieze_from_cycle(Cycle(Z, (5,)))
+    # eta products +I: every row closes with -1, 0
+    for entries in ((0, 0, 0, 0), (1,) * 6):
+        with pytest.raises(InvalidCycleError):
+            frieze_from_cycle(Cycle(Z, entries))
 
 
 def test_verify_accepts_true_windows():
@@ -159,3 +177,134 @@ def test_window_render_is_a_staircase():
     text = f.window().render()
     assert text.splitlines()[0].startswith("0 1")
     assert len(text.splitlines()) == 2
+
+
+def reference_verify(window: FriezeWindow) -> VerifyReport:
+    """`verify` written cell by cell: every column of the rows' joint span,
+    every block gathered entry by entry and skipped when an entry is
+    missing, every determinant expanded in full."""
+
+    def cell(r, col):
+        off = window.offsets[r]
+        if off <= col < off + len(window.rows[r]):
+            return window.rows[r][col - off]
+        return None
+
+    ring = window.ring
+    failures = []
+    nrows = len(window.rows)
+    for r in range(nrows - 1):
+        lo = min(window.offsets[r], window.offsets[r + 1])
+        hi = max(window.offsets[r] + len(window.rows[r]),
+                 window.offsets[r + 1] + len(window.rows[r + 1]))
+        for c in range(lo, hi):
+            a, b, x, y = cell(r, c), cell(r, c + 1), cell(r + 1, c), cell(r + 1, c + 1)
+            if None in (a, b, x, y):
+                continue
+            if a * y - b * x != ring.one:
+                failures.append(("sl2", r, c))
+    for r in range(nrows - 2):
+        lo = min(window.offsets[r: r + 3])
+        hi = max(window.offsets[rr] + len(window.rows[rr]) for rr in range(r, r + 3))
+        for c in range(lo, hi):
+            sub = [[cell(r + dr, c + dc) for dc in range(3)] for dr in range(3)]
+            if any(x is None for row in sub for x in row):
+                continue
+            det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
+                   - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
+                   + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
+            if det != ring.zero:
+                failures.append(("tame", r, c))
+    sl2_ok = not any(kind == "sl2" for kind, _, _ in failures)
+    tame_ok = not any(kind == "tame" for kind, _, _ in failures)
+    return VerifyReport(sl2_ok, tame_ok, tuple(failures))
+
+
+def test_verify_matches_reference_on_ragged_windows():
+    rng = random.Random(1511)
+    for _ in range(3000):
+        nrows = rng.randint(0, 6)
+        rows = tuple(tuple(rng.randint(-2, 2) for _ in range(rng.randint(0, 6)))
+                     for _ in range(nrows))
+        offsets = tuple(rng.randint(-2, 3) for _ in range(nrows))
+        window = FriezeWindow(Z, rows, offsets)
+        assert verify(window) == reference_verify(window)
+
+
+ZZETA5 = Cyclotomic(5)
+# a second generator per ring, so that random elements leave Z
+GENERATORS = {Z: 2, Q: Fraction(1, 2), Qi: GaussianRational(0, 1), Zi: GaussianInt(0, 1),
+              Zzeta6: EisensteinInt(0, 1), ZZETA5: ZZETA5.zeta}
+
+
+def random_element(rng, ring):
+    return ring.from_int(rng.randint(-2, 2)) + ring.from_int(rng.randint(-1, 1)) * GENERATORS[ring]
+
+
+def glued_quiddity(rng, ring, m):
+    """A quiddity cycle of length m over `ring`: blocks glued onto the 2-gon.
+
+    A triangle s = +-1 on edge (p, p+1) turns sums (a, b) into
+    (a+s, s, b+s); a square labelled x turns them into (a, x, 0, b-x) for
+    any ring element x.  Each -1 triangle and each square flips the sign of
+    the eta product, and the last triangle makes the flips even.
+    """
+    sums = [ring.zero, ring.zero]
+    flips = 0
+    while len(sums) < m:
+        p = rng.randrange(len(sums))
+        q = (p + 1) % len(sums)
+        if len(sums) + 2 < m and rng.random() < 0.4:
+            x = random_element(rng, ring)
+            sums[q] = sums[q] - x
+            sums[p + 1:p + 1] = [x, ring.zero]
+            flips += 1
+            continue
+        if len(sums) + 1 == m:
+            s = -1 if flips % 2 else 1
+        else:
+            s = rng.choice((1, -1))
+            flips += s == -1
+        s = ring.from_int(s)
+        sums[p] = sums[p] + s
+        sums[q] = sums[q] + s
+        sums.insert(p + 1, s)
+    cycle = Cycle(ring, sums)
+    assert is_quiddity(cycle)
+    return cycle
+
+
+def test_verify_matches_reference_on_corrupted_friezes():
+    rng = random.Random(1512)
+    for k in range(240):
+        ring = list(GENERATORS)[k % len(GENERATORS)]
+        cycle = glued_quiddity(rng, ring, rng.randint(2, 8))
+        window = frieze_from_cycle(cycle).window(rng.randint(-2, 3), rng.randint(1, cycle.m + 3))
+        rows = [list(row) for row in window.rows]
+        for _ in range(rng.randint(0, 2)):
+            r = rng.randrange(len(rows))
+            rows[r][rng.randrange(len(rows[r]))] = random_element(rng, ring)
+        corrupted = FriezeWindow(ring, tuple(map(tuple, rows)), window.offsets)
+        assert verify(corrupted) == reference_verify(corrupted)
+
+
+@pytest.mark.parametrize("ring", list(GENERATORS), ids=lambda r: r.tag)
+def test_row_closure_is_the_quiddity_test(ring):
+    rng = random.Random(1513)
+    outcomes = set()
+    for m in range(2, 8):
+        for _ in range(8):
+            entries = list(glued_quiddity(rng, ring, m).entries)
+            if rng.random() < 0.6:
+                k = rng.randrange(m)
+                entries[k] = entries[k] + random_element(rng, ring)
+            cycle = Cycle(ring, entries)
+            quiddity = is_quiddity(cycle)
+            outcomes.add(quiddity)
+            if quiddity:
+                f = frieze_from_cycle(cycle)
+                assert all(row[m - 1] == ring.one and row[m] == ring.zero for row in f.rows)
+            else:
+                with pytest.raises(InvalidCycleError, match="not a quiddity cycle"):
+                    frieze_from_cycle(cycle)
+    assert outcomes == {True, False}

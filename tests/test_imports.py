@@ -1,9 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+module-level name is read somewhere in the package.
 
-A plain `ast` scan: a name bound by an import counts as used when some
+Plain `ast` scans.  A name bound by an import counts as used when some
 expression in the module reads it (`os.path.join` reads `os`) or when the
 module lists it in `__all__`.  `__future__` imports and the re-exports of
-`__init__.py` are exempt.
+`__init__.py` are exempt.  A private name (`_name`, not a dunder) that a
+module binds at its top level by `def`, `class` or assignment counts as
+read when some module of the package loads it as a name or as an attribute
+(`rings._printable`).
 """
 
 import ast
@@ -44,3 +48,62 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _top_level(body: list):
+    """The statements of a module body, with those nested in its top-level
+    `if` and `try` blocks."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                yield from _top_level(block)
+            for handler in getattr(node, "handlers", []):
+                yield from _top_level(handler.body)
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) for each private name bound at the module's top level."""
+    out = []
+    for node in _top_level(ast.parse(source).body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def names_read(source: str) -> set:
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_the_scan_sees_an_unread_private_name():
+    source = ("_USED = 1\n_UNUSED, __dunder__ = 2, 3\n"
+              "def _helper():\n    return _USED\n"
+              "def _orphan():\n    _local = 4\n"
+              "class _Gone:\n    pass\n"
+              "try:\n    from json import dumps as _dump\nexcept ImportError:\n    _dump = None\n"
+              "print(_helper(), _dump)\n")
+    read = names_read(source)
+    assert [(line, name) for line, name in private_definitions(source)
+            if name not in read] == [(2, "_UNUSED"), (5, "_orphan"), (7, "_Gone")]
+
+
+PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE.rglob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert [(line, name) for line, name in private_definitions(path.read_text())
+            if name not in PACKAGE_READS] == []

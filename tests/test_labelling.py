@@ -282,16 +282,19 @@ def test_find_12_or_131_zigzag_triple():
 
 
 def test_find_12_or_131_exhaustive():
-    for m in range(4, 8):
+    for m in range(4, 11):
         for tri in enumerate_triangulations(m):
             q = cc_quiddity(tri)
             kind, where = find_12_or_131(q)
+            windows = [p for p in range(1, m + 1)
+                       if (q.entry(p), q.entry(p + 1)) in ((1, 2), (2, 1))]
+            # brute force: the first pair of windows whose entries are disjoint
+            disjoint = [(p1, p2) for p1, p2 in itertools.combinations(windows, 2)
+                        if not {(p1 - 1) % m, p1 % m} & {(p2 - 1) % m, p2 % m}]
             if kind == "pairs":
-                p1, p2 = where
-                used1 = {(p1 - 1) % m, p1 % m}
-                used2 = {(p2 - 1) % m, p2 % m}
-                assert not (used1 & used2)
+                assert where == disjoint[0]
             else:
+                assert disjoint == []
                 p = where[0]
                 assert (q.entry(p), q.entry(p + 1), q.entry(p + 2)) == (1, 3, 1)
 
@@ -344,6 +347,20 @@ def test_labelling_reduction_wrapped_square_pair():
     step = reduce_labelling_step(lab)
     assert (step.case_tag, step.indices) == ("TC4", (3, 6))
     assert step.after.m == 2 and step.after.labels == {}
+
+
+def test_labelling_reduction_wrapped_ear_pair():
+    # -1 ears at 3 and 7; the ear at 7 wraps past vertex 1, every other
+    # label is +-1 and m is odd, so no case before TC5 applies
+    tri = Triangulation(7, frozenset({(1, 6), (2, 4), (2, 5), (2, 6)}))
+    lab = Labelling(tri, {(1, 2, 6): 1, (1, 6, 7): -1, (2, 3, 4): -1,
+                          (2, 4, 5): -1, (2, 5, 6): -1})
+    assert lab.vertex_sums() == (0, -2, -1, -2, -2, -1, -1)
+    step = reduce_labelling_step(lab)
+    assert (step.case_tag, step.indices) == ("TC5", (3, 7))
+    # vertices 1, 2, 4, 5, 6 survive as 1 .. 5
+    assert step.after.m == 5
+    assert step.after.labels == {(1, 2, 5): 1, (2, 3, 4): -1, (2, 4, 5): -1}
 
 
 def test_labelling_reduction_rejects_inadmissible():
