@@ -13,15 +13,13 @@ All comparisons are made on squared norms so everything stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from quiddity.cycles import Cycle, full_product, is_quiddity, scalar_of_identity
 from quiddity.errors import NotApplicableError, UnsupportedRingError, UsageError
-from quiddity.rings import Ring, Z, elements_norm_at_most, norm_sq
+from quiddity.rings import Ring, Z, _check_int, _check_rational, elements_norm_at_most, norm_sq
 
 __all__ = [
-    "BoundContext",
     "quiddity_bound",
     "find_small_window",
     "find_two_small",
@@ -36,7 +34,8 @@ def quiddity_bound(M, n: int) -> Fraction:
 
     With M = 1 this is n + 1.
     """
-    M = Fraction(M)
+    M = Fraction(_check_rational(M))
+    _check_int(n, "height")
     if M <= 0:
         raise UsageError("norm infimum M must be positive")
     if n < 1:
@@ -44,41 +43,18 @@ def quiddity_bound(M, n: int) -> Fraction:
     return ((n - 1) + 2 * M) / (M * M)
 
 
-@dataclass(frozen=True)
-class BoundContext:
-    """Bound data for one (ring, height) enumeration instance."""
-
-    M: Fraction
-    n: int
-    B: Fraction
-
-    @classmethod
-    def create(cls, n: int, M=1) -> "BoundContext":
-        M = Fraction(M)
-        return cls(M, n, quiddity_bound(M, n))
-
-
-def find_small_window(cycle: Cycle, d=None, e=None) -> int:
+def find_small_window(cycle: Cycle) -> int:
     """Smallest j in {2, ..., m-1} with norm_sq(c_j) < 4.
 
     Requires norm_sq(c_m) >= 1 and norm_sq(c_1*e - d) > norm_sq(e), where
-    (d, e) is the first column of the full eta-product.  Pass d and e to have
-    them checked against the product, or omit them to use the computed column.
-    Existence of j is a theorem given the preconditions; failure to find one
-    is a genuine contradiction.
+    (d, e) is the first column of the full eta-product.  Existence of j is a
+    theorem given the preconditions; failure to find one is a genuine
+    contradiction.
     """
     ring = cycle.ring
     m = cycle.m
     prod = full_product(cycle)
-    if d is None and e is None:
-        d, e = prod.a11, prod.a21
-    elif d is None or e is None:
-        raise UsageError("give both d and e, or neither")
-    else:
-        ring.check_element(d)
-        ring.check_element(e)
-        if (d, e) != (prod.a11, prod.a21):
-            raise UsageError("(d, e) is not the first column of the product")
+    d, e = prod.a11, prod.a21
     if m <= 2:
         raise NotApplicableError("preconditions are unsatisfiable for m <= 2")
     if norm_sq(ring, cycle.entry(m)) < 1:

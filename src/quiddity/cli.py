@@ -23,7 +23,7 @@ from quiddity.errors import InvalidCycleError, QuiddityError, UsageError
 from quiddity.frieze import FriezeWindow, frieze_from_cycle, verify
 from quiddity.labelling import cycle_from_labelling, is_admissible, labelling_from_cycle
 from quiddity.reduction import reduce_to_base
-from quiddity.rings import elements_norm_at_most, ring_from_tag
+from quiddity.rings import _printable, _rational_from_json, elements_norm_at_most, ring_from_tag
 from quiddity import transforms
 
 __all__ = ["main"]
@@ -182,17 +182,15 @@ def transform_cmd(cycle_json, rule, position, param, fmt):
 @_guard
 def bound_cmd(tag, n, m_inf):
     """Print the entry bound and the size of the candidate entry set."""
-    from fractions import Fraction
-
     ring = ring_from_tag(tag)
-    try:
-        M = Fraction(m_inf)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {m_inf!r}") from None
-    B = quiddity_bound(M, n)
-    line = f"B={B} B_sq={B * B}"
+    B = quiddity_bound(_rational_from_json(m_inf), n)
+    B_sq = B * B
+    # B_sq's numerator and denominator are B's squared: if they print, B does
+    _printable(B_sq.numerator)
+    _printable(B_sq.denominator)
+    line = f"B={B} B_sq={B_sq}"
     if ring.is_discrete:
-        line += f" candidates={len(elements_norm_at_most(ring, B * B))}"
+        line += f" candidates={len(elements_norm_at_most(ring, B_sq))}"
     click.echo(line)
 
 

@@ -13,7 +13,6 @@ exceptions.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from quiddity.cycles import Cycle, is_quiddity
@@ -70,27 +69,18 @@ def diagonal_label(f: FriezePattern, i: int, j: int):
     return f.entry(i + 1, j + 1)
 
 
-def check_ptolemy(f: FriezePattern, sample: int | None = None) -> bool:
+def check_ptolemy(f: FriezePattern) -> bool:
     """Whether c_{a,c} c_{b,d} = c_{a,b} c_{c,d} + c_{a,d} c_{b,c} holds for
-    crossing diagonal pairs; all pairs, or `sample` of them drawn with
-    replacement and a fixed seed.
+    every crossing diagonal pair.
 
     The crossing pairs of the m-gon are exactly (a, c) and (b, d) for the
-    4-subsets a < b < c < d of its vertices, so a sample is a 4-subset.
-    The entry on the side (a, b), a < b, is read straight off the rows as
-    rows[a][b - a], edges included: the frieze border already holds each
-    edge's 1, at b - a = 1 and, for the edge (1, m), at rows[1][m - 1].
+    4-subsets a < b < c < d of its vertices.  The entry on the side (a, b),
+    a < b, is read straight off the rows as rows[a][b - a], edges included:
+    the frieze border already holds each edge's 1, at b - a = 1 and, for the
+    edge (1, m), at rows[1][m - 1].
     """
-    vertices = range(1, f.m + 1)
-    if sample is None:
-        quads = itertools.combinations(vertices, 4)
-    elif f.m < 4:
-        quads = []
-    else:
-        rng = random.Random(1729)
-        quads = [sorted(rng.sample(vertices, 4)) for _ in range(sample)]
     rows = f.rows
-    for a, b, c, d in quads:
+    for a, b, c, d in itertools.combinations(range(1, f.m + 1), 4):
         ra, rb, rc = rows[a], rows[b], rows[c]
         if ra[c - a] * rb[d - b] != ra[b - a] * rc[d - c] + ra[d - a] * rb[c - b]:
             return False
@@ -120,18 +110,18 @@ def is_degenerate_alternating(cycle: Cycle) -> bool:
     return True
 
 
-def _mod6_label(ring, d: int):
+def _mod6_label(d: int) -> int:
     # entry on a diagonal of the all-ones frieze, by gap d = j - i mod 6
     r = d % 6
     if r in (1, 2):
-        return ring.one
+        return 1
     if r in (0, 3):
-        return ring.zero
-    return -ring.one
+        return 0
+    return -1
 
 
-def all_ones_cluster(m: int, ring=Z) -> Cluster:
-    """An explicit zero-free cluster for the all-ones cycle of length
+def all_ones_cluster(m: int) -> Cluster:
+    """An explicit zero-free cluster for the integer all-ones cycle of length
     m = 6l + 3: a concrete fan-and-zigzag triangulation avoiding gaps
     divisible by 3, where the all-ones frieze vanishes."""
     if m % 6 != 3:
@@ -147,12 +137,12 @@ def all_ones_cluster(m: int, ring=Z) -> Cluster:
         diags.add((3 * k, 3 * k + 2))
     diags.add((1, 6 * ell + 2))
     tri = Triangulation(m, frozenset(diags))
-    f = frieze_from_cycle(Cycle(ring, tuple(ring.one for _ in range(m))))
+    f = frieze_from_cycle(Cycle(Z, (1,) * m))
     labels = {}
     for i, j in tri.diagonals:
         value = diagonal_label(f, i, j)
-        assert value == _mod6_label(ring, j - i)
-        assert value != ring.zero
+        assert value == _mod6_label(j - i)
+        assert value != 0
         labels[(i, j)] = value
     return Cluster(tri, labels)
 

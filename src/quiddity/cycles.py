@@ -31,7 +31,6 @@ __all__ = [
     "Cycle",
     "eta",
     "identity",
-    "minus_identity",
     "product_interval",
     "full_product",
     "is_quiddity",
@@ -66,9 +65,6 @@ class Mat2:
 
     def __neg__(self) -> "Mat2":
         return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
-
-    def rows(self):
-        return [[self.a11, self.a12], [self.a21, self.a22]]
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,6 @@ def identity(ring: Ring) -> Mat2:
     return Mat2(ring.one, ring.zero, ring.zero, ring.one)
 
 
-def minus_identity(ring: Ring) -> Mat2:
-    return Mat2(-ring.one, ring.zero, ring.zero, -ring.one)
-
-
 def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
     """Left-to-right product eta(c_i) eta(c_{i+1}) ... eta(c_j).
 
@@ -151,15 +143,15 @@ def scalar_of_identity(mat: Mat2, ring: Ring):
 
 def is_quiddity(cycle: Cycle) -> bool:
     """True iff the full product is minus the identity."""
-    return full_product(cycle) == minus_identity(cycle.ring)
+    return full_product(cycle) == -identity(cycle.ring)
 
 
 def is_epsilon_cycle(cycle: Cycle, eps: int) -> bool:
     """True iff the full product is eps times the identity, eps in {+1, -1}."""
     if eps not in (1, -1):
         raise UsageError(f"eps must be +1 or -1, got {eps!r}")
-    target = identity(cycle.ring) if eps == 1 else minus_identity(cycle.ring)
-    return full_product(cycle) == target
+    target = identity(cycle.ring)
+    return full_product(cycle) == (target if eps == 1 else -target)
 
 
 def rotate(cycle: Cycle, s: int = 1) -> Cycle:

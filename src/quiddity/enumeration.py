@@ -27,7 +27,7 @@ from quiddity.bounds import candidate_entries
 from quiddity.cycles import Cycle
 from quiddity.errors import NotRepresentableError, UnsupportedRingError, UsageError
 from quiddity.frieze import frieze_from_cycle, is_nonzero
-from quiddity.rings import Ring, divisors_of_two
+from quiddity.rings import Ring, _check_int, divisors_of_two
 
 __all__ = [
     "EnumerationResult",
@@ -107,11 +107,11 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
-    if n < 1:
+    if _check_int(n, "height") < 1:
         raise UsageError(f"height must be at least 1, got {n}")
     if n > _pure.MAX_DEPTH:
         raise UsageError(f"height must be at most {_pure.MAX_DEPTH}, got {n}")
-    if jobs < 1:
+    if _check_int(jobs, "jobs") < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
@@ -195,7 +195,7 @@ def unit_family_cycle(ring: Ring, n: int, t) -> Cycle:
     For n = 1 this is (t, 2/t, t, 2/t); from n = 2 on it is
     (t+n-1, 1, 2, ..., 2, 1+2/t, t, 2/t) with n-2 middle twos.
     """
-    if n < 1:
+    if _check_int(n, "height") < 1:
         raise UsageError(f"height must be at least 1, got {n}")
     t = ring.check_element(t)
     quot = ring.exact_div(ring.from_int(2), t)
@@ -233,9 +233,9 @@ def unit_family(ring: Ring, n: int, how_many: int) -> list:
     returned cycle is verified to be a quiddity cycle with a zero-free
     frieze, so callers can treat the family as certified.
     """
-    if n < 1:
+    if _check_int(n, "height") < 1:
         raise UsageError(f"height must be at least 1, got {n}")
-    if how_many < 0:
+    if _check_int(how_many, "how_many") < 0:
         raise UsageError(f"how_many must be nonnegative, got {how_many}")
     bad = _excluded_parameters(ring, n)
     out = []

@@ -98,13 +98,6 @@ class FriezeWindow:
             for x in row:
                 self.ring.check_element(x)
 
-    def cell(self, r: int, col: int):
-        """Entry of 0-based row r at absolute column col, or None if absent."""
-        off = self.offsets[r]
-        if off <= col < off + len(self.rows[r]):
-            return self.rows[r][col - off]
-        return None
-
     def render(self) -> str:
         """ASCII staircase with aligned columns."""
         cols = {}
@@ -116,11 +109,11 @@ class FriezeWindow:
         lo, hi = min(cols), max(cols)
         width = {c: max((len(s) for s in cols.get(c, [""])), default=0) for c in range(lo, hi + 1)}
         lines = []
-        for r, row in enumerate(self.rows):
+        for row, off in zip(self.rows, self.offsets):
             parts = []
             for c in range(lo, hi + 1):
-                x = self.cell(r, c)
-                parts.append((str(x) if x is not None else "").rjust(width[c]))
+                x = str(row[c - off]) if off <= c < off + len(row) else ""
+                parts.append(x.rjust(width[c]))
             lines.append(" ".join(parts).rstrip())
         return "\n".join(lines)
 
@@ -213,9 +206,4 @@ def zero_positions(f: FriezePattern) -> set:
 
 def is_nonzero(f: FriezePattern) -> bool:
     """True iff every interior entry is nonzero (borders never count)."""
-    zero = f.ring.zero
-    for i in range(1, f.m + 1):
-        for j in range(i + 2, i + f.m - 1):
-            if f.rows[i - 1][j - i] == zero:
-                return False
-    return True
+    return not zero_positions(f)

@@ -11,8 +11,8 @@ lightweight values that overload +, -, * so that generic matrix code works
 uniformly: int for Z, Fraction for Q, integer pairs for Z[i] and Z[w], the
 integer triple (a, b, d) for (a + b*i)/d in Q(i), and coefficient tuples for
 Z[zeta_d].  Because plain ints carry no ring of their own, the module-level
-operations take the ring as their first argument: norm_sq(ring, x),
-compare(ring, x, y), and so on.
+operations take the ring as their first argument: norm_sq(ring, x) and
+elements_norm_at_most(ring, bound_sq).
 
 The three discrete rings (Z, Z[i], Z[w]) have minimal nonzero norm 1 and
 support bounded element enumeration; the fields and the general cyclotomic
@@ -69,7 +69,6 @@ __all__ = [
     "Cyclotomic",
     "ring_from_tag",
     "norm_sq",
-    "compare",
     "elements_norm_at_most",
     "divisors_of_two",
 ]
@@ -202,6 +201,13 @@ def _check_rational(x):
     """x itself when it is an int (not a bool) or a Fraction."""
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise UsageError(f"not a rational coordinate: {x!r}")
+    return x
+
+
+def _check_int(x, what: str) -> int:
+    """x itself when it is an int and not a bool; `what` names it in the error."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise UsageError(f"{what} must be an integer, got {x!r}")
     return x
 
 
@@ -750,21 +756,6 @@ def ring_from_tag(tag: str) -> Ring:
 def norm_sq(ring: Ring, x):
     """|x|^2 as an exact nonnegative rational (int where possible)."""
     return ring.norm_sq(ring.check_element(x))
-
-
-def compare(ring: Ring, x, y) -> int:
-    """Total order: ascending (norm_sq, real part, imaginary part).
-
-    Returns -1, 0 or 1.  Both arguments must belong to the given ring; mixing
-    rings raises UsageError.
-    """
-    kx = ring.sort_key(ring.check_element(x))
-    ky = ring.sort_key(ring.check_element(y))
-    if kx < ky:
-        return -1
-    if kx > ky:
-        return 1
-    return 0
 
 
 def elements_norm_at_most(ring: Ring, bound_sq) -> list:

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from quiddity.bounds import (
-    BoundContext,
     candidate_entries,
     find_small_window,
     find_two_small,
     find_two_small_separated,
     quiddity_bound,
 )
-from quiddity.cycles import Cycle, full_product
+from quiddity.cycles import Cycle
 from quiddity.enumeration import enumerate_nonzero
 from quiddity.errors import NotApplicableError, UnsupportedRingError, UsageError
 from quiddity.rings import Q, Z, Zi, Zzeta6, norm_sq
@@ -40,13 +39,6 @@ def test_quiddity_bound_validation():
         quiddity_bound(1, 0)
 
 
-def test_bound_context():
-    ctx = BoundContext.create(3)
-    assert (ctx.M, ctx.n, ctx.B) == (1, 3, 4)
-    ctx = BoundContext.create(2, M=2)
-    assert ctx.B == Fraction(5, 4)
-
-
 def test_candidate_entries_counts():
     assert candidate_entries(Z, 1) == [-1, 1, -2, 2]
     assert len(candidate_entries(Z, 3)) == 8
@@ -69,16 +61,6 @@ def test_find_small_window_on_quiddities():
     j = find_small_window(c)
     assert norm_sq(Z, c.entry(j)) < 4
     assert 2 <= j <= 5
-
-
-def test_find_small_window_checks_column():
-    c = Cycle(Z, (4, 1, 2, 2, 2, 1))
-    prod = full_product(c)
-    assert find_small_window(c, prod.a11, prod.a21) == find_small_window(c)
-    with pytest.raises(UsageError):
-        find_small_window(c, prod.a11 + 1, prod.a21)
-    with pytest.raises(UsageError):
-        find_small_window(c, prod.a11, None)
 
 
 def test_find_small_window_preconditions():

@@ -191,6 +191,15 @@ def test_bound_field_and_fraction(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("norm_inf", ["1e3000", "1e-3000", "1e-2200"])
+def test_bound_past_the_digit_limit_is_a_usage_error(runner, norm_inf):
+    # 1e-2200 itself prints, but its B_sq has more than 4300 digits
+    result = runner.invoke(main, [
+        "bound", "--ring", "Z", "--height", "2", "--norm-inf", norm_inf])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: number with more than")
+
+
 def test_reduce_trace(runner):
     result = runner.invoke(main, [
         "reduce", "--cycle", '{"ring": "Z", "entries": [0, 2, -2, 0, 2, -2]}'])

@@ -59,9 +59,9 @@ def test_ptolemy_over_gaussian_integers():
     assert check_ptolemy(frieze_from_cycle(c))
 
 
-def test_ptolemy_sampled_on_long_cycle():
+def test_ptolemy_on_long_cycle():
     c = Cycle(Z, (0, -4, -5, 0, 4, 2, 0, -3, 3))
-    assert check_ptolemy(frieze_from_cycle(c), sample=200)
+    assert check_ptolemy(frieze_from_cycle(c))
 
 
 def test_ptolemy_detects_corruption():
@@ -70,7 +70,6 @@ def test_ptolemy_detects_corruption():
     rows[1][3] += 1  # the entry on diagonal (1, 4)
     broken = FriezePattern(HEXAGON, tuple(tuple(r) for r in rows))
     assert not check_ptolemy(broken)
-    assert not check_ptolemy(broken, sample=200)
 
 
 def test_degenerate_alternating():

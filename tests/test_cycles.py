@@ -19,7 +19,6 @@ from quiddity.cycles import (
     identity,
     is_epsilon_cycle,
     is_quiddity,
-    minus_identity,
     negate,
     product_interval,
     reverse,
@@ -123,7 +122,7 @@ def test_product_interval_cyclic_indexing():
     assert product_interval(c, 1, 0) == identity(Z)
     assert product_interval(c, 5, 7) == \
         eta(Z, 2) * eta(Z, 2) * eta(Z, 1)
-    assert full_product(c) == minus_identity(Z)
+    assert full_product(c) == -identity(Z)
 
 
 _ZETA5 = Cyclotomic(5)
@@ -168,7 +167,7 @@ def test_full_product_has_det_one():
 
 def test_scalar_of_identity():
     assert scalar_of_identity(identity(Z), Z) == 1
-    assert scalar_of_identity(minus_identity(Z), Z) == -1
+    assert scalar_of_identity(-identity(Z), Z) == -1
     assert scalar_of_identity(Mat2(2, 0, 0, 2), Z) == 2
     assert scalar_of_identity(eta(Z, 1), Z) is None
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from quiddity import _kernel, enumeration
-from quiddity.bounds import candidate_entries
+from quiddity.bounds import candidate_entries, quiddity_bound
 from quiddity.cycles import Cycle, is_quiddity, reverse, rotate
 from quiddity.enumeration import (
     EnumerationResult,
@@ -437,6 +437,24 @@ def test_search_guards():
         count_nonzero(Z, 2, jobs=0)
     with pytest.raises(UsageError):
         unit_family(Z, 1, -1)
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    (quiddity_bound, (1, 2.5), {}),
+    (quiddity_bound, (0.1, 2), {}),
+    (quiddity_bound, (1, True), {}),
+    (count_nonzero, (Z, 2.5), {}),
+    (count_nonzero, (Z, True), {}),
+    (count_nonzero, (Z, 2), {"jobs": 1.5}),
+    (count_nonzero, (Z, 2), {"jobs": True}),
+    (unit_family, (Z, 2.5, 3), {}),
+    (unit_family, (Z, 3, 2.5), {}),
+    (unit_family, (Z, 3, True), {}),
+    (unit_family_cycle, (Z, 2.5, 1), {}),
+])
+def test_heights_and_counts_must_be_ints(fn, args, kwargs):
+    with pytest.raises(UsageError):
+        fn(*args, **kwargs)
 
 
 def test_active_kernel_reports_a_kind():

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-module-level name is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+module-level name is read somewhere in the package, and every public name is
+read by another module or named in README.
 
 Plain `ast` scans.  A name bound by an import counts as used when some
 expression in the module reads it (`os.path.join` reads `os`) or when the
@@ -7,22 +8,35 @@ module lists it in `__all__`.  `__future__` imports and the re-exports of
 `__init__.py` are exempt.  A private name (`_name`, not a dunder) that a
 module binds at its top level by `def`, `class` or assignment counts as
 read when some module of the package loads it as a name or as an attribute
-(`rings._printable`).
+(`rings._printable`).  A name in a module's `__all__` counts as read when
+some other module of the package loads it in the same way, or when README
+names it in an inline code span (`quiddity.rings.Qi`); an import alone, such
+as a re-export in `__init__.py`, does not read it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quiddity"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quiddity"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def public_names(source: str) -> list:
+    """The names in the module's top-level `__all__`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
 
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -30,10 +44,8 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported |= {elt.value for elt in node.value.elts}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(public_names(source))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used and name not in exported)
 
@@ -107,3 +119,47 @@ PACKAGE_READS = set().union(*(names_read(p.read_text()) for p in PACKAGE.rglob("
 def test_no_unread_private_names(path):
     assert [(line, name) for line, name in private_definitions(path.read_text())
             if name not in PACKAGE_READS] == []
+
+
+def code_span_names(markdown: str) -> set:
+    """The identifiers inside the inline code spans of a Markdown text,
+    fenced blocks left out."""
+    text = re.sub(r"^```.*?^```", "", markdown, flags=re.S | re.M)
+    return {name for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"\w+", span)}
+
+
+def unread_public_names(sources: dict, named: set) -> dict:
+    """For each module, the names in its `__all__` that no other module
+    reads and that are not in `named`."""
+    reads = {module: names_read(source) for module, source in sources.items()}
+    out = {}
+    for module, source in sources.items():
+        others = set().union(*(r for m, r in reads.items() if m != module))
+        out[module] = [name for name in public_names(source)
+                       if name not in others and name not in named]
+    return out
+
+
+def test_the_scan_sees_an_unread_public_name():
+    sources = {
+        "a.py": ("__all__ = ['used', 'documented', 'orphan']\n"
+                 "def used(): pass\ndef documented(): pass\ndef orphan(): pass\n"
+                 "orphan()\n"),
+        "b.py": "import a\n__all__ = []\nprint(a.used())\n",
+        "c.py": "from a import orphan\n",
+    }
+    # a.py's own call, c.py's import and README's fenced block read nothing
+    readme = "Call `a.documented()`.\n\n```python\n>>> a.orphan()\n```\n"
+    assert unread_public_names(sources, code_span_names(readme)) == {
+        "a.py": ["orphan"], "b.py": [], "c.py": []}
+
+
+UNREAD_PUBLIC = unread_public_names(
+    {p.relative_to(PACKAGE).as_posix(): p.read_text() for p in PACKAGE.rglob("*.py")},
+    code_span_names((ROOT / "README.md").read_text()))
+
+
+@pytest.mark.parametrize("module", sorted(UNREAD_PUBLIC))
+def test_no_unread_public_names(module):
+    assert UNREAD_PUBLIC[module] == []

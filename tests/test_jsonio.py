@@ -1,12 +1,16 @@
 """Serialization: emit -> read -> emit must be the identity on the text."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import quiddity
 from quiddity.cycles import Cycle
 from quiddity.enumeration import count_nonzero
 from quiddity.errors import UsageError
@@ -189,6 +193,23 @@ def test_fixture_check_catches_tampering():
     data["rows"][0][0] = 99
     with pytest.raises(AssertionError):
         frieze_fixture_check(data)
+
+
+def test_fixture_check_catches_tampering_under_python_O():
+    # -O strips assert statements; the mismatch must raise all the same
+    root = resources.files("quiddity") / "fixtures"
+    data = json.loads((root / "cc_hexagon.json").read_text())
+    data["rows"][0][0] = 999
+    src = str(Path(quiddity.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("import json, sys\n"
+            "from quiddity.jsonio import frieze_fixture_check\n"
+            "frieze_fixture_check(json.loads(sys.argv[1]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, json.dumps(data)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "AssertionError: regenerated rows disagree" in proc.stderr
 
 
 def _entries_with(ring: str, n: int) -> list:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from quiddity import labelling
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import (
     InvalidCycleError,
@@ -27,7 +28,7 @@ from quiddity.labelling import (
     reduce_labelling_step,
     square_partition,
 )
-from quiddity.reduction import reduce_step_Z
+from quiddity.reduction import reduce_step_Z, reduce_to_base
 from quiddity.rings import Z
 
 
@@ -90,7 +91,7 @@ def test_triangle_derivation():
     assert tri.triangles == ((1, 2, 6), (2, 3, 4), (2, 4, 5), (2, 5, 6))
     assert tri.is_ear(3) and tri.is_ear(1)
     assert not tri.is_ear(2) and not tri.is_ear(4)
-    assert len(tri.incident_triangles(2)) == 4
+    assert sum(2 in t for t in tri.triangles) == 4
 
 
 def test_triangle_derivation_of_a_large_fan():
@@ -255,6 +256,19 @@ def test_labelling_round_trip_on_corpus(z_corpus):
         lab = labelling_from_cycle(cycle)
         assert is_admissible(lab)
         assert cycle_from_labelling(lab).entries == cycle.entries
+
+
+def test_labelling_from_cycle_reads_the_sums_once_per_stage(z_corpus, monkeypatch):
+    # each step's glue script was checked on sums when the step was built, so
+    # the replay compares the polygon's sums only with the step's input
+    calls = []
+    sums = labelling._PolygonBuilder.sums
+    monkeypatch.setattr(labelling._PolygonBuilder, "sums",
+                        lambda self: calls.append(1) or sums(self))
+    for cycle in z_corpus[:20]:
+        calls.clear()
+        assert labelling_from_cycle(cycle).vertex_sums() == cycle.entries
+        assert len(calls) == len(reduce_to_base(cycle).steps)
 
 
 def test_labelling_from_cycle_guards():

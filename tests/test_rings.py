@@ -16,7 +16,6 @@ from quiddity.rings import (
     Z,
     Zi,
     Zzeta6,
-    compare,
     divisors_of_two,
     elements_norm_at_most,
     norm_sq,
@@ -133,12 +132,9 @@ def test_cyclotomic_five_units_divide_two():
         assert t * q == two
 
 
-def test_compare_is_a_total_order():
-    xs = elements_norm_at_most(Zi, 9)
-    for idx in range(len(xs) - 1):
-        assert compare(Zi, xs[idx], xs[idx + 1]) == -1
-        assert compare(Zi, xs[idx + 1], xs[idx]) == 1
-    assert compare(Zi, xs[0], xs[0]) == 0
+def test_sort_key_is_a_total_order():
+    keys = [Zi.sort_key(x) for x in elements_norm_at_most(Zi, 9)]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 def test_ring_from_tag():
