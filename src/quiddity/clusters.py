@@ -23,7 +23,7 @@ from quiddity.errors import (
 )
 from quiddity.frieze import FriezePattern, frieze_from_cycle
 from quiddity.labelling import Triangulation
-from quiddity.rings import Z
+from quiddity.rings import Z, _check_int
 
 __all__ = [
     "Cluster",
@@ -124,7 +124,7 @@ def all_ones_cluster(m: int) -> Cluster:
     """An explicit zero-free cluster for the integer all-ones cycle of length
     m = 6l + 3: a concrete fan-and-zigzag triangulation avoiding gaps
     divisible by 3, where the all-ones frieze vanishes."""
-    if m % 6 != 3:
+    if _check_int(m, "the cycle length") % 6 != 3:
         raise UsageError("the all-ones cycle needs length 3 mod 6")
     if m == 3:
         return Cluster(Triangulation(3, frozenset()), {})

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from quiddity.cycles import Cycle
 from quiddity.errors import InvalidCycleError, UsageError
-from quiddity.rings import Ring
+from quiddity.rings import Ring, _check_int
 
 __all__ = [
     "FriezePattern",
@@ -73,8 +73,10 @@ class FriezePattern:
 
     def window(self, row_start: int = 1, row_count: int | None = None) -> "FriezeWindow":
         """Materialize rows row_start .. row_start+row_count-1 as a window."""
+        _check_int(row_start, "the first row")
         if row_count is None:
             row_count = self.m
+        _check_int(row_count, "the row count")
         offsets = tuple(range(row_start, row_start + row_count))
         return FriezeWindow(self.ring, tuple(self.rows[(i - 1) % self.m] for i in offsets),
                             offsets)

@@ -29,13 +29,16 @@ The blocks act on vertex sums exactly like the glue instructions of
 in counterclockwise order in a `boundary` list, so a glue is one list insert
 and a rotation one list rotation.  Each stage, and each polygon that the
 reduction below leaves, becomes a `Labelling` through one builder,
-`_from_triangles`, that reads the diagonals off the labelled triangles: they
-are the triangle sides that are not polygon edges.
+`_from_triangles`.  A sorted triangle (a, c, b) is the one triangle under
+its long side (a, b), so the labelled triangles map each side to its apex,
+and one walk from the side (1, m) over that map checks that they tile the
+polygon and records the triangles, the dual tree and the diagonals (the
+walked sides that are not polygon edges).  `Triangulation(m, diagonals)`
+runs the same walk on the map it reads off its diagonals.
 
-The dual graph of a triangulation is a tree.  The walk that derives the
-triangles from the edge (1, m) records it, each triangle with its parent,
-and the square pairing of (i) is read off that walk children first, in
-O(m): it is forced whenever it exists.
+The dual graph of a triangulation is a tree.  The walk records it, each
+triangle with its parent, and the square pairing of (i) is read off that
+walk children first, in O(m): it is forced whenever it exists.
 
 The combinatorial reduction engine works in the other direction, removing
 ears (vertices in a single triangle) and squares; its six cases mirror the
@@ -57,7 +60,7 @@ from quiddity.errors import (
     UsageError,
 )
 from quiddity.reduction import reduce_to_base
-from quiddity.rings import Z
+from quiddity.rings import Z, _check_int
 
 __all__ = [
     "Triangulation",
@@ -78,11 +81,16 @@ __all__ = [
 class Triangulation:
     """A triangulation of a convex m-gon, stored as its diagonal set.
 
-    Diagonals are sorted vertex pairs (i, j) with i < j.  The triangle list
-    is derived by splitting along the unique apex over each edge and cached,
-    together with the walk's record of the dual tree.
-    That walk also validates the m - 3 chords: it finishes only by cutting
-    the polygon along m - 3 of them, all of the set, so none can cross.
+    Diagonals are sorted vertex pairs (i, j) with i < j.  Both ways of
+    building one share one walk, `_walk_sides`: it starts at the side
+    (1, m) and cuts each sub-polygon a..b along its triangle (a, c, b), read
+    from a map of each side (a, b) to the apex c of the triangle under it.
+    The walk records the sorted triangle list and the dual tree.  This
+    constructor takes that map from the diagonals: the apex over (a, b) is
+    the neighbour of a just below b (`_apexes_from_diagonals`).  The walk
+    then validates the m - 3 chords: it finishes only by cutting the polygon
+    along m - 3 of them, all of the set, so none can cross.  `_from_triangles`
+    takes the map from labelled triangles instead.
     The 2-gon has no triangles at all; that degenerate case is allowed.
     """
 
@@ -108,48 +116,71 @@ class Triangulation:
                 raise UsageError(f"({i}, {j}) is not a chord of the {m}-gon")
         if len(diags) != max(m - 3, 0):
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
-        walk, parent = self._derive_triangles()
+        walk, parent, _ = _walk_sides(m, _apexes_from_diagonals(m, diags))
+        self._record(walk, parent)
+
+    def _record(self, walk: tuple, parent: dict):
         object.__setattr__(self, "triangles", tuple(sorted(walk)))
         object.__setattr__(self, "_walk", walk)
         object.__setattr__(self, "_parent", parent)
-
-    def _derive_triangles(self) -> tuple:
-        """The triangles in walk order from the edge (1, m), and each one's
-        parent: the triangle across the side it hangs from, None for the
-        triangle on (1, m).  This is the dual tree of the triangulation."""
-        m = self.m
-        if m == 2:
-            return (), {}
-        nbrs = {v: {v % m + 1, (v - 2) % m + 1} for v in range(1, m + 1)}
-        for a, b in self.diagonals:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        out = []
-        parent = {}
-        stack = [(1, m, None)]
-        while stack:
-            # the triangle over edge (a, b) on the side of vertices a+1..b-1
-            # has its apex among the common neighbours of a and b
-            a, b, up = stack.pop()
-            apex = [c for c in nbrs[a] & nbrs[b] if a < c < b]
-            if len(apex) != 1:
-                raise UsageError(f"diagonals cross: edge ({a}, {b}) has {len(apex)} apexes")
-            c = apex[0]
-            t = (a, c, b)
-            out.append(t)
-            parent[t] = up
-            if c - a >= 2:
-                stack.append((a, c, t))
-            if b - c >= 2:
-                stack.append((c, b, t))
-        assert len(out) == m - 2
-        return tuple(out), parent
 
     def is_ear(self, v: int) -> bool:
         """True iff vertex v lies in exactly one triangle."""
         prev = (v - 2) % self.m + 1
         nxt = v % self.m + 1
         return tuple(sorted((prev, v, nxt))) in self._parent
+
+
+def _apexes_from_diagonals(m: int, diagonals: frozenset) -> dict:
+    """The side -> apex map of the triangulation with these chords.
+
+    Around vertex a, the neighbours above a in increasing order are the far
+    corners of a's triangles in turn, so the triangle under a side (a, b)
+    has its apex at the neighbour of a just below b: a + 1 or the chord
+    from a before (a, b) in sorted order.  For a crossing set the map is
+    still built, but the walk reaches a side that it lacks."""
+    below = list(range(1, m + 1))  # below[a]: a's highest neighbour so far
+    under = {}
+    for a, b in sorted(diagonals):
+        under[(a, b)] = below[a]
+        below[a] = b
+    if m > 2:
+        under[(1, m)] = below[1]
+    return under
+
+
+def _walk_sides(m: int, under: dict) -> tuple:
+    """The triangles in walk order from the side (1, m), each one's parent,
+    and the diagonals, read from `under`, which maps each side (a, b) to
+    the apex c of the triangle (a, c, b) under it, a < c < b.
+
+    The parent of a triangle is the triangle across the side it hangs
+    from, None for the triangle on (1, m): this is the dual tree.  Each
+    triangle cuts its sub-polygon a..b in two, so a finished walk tiles the
+    polygon with m - 2 triangles.  Raises `UsageError` when a side the walk
+    reaches has no triangle, or when `under` holds more than those m - 2."""
+    walk = []
+    parent = {}
+    diagonals = []
+    stack = [(1, m, None)] if m > 2 else []
+    while stack:
+        a, b, up = stack.pop()
+        c = under.get((a, b))
+        if c is None:
+            raise UsageError(f"not a triangulation of the {m}-gon: "
+                             f"no triangle under the side ({a}, {b})")
+        t = (a, c, b)
+        walk.append(t)
+        parent[t] = up
+        if c - a >= 2:
+            stack.append((a, c, t))
+            diagonals.append((a, c))
+        if b - c >= 2:
+            stack.append((c, b, t))
+            diagonals.append((c, b))
+    if not len(walk) == m - 2 == len(under):
+        raise UsageError(f"{len(under)} triangles do not tile the {m}-gon")
+    return tuple(walk), parent, diagonals
 
 
 def enumerate_triangulations(m: int) -> list:
@@ -162,7 +193,7 @@ def enumerate_triangulations(m: int) -> list:
     and small m: the whole list is built on every call, and nothing in the
     library relies on it.
     """
-    if m < 2:
+    if _check_int(m, "the vertex count") < 2:
         raise UsageError("polygon needs at least 2 vertices")
 
     def fill(a: int, b: int) -> list:
@@ -289,12 +320,43 @@ def cc_quiddity(tri: Triangulation) -> Cycle:
 
 
 def _from_triangles(m: int, labels: dict) -> Labelling:
-    """The labelling of the m-gon with these labelled triangles (sorted
-    vertex triples).  Its diagonals are the triangle sides that are not
-    polygon edges; `Triangulation` and `Labelling` validate the result."""
-    diagonals = {d for a, b, c in labels for d in ((a, b), (b, c), (a, c))
-                 if d[1] - d[0] > 1 and d != (1, m)}
-    return Labelling(Triangulation(m, diagonals), labels)
+    """The labelling of the m-gon with these labelled triangles, each a
+    sorted vertex triple (a, c, b), built in one walk.
+
+    The triangle (a, c, b) is the one under its long side (a, b), so the
+    triples give `_walk_sides` its side -> apex map directly; the walk's
+    sides of length at least 2 are the diagonals.  Nothing is derived a
+    second time.  Every check raises, so it holds under `python -O`:
+    each key is a tuple of ints with 1 <= a < c < b <= m, no two triangles
+    share a long side, every side the walk reaches has a triangle, and the
+    walk visits all m - 2 triangles and no others: they tile the polygon.
+    Every label is an int and not a bool.
+    """
+    under = {}
+    for t, x in labels.items():
+        if type(t) is not tuple or len(t) != 3:
+            raise UsageError(f"a triangle is a triple of vertices, got {t!r}")
+        a, c, b = t
+        if not (type(a) is type(c) is type(b) is int and 1 <= a < c < b <= m):
+            raise UsageError(f"{t!r} is not a sorted triangle of the {m}-gon")
+        if (a, b) in under:
+            raise UsageError(f"two triangles under the side ({a}, {b})")
+        under[(a, b)] = c
+        if type(x) is not int:
+            raise InvalidLabellingError(f"labels must be integers, got {x!r}")
+    walk, parent, diagonals = _walk_sides(m, under)
+    tri = _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals))
+    tri._record(walk, parent)
+    return _prechecked(Labelling, triangulation=tri, labels=dict(labels))
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` with these fields, without
+    its `__post_init__`: the caller has made every check it makes."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class _PolygonBuilder:
@@ -476,7 +538,8 @@ def _square(lab: Labelling, k: int, square: tuple) -> tuple:
 
 
 def _negated(lab: Labelling) -> Labelling:
-    return Labelling(lab.triangulation, {t: -x for t, x in lab.labels.items()})
+    return _prechecked(Labelling, triangulation=lab.triangulation,
+                       labels={t: -x for t, x in lab.labels.items()})
 
 
 def reduce_labelling_step(lab: Labelling) -> LabellingStep:

@@ -1,4 +1,5 @@
-"""Shared fixtures: a corpus of integer quiddity cycles, and the compiled kernel.
+"""Shared fixtures: a corpus of integer quiddity cycles, seeded random cycles, and
+the compiled kernel.
 
 The corpus combines every enumerated cycle of length at most 7 with two
 hand-picked infinite families specialized to small parameters, the four
@@ -13,6 +14,7 @@ temporary directory, so the twin-kernel tests need no prior build step.
 import importlib
 import importlib.util
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -70,6 +72,42 @@ def z_corpus():
         if entries is not None:
             cycles.append(Cycle(Z, entries))
     return cycles
+
+
+def _glued_cycle(rng: random.Random, m: int) -> tuple:
+    """Vertex sums of a random labelled triangulation of the m-gon.
+
+    Blocks are glued onto edges of the 2-gon with sums (0, 0): a triangle
+    labelled +1 or -1 turns sums (a, b) into (a+s, s, b+s), a square
+    labelled x, -x with x in -2..2 turns them into (a, x, 0, b-x).  Each
+    -1 triangle and each square flips the sign of the eta product, and the
+    last triangle's label makes the number of flips even.
+    """
+    squares = rng.randint(0, (m - 3) // 2)
+    moves = ["square"] * squares + [rng.choice((1, -1)) for _ in range(m - 3 - 2 * squares)]
+    rng.shuffle(moves)
+    flips = squares + moves.count(-1)
+    moves.append(-1 if flips % 2 else 1)
+    sums = [0, 0]
+    for move in moves:
+        p = rng.randrange(len(sums))
+        q = (p + 1) % len(sums)
+        if move == "square":
+            x = rng.randint(-2, 2)
+            sums[q] -= x
+            sums[p + 1:p + 1] = [x, 0]
+        else:
+            sums[p] += move
+            sums[q] += move
+            sums.insert(p + 1, move)
+    assert len(sums) == m
+    return tuple(sums)
+
+
+@pytest.fixture(scope="session")
+def glued_cycle():
+    """`_glued_cycle(rng, m)`: a seeded integer quiddity cycle of length m."""
+    return _glued_cycle
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

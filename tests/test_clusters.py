@@ -106,6 +106,9 @@ def test_all_ones_cluster_triangle_and_guards():
         all_ones_cluster(6)
     with pytest.raises(UsageError):
         all_ones_cluster(8)
+    for m in (9.0, True, "9"):
+        with pytest.raises(UsageError, match="must be an integer"):
+            all_ones_cluster(m)
 
 
 def test_cluster_label_coverage():
@@ -160,37 +163,7 @@ def first_zero_free_reference(cycle: Cycle, triangulations: list):
     return None
 
 
-def glued_cycle(rng: random.Random, m: int) -> tuple:
-    """Vertex sums of a random labelled triangulation of the m-gon.
-
-    Blocks are glued onto edges of the 2-gon with sums (0, 0): a triangle
-    labelled +1 or -1 turns sums (a, b) into (a+s, s, b+s), a square
-    labelled x, -x with x in -2..2 turns them into (a, x, 0, b-x).  Each
-    -1 triangle and each square flips the sign of the eta product, and the
-    last triangle's label makes the number of flips even.
-    """
-    squares = rng.randint(0, (m - 3) // 2)
-    moves = ["square"] * squares + [rng.choice((1, -1)) for _ in range(m - 3 - 2 * squares)]
-    rng.shuffle(moves)
-    flips = squares + moves.count(-1)
-    moves.append(-1 if flips % 2 else 1)
-    sums = [0, 0]
-    for move in moves:
-        p = rng.randrange(len(sums))
-        q = (p + 1) % len(sums)
-        if move == "square":
-            x = rng.randint(-2, 2)
-            sums[q] -= x
-            sums[p + 1:p + 1] = [x, 0]
-        else:
-            sums[p] += move
-            sums[q] += move
-            sums.insert(p + 1, move)
-    assert len(sums) == m
-    return tuple(sums)
-
-
-def test_zero_free_cluster_matches_exhaustive_search(z_corpus):
+def test_zero_free_cluster_matches_exhaustive_search(z_corpus, glued_cycle):
     rng = random.Random(20171110)
     by_m = {m: [] for m in range(4, 12)}
     for cycle in z_corpus:
@@ -211,7 +184,7 @@ def test_zero_free_cluster_matches_exhaustive_search(z_corpus):
     assert with_zero >= 100 and with_negative >= 100
 
 
-def test_zero_free_cluster_at_large_m():
+def test_zero_free_cluster_at_large_m(glued_cycle):
     # the all-zero 202-gon is quiddity (202 = 2 mod 4) and has no cluster
     assert find_zero_free_cluster(Cycle(Z, (0,) * 202)) is None
     cycle = Cycle(Z, glued_cycle(random.Random(7), 150))

@@ -172,6 +172,13 @@ def test_window_checks_offsets():
         FriezeWindow(Z, rows, (1,))
 
 
+@pytest.mark.parametrize("args", [(2.5,), (1, 2.5), (True,), ("1",)])
+def test_window_rows_must_be_ints(args):
+    f = frieze_from_cycle(Cycle(Z, (1, 2, 2, 1, 3)))
+    with pytest.raises(UsageError, match="must be an integer"):
+        f.window(*args)
+
+
 def test_window_render_is_a_staircase():
     f = frieze_from_cycle(Cycle(Z, (0, 0)))
     text = f.window().render()

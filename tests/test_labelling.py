@@ -2,7 +2,11 @@
 combinatorial reduction engine."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,14 +106,83 @@ def test_triangle_derivation_of_a_large_fan():
 
 
 def test_from_triangles_rebuilds_every_small_labelling():
+    # both builds run one walk; they must record the same triangulation
     rng = random.Random(9)
     for m in range(2, 10):
         for tri in enumerate_triangulations(m):
             lab = Labelling(tri, {t: rng.randint(-3, 3) for t in tri.triangles})
             again = _from_triangles(m, lab.labels)
-            assert again.triangulation.diagonals == tri.diagonals
-            assert again.triangulation.triangles == tri.triangles
+            built = again.triangulation
+            assert built.diagonals == tri.diagonals
+            assert built.triangles == tri.triangles
+            assert built._walk == tri._walk
+            assert built._parent == tri._parent
             assert again.labels == lab.labels
+
+
+MALFORMED_TRIANGLES = {
+    "two under one side": (4, {(1, 2, 4): 1, (1, 3, 4): 1}, "two triangles under"),
+    "a missing triangle": (5, {(1, 2, 3): 1, (1, 3, 5): 1}, "no triangle under the side"),
+    "crossing triangles": (4, {(1, 2, 3): 1, (2, 3, 4): 1}, "no triangle under the side"),
+    "vertex above m": (4, {(1, 2, 3): 1, (1, 3, 5): 1}, "not a sorted triangle"),
+    "vertex 0": (4, {(0, 1, 3): 1, (1, 3, 4): 1}, "not a sorted triangle"),
+    "one too many": (4, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 3, 4): 1}, "do not tile"),
+    "unsorted triple": (4, {(1, 3, 2): 1, (1, 3, 4): 1}, "not a sorted triangle"),
+    "float vertex": (4, {(1, 2, 3.0): 1, (1, 3, 4): 1}, "not a sorted triangle"),
+    "not a triple": (4, {(1, 2): 1, (1, 3, 4): 1}, "triple of vertices"),
+    "a triangle of a 2-gon": (2, {(1, 2, 3): 1}, "not a sorted triangle"),
+    "bool label": (4, {(1, 2, 3): True, (1, 3, 4): 1}, "labels must be integers"),
+    "float label": (4, {(1, 2, 3): 1.0, (1, 3, 4): 1}, "labels must be integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRIANGLES))
+def test_from_triangles_rejects_malformed_triangles(case):
+    m, labels, reason = MALFORMED_TRIANGLES[case]
+    error = InvalidLabellingError if "label" in case else UsageError
+    with pytest.raises(error, match=reason):
+        _from_triangles(m, labels)
+
+
+def test_from_triangles_checks_survive_python_O():
+    # -O strips assert statements; the tiling count must raise all the same
+    src = str(Path(labelling.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    code = ("from quiddity.errors import UsageError\n"
+            "from quiddity.labelling import _from_triangles\n"
+            "try:\n"
+            "    _from_triangles(4, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 3, 4): 1})\n"
+            "except UsageError as exc:\n"
+            "    print('refused:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: 3 triangles do not tile the 4-gon")
+
+
+def test_labelled_polygons_skip_the_diagonal_apex_search(glued_cycle, monkeypatch):
+    # every stage and every reduction step builds its triangulation from its
+    # labelled triangles; none may fall back to reading apexes off diagonals
+    calls = []
+    search = labelling._apexes_from_diagonals
+    monkeypatch.setattr(labelling, "_apexes_from_diagonals",
+                        lambda m, diagonals: calls.append(m) or search(m, diagonals))
+    Triangulation(5, {(1, 3), (1, 4)})
+    assert calls == [5], "the counter must see the diagonal path"
+    calls.clear()
+    cycle = Cycle(Z, glued_cycle(random.Random(65), 65))
+    lab = labelling_from_cycle(cycle)
+    assert lab.vertex_sums() == cycle.entries
+    steps = reduce_labelling_fully(lab)
+    assert len(steps) > 10 and {s.case_tag for s in steps} > {"TC0", "TC1"}
+    assert calls == []
+
+
+@pytest.mark.parametrize("m", [4.0, True, "4", None])
+def test_enumerate_triangulations_needs_an_int(m):
+    with pytest.raises(UsageError, match="must be an integer"):
+        enumerate_triangulations(m)
 
 
 def test_two_gon_is_allowed():
