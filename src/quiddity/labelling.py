@@ -10,31 +10,32 @@ m-gon (vertices 1..m counterclockwise).  It is admissible when
        even.
 
 Summing the labels of the triangles attached at each vertex then yields a
-quiddity cycle, and every integer quiddity cycle arises this way: replaying
-an inverted reduction trace glues labelled building blocks onto the 2-gon.
-The blocks act on vertex sums exactly like the glue instructions of
-`quiddity.reduction`:
+quiddity cycle, and every integer quiddity cycle arises this way: undoing
+the steps of its reduction (`quiddity.reduction`) glues labelled building
+blocks back onto the 2-gon.  Each contraction keeps the surviving entries
+in order, so undoing one puts new vertices back at the positions it
+removed and glues its block onto them, positions read cyclically in the
+rebuilt polygon:
 
-    triangle s at edge (p,q):      p---q      ->     p---n---q
-                                                      \\  |s /
-                                                       (new vertex n)
-    sums (..., a, b, ...) become (..., a+s, s, b+s, ...)
+    ear s at k (a contracted 1 or -1, s = +-1): the triangle (k-1, k, k+1)
+        labelled s; sums (..., a, b, ...) become (..., a+s, s, b+s, ...)
 
-    square x at edge (p,q):        p---q      ->   p--u--v--q
-                                                    \\ x| -x /
-                                                     (diagonal p-v)
-    sums (..., a, b, ...) become (..., a, x, 0, b-x, ...)
+    square at window k (a contracted 0): the triangles (k-2, k-1, k)
+        labelled x and (k-2, k, k+1) labelled -x, where x is the rebuilt
+        entry k-1; sums (..., a, b, ...) become (..., a, x, 0, b-x, ...)
 
-`_PolygonBuilder` replays the scripts on vertex ids that never change, kept
-in counterclockwise order in a `boundary` list, so a glue is one list insert
-and a rotation one list rotation.  Each stage, and each polygon that the
-reduction below leaves, becomes a `Labelling` through one builder,
-`_from_triangles`.  A sorted triangle (a, c, b) is the one triangle under
-its long side (a, b), so the labelled triangles map each side to its apex,
-and one walk from the side (1, m) over that map checks that they tile the
-polygon and records the triangles, the dual tree and the diagonals (the
-walked sides that are not polygon edges).  `Triangulation(m, diagonals)`
-runs the same walk on the map it reads off its diagonals.
+Steps that negated their cycle negate the labels first, and a step that
+contracted a pair (j, k) at k first is undone at j first.  `_glue_back`
+does this on vertex ids that never change, kept in counterclockwise order
+in a `boundary` list, so a glue is one or two list inserts.  Each stage,
+and each polygon that the reduction below leaves, becomes a `Labelling`
+through one builder, `_from_triangles`.  A sorted triangle (a, c, b) is
+the one triangle under its long side (a, b), so the labelled triangles map
+each side to its apex, and one walk from the side (1, m) over that map
+checks that they tile the polygon and records the triangles, the dual tree
+and the diagonals (the walked sides that are not polygon edges).
+`Triangulation(m, diagonals)` runs the same walk on the map it reads off
+its diagonals.
 
 The dual graph of a triangulation is a tree.  The walk records it, each
 triangle with its parent, and the square pairing of (i) is read off that
@@ -359,79 +360,60 @@ def _prechecked(cls, **fields):
     return obj
 
 
-class _PolygonBuilder:
-    """Mutable polygon-with-labelling used to replay glue scripts.
+def _glue_back(boundary: list, labels: dict, step) -> None:
+    """Undo the reduction `step` in place, on the polygon of `step.after`
+    given as its vertex ids in counterclockwise order and its labelled
+    triangles, triples of ids; it becomes a polygon of `step.before`.
 
-    Vertices are ids that never change; `boundary` lists them
-    counterclockwise, and `labels` maps each triangle, a triple of ids, to
-    its label.  Gluing onto edge p inserts the new ids at position p (p =
-    len(boundary) is the wrap edge: they land at the end) and adds one
-    triangle, or the two of a square; a rotation rotates the list.  Nothing
-    is renumbered: `freeze` assigns positions 1..m once per stage and hands
-    the labelled triangles to `_from_triangles`.
+    Entry k of `step.before` is 0 where a square was contracted and the
+    label of the ear otherwise.  No id ever leaves the boundary, so
+    `len(boundary)` is always a fresh one.  In a pair of squares (j, k),
+    entry j - 1 of `step.before` is still the x of the square at j: the
+    square at k would change it only as its vertex k + 1, for (j, k) =
+    (1, m - 1) or (2, m), and then the reduced cycle would hold a single
+    entry in {-1, 0, 1}, against the small-entry corollary.
     """
-
-    def __init__(self):
-        self.boundary = [0, 1]
-        self.labels = {}
-
-    def apply(self, instr: tuple):
-        if instr[0] == "negate":
-            self.labels = {t: -x for t, x in self.labels.items()}
-            return
-        kind, p, x = instr
-        b = self.boundary
-        first, last = b[p - 1], b[p % len(b)]
-        n = len(b)  # no id ever leaves the boundary, so n is the next fresh id
-        if kind == "triangle":
-            b[p:p] = [n]
-            self.labels[(first, n, last)] = x
-        else:  # "square": scripts come only from checked `ReductionStep`s
-            b[p:p] = [n, n + 1]
-            self.labels[(first, n, n + 1)] = x
-            self.labels[(first, n + 1, last)] = -x
-
-    def sums(self) -> tuple:
-        by_id = [0] * len(self.boundary)
-        for t, x in self.labels.items():
-            for v in t:
-                by_id[v] += x
-        return tuple([by_id[v] for v in self.boundary])
-
-    def rotate(self, r: int):
-        """Renumber so that vertex r + 1 becomes vertex 1."""
-        self.boundary = self.boundary[r:] + self.boundary[:r]
-
-    def freeze(self) -> Labelling:
-        pos = {v: i for i, v in enumerate(self.boundary, 1)}
-        return _from_triangles(len(pos), {
-            tuple(sorted((pos[a], pos[b], pos[c]))): x
-            for (a, b, c), x in self.labels.items()})
+    if step.case_tag in ("T2", "T3"):
+        for t in labels:
+            labels[t] = -labels[t]
+    before = step.before.entries
+    for k in step.indices:
+        s = before[k - 1]
+        n = len(boundary) + (1 if s else 2)
+        for p in ([k - 1] if s else sorted(((k - 2) % n, k - 1))):
+            boundary.insert(p, len(boundary))
+        a, u, v, b = (boundary[(k - 3 + i) % n] for i in range(4))
+        if s:
+            labels[(u, v, b)] = s
+        else:
+            x = before[(k - 2) % len(before)]
+            labels[(a, u, v)] = x
+            labels[(a, v, b)] = -x
 
 
 def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """An admissible labelling whose vertex sums are exactly `cycle`.
 
-    Built by reducing the cycle to (0,0) and replaying the reduction steps
-    backwards as block gluings on the 2-gon, each followed by the step's
-    recorded rotation.  The result is one of possibly several admissible
-    labellings for the cycle.
+    Built by reducing the cycle to (0,0) and undoing the reduction steps
+    backwards on the 2-gon with `_glue_back`.  Every stage is checked: its
+    sums are the step's input and it is admissible.  The result is one of
+    possibly several admissible labellings for the cycle.
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
     # reduce_to_base raises InvalidCycleError unless the cycle is quiddity
     steps = reduce_to_base(cycle).steps
-    builder = _PolygonBuilder()
-    result = builder.freeze()
+    boundary, labels = [0, 1], {}
+    result = _from_triangles(2, {})
     assert is_admissible(result), "the 2-gon must be admissible"
     for step in reversed(steps):
-        for instr in step.glue_script:
-            builder.apply(instr)
-        builder.rotate(step.rotation)
-        assert builder.sums() == step.before.entries, "replay missed the step input"
-        result = builder.freeze()
-        assert is_admissible(result), "replay lost admissibility"
-    assert result.vertex_sums() == cycle.entries
+        _glue_back(boundary, labels, step)
+        pos = {v: i for i, v in enumerate(boundary, 1)}
+        result = _from_triangles(len(pos), {
+            tuple(sorted((pos[a], pos[b], pos[c]))): x
+            for (a, b, c), x in labels.items()})
+        assert result.vertex_sums() == step.before.entries, "undo missed the step input"
+        assert is_admissible(result), "undo lost admissibility"
     return result
 
 

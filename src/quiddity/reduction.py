@@ -18,27 +18,17 @@ At least one case always applies; that is a theorem, and the engine raises
 RuntimeError rather than guessing if the scan comes up empty.  Every step
 asserts that its output is a quiddity cycle.  `reduce_step_Z` also checks
 its input; `reduce_to_base` checks only the first, so each cycle of a trace
-is checked exactly once.
-
-Every step also records a glue script: instructions that rebuild `before`
-from `after` by gluing labelled blocks (triangles labelled +-1, squares
-labelled (x, -x)) onto a polygon, plus negation markers.  The labelling
-module replays these scripts on actual triangulations; here they are
-constructed and validated on vertex sums alone.  Both the glue edges and the
-step's `rotation` are computed from the contraction indices: when a
-contraction window wrapped past vertex 1, its blocks are glued onto the wrap
-edge and land at the end, and `rotation` is the 0-based position of
-`before`'s first vertex among the rebuilt sums.  Rotating the rebuilt sums
-left by it gives `before` exactly.
+is checked exactly once.  A step records its case, its indices and the
+cycles before and after it; `quiddity.labelling` undoes it from these alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from quiddity.bounds import _first_separated_pair
 from quiddity.cycles import Cycle, is_epsilon_cycle, is_quiddity, negate
-from quiddity.errors import InvalidCycleError, UnsupportedRingError, UsageError
+from quiddity.errors import InvalidCycleError, UnsupportedRingError
 from quiddity.rings import Z
 from quiddity.transforms import contract_minus_one, contract_one, contract_zero
 
@@ -48,85 +38,7 @@ __all__ = [
     "reduce_step_epsilon",
     "reduce_step_Z",
     "reduce_to_base",
-    "invert_trace",
-    "apply_glue_to_sums",
 ]
-
-
-_ARITY = {"negate": 1, "triangle": 3, "square": 3}
-
-
-def apply_glue_to_sums(entries: tuple, instr: tuple) -> tuple:
-    """Apply one glue instruction to a tuple of vertex sums.
-
-    ("negate",)            negate every sum
-    ("triangle", p, s)     glue a triangle labelled s onto edge (p, p+1):
-                           (..., a, b, ...) -> (..., a+s, s, b+s, ...)
-    ("square", p, x)       glue a square labelled (x, -x) onto edge (p, p+1):
-                           (..., a, b, ...) -> (..., a, x, 0, b-x, ...)
-
-    p = len(entries) addresses the wrap edge; the new vertices then land at
-    the end of the tuple, so the result starts at the old vertex 1 and a
-    step's `rotation` records where its own first vertex landed.  An unknown
-    kind, a wrong arity, or an edge p outside 1..len(entries) raises
-    UsageError.
-    """
-    mu = len(entries)
-    kind = instr[0] if isinstance(instr, tuple) and instr else None
-    if not isinstance(kind, str) or len(instr) != _ARITY.get(kind):
-        raise UsageError(f"malformed glue instruction {instr!r}")
-    if kind == "negate":
-        return tuple(-c for c in entries)
-    p = instr[1]
-    if type(p) is not int or not 1 <= p <= mu:
-        raise UsageError(f"glue edge {p!r} is not an edge 1..{mu}")
-    out = list(entries)
-    if kind == "triangle":
-        s = instr[2]
-        out[p - 1] = out[p - 1] + s
-        out[p % mu] = out[p % mu] + s
-        out.insert(p, s) if p < mu else out.append(s)
-        return tuple(out)
-    x = instr[2]
-    zero = x - x
-    out[p % mu] = out[p % mu] - x
-    if p < mu:
-        out[p:p] = [x, zero]
-    else:
-        out.extend([x, zero])
-    return tuple(out)
-
-
-def _replay_sums(entries: tuple, script: tuple) -> tuple:
-    for instr in script:
-        entries = apply_glue_to_sums(entries, instr)
-    return entries
-
-
-_WIDTH = {"triangle": 1, "square": 2}
-
-
-def _undo_contraction(n: int, k: int, kind: str, value, offset: int = 0):
-    """The glue instruction that undoes a contraction at index k, and the
-    rotation it leaves.
-
-    The contraction removed the w vertices k-w+1 .. k of a cycle and left n
-    (w = 1 for a triangle, 2 for a square).  The block goes back onto edge
-    k - w, or onto the wrap edge n when the window held vertex 1; its new
-    vertices then land at the end, and the cycle's vertex 1 is new vertex
-    number w - k among them.  The n-gon glued onto may read the contracted
-    cycle rotated: `offset` is the 0-based position of that cycle's vertex 1
-    in it.  Returns the instruction and the 0-based position of the
-    uncontracted cycle's vertex 1 after gluing.
-    """
-    w = _WIDTH[kind]
-    if k > w:
-        edge = (k - w - 1 + offset) % n + 1
-        first = offset if offset < edge else offset + w
-    else:
-        edge = (n - 1 + offset) % n + 1
-        first = edge + w - k
-    return (kind, edge, value), first
 
 
 @dataclass(frozen=True)
@@ -137,19 +49,10 @@ class ReductionStep:
     after: Cycle
     eps_before: int
     eps_after: int
-    glue_script: tuple = field(default_factory=tuple)
-    rotation: int = 0
 
     @property
     def terminal(self) -> bool:
         return self.case_tag in ("T0", "I0")
-
-    def __post_init__(self):
-        if self.glue_script:
-            rebuilt = _replay_sums(self.after.entries, self.glue_script)
-            r = self.rotation
-            assert rebuilt[r:] + rebuilt[:r] == self.before.entries, \
-                "glue script does not rebuild the step input"
 
 
 @dataclass(frozen=True)
@@ -168,7 +71,7 @@ def _require_integer(cycle: Cycle):
 
 
 def _positions_of(cycle: Cycle, value) -> list:
-    return [k for k in range(1, cycle.m + 1) if cycle.entry(k) == value]
+    return [k for k, c in enumerate(cycle.entries, 1) if c == value]
 
 
 def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
@@ -186,20 +89,17 @@ def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
     if ones:
         k = ones[0]
         after = contract_one(cycle, k).cycle
-        instr, r = _undo_contraction(after.m, k, "triangle", 1)
-        return ReductionStep("I1", (k,), cycle, after, eps, eps, (instr,), r)
+        return ReductionStep("I1", (k,), cycle, after, eps, eps)
     zeros = _positions_of(cycle, 0)
     if zeros:
         k = zeros[0]
         after = contract_zero(cycle, k).cycle
-        instr, r = _undo_contraction(after.m, k, "square", cycle.entry(k - 1))
-        return ReductionStep("I2", (k,), cycle, after, eps, -eps, (instr,), r)
+        return ReductionStep("I2", (k,), cycle, after, eps, -eps)
     minus = _positions_of(cycle, -1)
     if minus:
         k = minus[0]
         after = contract_minus_one(cycle, k).cycle
-        instr, r = _undo_contraction(after.m, k, "triangle", -1)
-        return ReductionStep("I3", (k,), cycle, after, eps, -eps, (instr,), r)
+        return ReductionStep("I3", (k,), cycle, after, eps, -eps)
     raise RuntimeError("no entry in {-1,0,1}; contradicts the small-entry corollary")
 
 
@@ -229,28 +129,21 @@ def _reduce_step(cycle: Cycle) -> ReductionStep:
         k = ones[0]
         after = contract_one(cycle, k).cycle
         assert is_quiddity(after)
-        instr, r = _undo_contraction(after.m, k, "triangle", 1)
-        return ReductionStep("T1", (k,), cycle, after, -1, -1, (instr,), r)
+        return ReductionStep("T1", (k,), cycle, after, -1, -1)
 
     zeros = _positions_of(cycle, 0)
     if zeros and m % 2 == 1:
         k = zeros[0]
-        mid = contract_zero(cycle, k).cycle
-        after = negate(mid)
+        after = negate(contract_zero(cycle, k).cycle)
         assert is_quiddity(after)
-        instr, r = _undo_contraction(mid.m, k, "square", cycle.entry(k - 1))
-        return ReductionStep("T2", (k,), cycle, after, -1, -1,
-                             (("negate",), instr), r)
+        return ReductionStep("T2", (k,), cycle, after, -1, -1)
 
     minus = _positions_of(cycle, -1)
     if minus and m % 2 == 0:
         k = minus[0]
-        mid = contract_minus_one(cycle, k).cycle
-        after = negate(mid)
+        after = negate(contract_minus_one(cycle, k).cycle)
         assert is_quiddity(after)
-        instr, r = _undo_contraction(mid.m, k, "triangle", -1)
-        return ReductionStep("T3", (k,), cycle, after, -1, -1,
-                             (("negate",), instr), r)
+        return ReductionStep("T3", (k,), cycle, after, -1, -1)
 
     pair = _first_separated_pair(zeros, m)
     if pair:
@@ -260,10 +153,7 @@ def _reduce_step(cycle: Cycle) -> ReductionStep:
         mid = contract_zero(cycle, k).cycle
         after = contract_zero(mid, j).cycle
         assert is_quiddity(after)
-        first, r = _undo_contraction(after.m, j, "square", mid.entry(j - 1))
-        second, r = _undo_contraction(mid.m, k, "square", cycle.entry(k - 1), r)
-        return ReductionStep("T4", (j, k), cycle, after, -1, -1,
-                             (first, second), r)
+        return ReductionStep("T4", (j, k), cycle, after, -1, -1)
 
     pair = _first_separated_pair(minus, m)
     if pair:
@@ -271,10 +161,7 @@ def _reduce_step(cycle: Cycle) -> ReductionStep:
         mid = contract_minus_one(cycle, k).cycle
         after = contract_minus_one(mid, j).cycle
         assert is_quiddity(after)
-        first, r = _undo_contraction(after.m, j, "triangle", -1)
-        second, r = _undo_contraction(mid.m, k, "triangle", -1, r)
-        return ReductionStep("T5", (j, k), cycle, after, -1, -1,
-                             (first, second), r)
+        return ReductionStep("T5", (j, k), cycle, after, -1, -1)
 
     raise RuntimeError("no case applies; contradicts the reduction theorem")
 
@@ -299,15 +186,3 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
         current = step.after
     return ReductionTrace(cycle, tuple(steps))
 
-
-def invert_trace(trace: ReductionTrace) -> list:
-    """Gluing stages that rebuild the traced cycle from the 2-gon.
-
-    Returns (target_entries, glue_script) pairs in replay order: apply the
-    script to the current polygon, then rotate its vertex numbering by the
-    step's `rotation` so the sums read exactly `target_entries`.  The last
-    target is the traced input.
-    """
-    assert trace.end.entries == (0, 0), "trace must end at the 2-gon"
-    return [(step.before.entries, step.glue_script)
-            for step in reversed(trace.steps)]

@@ -332,16 +332,17 @@ def test_labelling_round_trip_on_corpus(z_corpus):
 
 
 def test_labelling_from_cycle_reads_the_sums_once_per_stage(z_corpus, monkeypatch):
-    # each step's glue script was checked on sums when the step was built, so
-    # the replay compares the polygon's sums only with the step's input
+    # `_glue_back` reads each block off its step alone, so the sums are read
+    # only to compare each stage with its step's input
     calls = []
-    sums = labelling._PolygonBuilder.sums
-    monkeypatch.setattr(labelling._PolygonBuilder, "sums",
+    sums = Labelling.vertex_sums
+    monkeypatch.setattr(Labelling, "vertex_sums",
                         lambda self: calls.append(1) or sums(self))
     for cycle in z_corpus[:20]:
         calls.clear()
-        assert labelling_from_cycle(cycle).vertex_sums() == cycle.entries
+        lab = labelling_from_cycle(cycle)
         assert len(calls) == len(reduce_to_base(cycle).steps)
+        assert sums(lab) == cycle.entries
 
 
 def test_labelling_from_cycle_guards():

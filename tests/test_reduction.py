@@ -1,4 +1,4 @@
-"""Reduction engines: case selection, totality, and trace inversion."""
+"""Reduction engines: case selection, totality, and undoing each step."""
 
 import random
 from fractions import Fraction
@@ -6,11 +6,16 @@ from fractions import Fraction
 import pytest
 
 from quiddity.cycles import Cycle, is_quiddity
-from quiddity.errors import InvalidCycleError, UnsupportedRingError, UsageError
+from quiddity.errors import InvalidCycleError, UnsupportedRingError
+from quiddity.labelling import (
+    _from_triangles,
+    _glue_back,
+    cycle_from_labelling,
+    labelling_from_cycle,
+    labelling_sign,
+)
 from quiddity.reduction import (
     ReductionTrace,
-    apply_glue_to_sums,
-    invert_trace,
     reduce_step_Z,
     reduce_step_epsilon,
     reduce_to_base,
@@ -155,36 +160,13 @@ def test_non_quiddity_rejected():
         reduce_to_base(Cycle(Z, (2, 2)))
 
 
-def _seeded_cycle(rng: random.Random, m: int) -> Cycle:
-    """An integer quiddity cycle of length m glued from random blocks.
-
-    Each square and each -1 triangle flips the sign of the labelling, and
-    the last triangle's label sets it right, so the sums are quiddity.
-    """
-    sums, flips = (0, 0), 0
-    while len(sums) < m - 1:
-        p = rng.randint(1, len(sums))
-        if len(sums) < m - 2 and rng.random() < 0.3:
-            sums = apply_glue_to_sums(sums, ("square", p, rng.randint(-2, 2)))
-            flips += 1
-        else:
-            s = rng.choice((1, -1))
-            sums = apply_glue_to_sums(sums, ("triangle", p, s))
-            flips += s < 0
-    last = -1 if flips % 2 else 1
-    sums = apply_glue_to_sums(sums, ("triangle", rng.randint(1, len(sums)), last))
-    cycle = Cycle(Z, sums)
-    assert is_quiddity(cycle)
-    return cycle
-
-
-def test_trace_checks_each_cycle_once():
+def test_trace_checks_each_cycle_once(glued_cycle):
     # reduce_to_base checks only its input: every step must still be the one
     # reduce_step_Z takes, bar the final T1 from (1, 1, 1), and one wrong
     # entry anywhere must still be caught
     rng = random.Random(14)
     for m in range(4, 41):
-        cycle = _seeded_cycle(rng, m)
+        cycle = Cycle(Z, glued_cycle(rng, m))
         *inner, last = reduce_to_base(cycle).steps
         for step in inner:
             assert reduce_step_Z(step.before) == step
@@ -196,35 +178,6 @@ def test_trace_checks_each_cycle_once():
         entries[rng.randrange(m)] += rng.choice((1, -1))
         with pytest.raises(InvalidCycleError):
             reduce_to_base(Cycle(Z, entries))
-
-
-def test_glue_triangle_semantics():
-    assert apply_glue_to_sums((0, 0), ("triangle", 1, 1)) == (1, 1, 1)
-    assert apply_glue_to_sums((0, 0), ("triangle", 2, 1)) == (1, 1, 1)
-    assert apply_glue_to_sums((3, 5, 7), ("triangle", 2, -1)) == (3, 4, -1, 6)
-
-
-def test_glue_square_semantics():
-    assert apply_glue_to_sums((4,), ("square", 1, 9)) == (4 - 9, 9, 0)
-    assert apply_glue_to_sums((2, 3), ("square", 1, 5)) == (2, 5, 0, -2)
-    assert apply_glue_to_sums((2, 3), ("square", 2, 5)) == (-3, 3, 5, 0)
-
-
-def test_glue_negate_semantics():
-    assert apply_glue_to_sums((1, -2, 0), ("negate",)) == (-1, 2, 0)
-    with pytest.raises(UsageError):
-        apply_glue_to_sums((1, 2), ("twist", 1, 1))
-
-
-@pytest.mark.parametrize("instr", [
-    ("bogus",), (), None, "negate", ["negate"], (1, 2, 3),
-    ("negate", 1), ("triangle", 1), ("square", 1, 1, 1),
-    ("triangle", 0, 1), ("triangle", 4, 1), ("square", -1, 1), ("square", 4, 1),
-    ("triangle", 1.0, 1), ("square", True, 1), ("triangle", "1", 1),
-])
-def test_glue_rejects_malformed_instructions(instr):
-    with pytest.raises(UsageError):
-        apply_glue_to_sums((1, 2, 3), instr)
 
 
 # one step each whose contraction window reaches vertex 1 or vertex m
@@ -240,46 +193,24 @@ WRAPPED_STEPS = (
 )
 
 
-def _rebuilds_exactly(step):
-    rebuilt = step.after.entries
-    for instr in step.glue_script:
-        rebuilt = apply_glue_to_sums(rebuilt, instr)
-    r = step.rotation
-    return rebuilt[r:] + rebuilt[:r] == step.before.entries
-
-
-def test_every_step_rebuilds_exactly(z_corpus):
-    # the corpus holds the worked reductions too
-    for cycle in z_corpus:
-        for step in reduce_to_base(cycle).steps:
-            assert _rebuilds_exactly(step)
+def test_every_step_rebuilds_exactly():
+    # labelling_from_cycle undoes every step of the trace and checks each
+    # stage's sums against the step's input; here the first step wraps
     for entries, tag, indices in WRAPPED_STEPS:
         step = reduce_step_Z(Cycle(Z, entries))
         assert (step.case_tag, step.indices) == (tag, indices)
-        assert _rebuilds_exactly(step)
-    # the epsilon engine's windows at index 1
+        lab = labelling_from_cycle(Cycle(Z, entries))
+        assert cycle_from_labelling(lab).entries == entries
+    assert cycle_from_labelling(labelling_from_cycle(Cycle(Z, (1, 1, 1)))).entries == (1, 1, 1)
+    # the epsilon engine's windows at index 1, undone on the 2-gon: the two
+    # +1-cycles are no quiddity cycles, and their labellings have sign -1
     for entries, eps in (((1, 1, 1), -1), ((0, 0, 0, 0), 1), ((-1, -1, -1), 1)):
-        assert _rebuilds_exactly(reduce_step_epsilon(Cycle(Z, entries), eps))
-
-
-def _rotations(entries):
-    return [entries[i:] + entries[:i] for i in range(len(entries))]
-
-
-def test_invert_trace_rebuilds_every_stage(z_corpus, worked_reductions):
-    for cycle in z_corpus[:60] + [Cycle(Z, e) for e in worked_reductions]:
-        trace = reduce_to_base(cycle)
-        current = (0, 0)
-        for target, script in invert_trace(trace):
-            for instr in script:
-                current = apply_glue_to_sums(current, instr)
-            assert current in _rotations(target)
-            current = target
-        assert current == cycle.entries
-
-
-def test_invert_trace_requires_full_trace():
-    c = Cycle(Z, (1, 4, 1, 2, 2, 2))
-    partial = ReductionTrace(c, (reduce_step_Z(c),))
-    with pytest.raises(AssertionError):
-        invert_trace(partial)
+        step = reduce_step_epsilon(Cycle(Z, entries), eps)
+        assert (step.indices, step.after.entries) == ((1,), (0, 0))
+        boundary, labels = [0, 1], {}
+        _glue_back(boundary, labels, step)
+        pos = {v: i for i, v in enumerate(boundary, 1)}
+        lab = _from_triangles(len(pos), {tuple(sorted(pos[v] for v in t)): x
+                                         for t, x in labels.items()})
+        assert lab.vertex_sums() == entries
+        assert labelling_sign(lab) == -eps

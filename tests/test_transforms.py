@@ -239,6 +239,28 @@ def test_wrap_positions_preserve_quiddity():
         assert shrunk.sign == -1
 
 
+def test_contractions_keep_the_survivors_in_order():
+    # undoing a reduction step puts new vertices back at the positions the
+    # contraction removed, so each contraction must delete exactly those
+    # (k, or k - 1 and k, cyclically), adjust the neighbours and keep every
+    # other entry in its original order, wrap positions included
+    rng = random.Random(23)
+    for m in range(3, 10):
+        for k in range(1, m + 1):
+            prev, nxt = (k - 2) % m, k % m
+            for contract, value in ((contract_one, 1), (contract_minus_one, -1),
+                                    (contract_zero, 0)):
+                entries = [rng.randint(-5, 5) for _ in range(m)]
+                entries[k - 1] = value
+                if value:
+                    removed, adjust = {k - 1}, {prev: -value, nxt: -value}
+                else:
+                    removed, adjust = {prev, k - 1}, {nxt: entries[prev]}
+                want = tuple(c + adjust.get(i, 0) for i, c in enumerate(entries)
+                             if i not in removed)
+                assert contract(Cycle(Z, tuple(entries)), k).cycle.entries == want
+
+
 def test_zero_pair_grows_to_triangle():
     out = expand_one(Cycle(Z, (0, 0)), 1)
     assert out.cycle.entries == (1, 1, 1)
