@@ -15,6 +15,19 @@ are forced: position m-1 must be u = P11 and the outer two are (1 - P12)/u
 and (1 + P21)/u, which must divide exactly and stay inside the candidate
 norm bound.  Survivors get a full cyclic window check before being emitted.
 
+The last free position is solved, not scanned.  There c gives u = P11*c +
+P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11 whatever c is:
+every surviving c comes from a factor pair (a, u) of x with both norms
+within the limit, as c = (u - P12)/P11.  The pairs come from the ball of
+norms up to the limit, walked grouped by norm as the compiled kernel does
+and memoised per x for the tasks that share (t, limit); the ball holds
+only b = 0 elements when every prefix entry and candidate has b = 0, since
+Z is closed under the product.  The solved c that are candidates, taken
+once per occurrence in the candidate list and in its order, go through
+the same step as a scanned one, so the output does not change.  When the
+ball holds more than twice as many elements as the candidate list, the
+kernel scans that position instead.
+
 `quiddity._speedups` is the compiled twin of this module; both expose the
 same `search_from_prefix` and must return identical lists, except that the
 twin raises OverflowError where its int64 arithmetic would overflow.
@@ -22,7 +35,11 @@ twin raises OverflowError where its int64 arithmetic would overflow.
 
 from __future__ import annotations
 
-from quiddity.rings import pair_div, pair_mul, pair_norm
+from functools import lru_cache
+from itertools import chain
+from math import isqrt
+
+from quiddity.rings import pair_conj, pair_div, pair_mul, pair_norm
 
 KERNEL_KIND = "pure"
 
@@ -45,6 +62,82 @@ def _windows_nonzero(t, entries, m):
     return True
 
 
+def _rows(t, limit, real):
+    """The ball of nonzero pairs with norm at most `limit`, row by row: row
+    b = 0 first, then rows b and -b for b = 1, 2, ...; with `real`, only
+    row b = 0.  Each row is (b, lo, hi), its a running from lo to hi.
+
+    4 * norm(a + b*omega) = (2a + tb)^2 + (4 - t^2) b^2, so row b holds the
+    a with |2a + tb| <= isqrt(4 * limit - (4 - t^2) b^2).
+    """
+    b = 0
+    while (rest := 4 * limit - (4 - t * t) * b * b) >= 0:
+        r = isqrt(rest)
+        for row in (b, -b) if b else (0,):
+            yield row, -((r + t * row) // 2), (r - t * row) // 2
+        if real:
+            return
+        b += 1
+
+
+class _FactorPairs:
+    """The factor pairs (a, u) of x with a and u in the ball of norms up to
+    `limit` (its b = 0 row alone when `real`), by the u of each pair.
+
+    The ball is kept grouped by norm, largest first.  For x only the norms
+    d with d | N(x) are tried, and the walk stops once N(a) = N(x)/d, which
+    grows as d falls, passes the limit.  Each x's answer is memoised; the
+    x with none, x = 0 and N(x) > limit^2, are answered without a walk.
+    """
+
+    def __init__(self, t, limit, real):
+        groups = {}
+        for b, lo, hi in _rows(t, limit, real):
+            for a in range(lo, hi + 1):
+                if a or b:
+                    groups.setdefault(pair_norm(t, (a, b)), []).append((a, b))
+        self.t, self.limit = t, limit
+        self.groups = sorted(((d, tuple(us)) for d, us in groups.items()), reverse=True)
+        self.memo = {}
+
+    def cofactors(self, x):
+        us = self.memo.get(x)
+        if us is not None:
+            return us
+        nx = pair_norm(self.t, x)
+        if not 0 < nx <= self.limit * self.limit:
+            return ()
+        found = []
+        for d, group in self.groups:
+            q, r = divmod(nx, d)
+            if q > self.limit:
+                break
+            if not r:
+                found += [u for u in group if pair_div(self.t, x, u) is not None]
+        us = self.memo[x] = tuple(found)
+        return us
+
+
+# one ball at a time: every task of an enumeration shares (t, limit, real)
+_factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
+
+
+@lru_cache(maxsize=1)
+def _solve_plan(t, limit, real, candidates):
+    """None when the ball holds more than twice as many elements as the
+    candidates, so the last free position is scanned; else the ball's
+    factor pairs and each candidate's indices, every one of a duplicate's."""
+    size = 0
+    for b, lo, hi in _rows(t, limit, real):
+        size += hi - lo + (b != 0)  # row 0 holds zero
+        if size > 2 * len(candidates):
+            return None
+    where = {}
+    for i, cand in enumerate(candidates):
+        where.setdefault(cand, []).append(i)
+    return _factor_pairs(t, limit, real), where
+
+
 def search_from_prefix(t, n, prefix, candidates, limit):
     """All cycles completing `prefix`, as tuples of element pairs.
 
@@ -62,6 +155,27 @@ def search_from_prefix(t, n, prefix, candidates, limit):
         raise ValueError("bad prefix length or height")
 
     results = []
+    plan = None
+    if len(prefix) < free:
+        real = not any(b for _, b in chain(prefix, candidates))
+        plan = _solve_plan(t, limit, real, tuple(candidates))
+
+    def solved(p11, p12):
+        # the candidates c whose u = p11*c + p12 has a ball cofactor a with
+        # a*u = 1 + p11, in candidate order; c = (u - p12) * conj(p11) / d
+        # with d = norm(p11) must divide exactly
+        pairs, where = plan
+        us = pairs.cofactors((p11[0] + 1, p11[1]))
+        if not us:
+            return ()
+        d, conj = pair_norm(t, p11), pair_conj(t, p11)
+        hits = []
+        for ua, ub in us:
+            ca, cb = pair_mul(t, (ua - p12[0], ub - p12[1]), conj)
+            if not (ca % d or cb % d):
+                hits += where.get((ca // d, cb // d), ())
+        hits.sort()
+        return [candidates[i] for i in hits]
 
     def solve_tail(u, p12, p21, entries):
         if pair_norm(t, u) > limit:
@@ -86,7 +200,7 @@ def search_from_prefix(t, n, prefix, candidates, limit):
         # c * prev == 1 exactly when c is prev's inverse (None if it has none)
         inverse = pair_div(t, ONE, entries[-1])
         last = depth + 1 == free  # then q11 is the forced entry u
-        for cand in candidates:
+        for cand in solved(p11, p12) if last and plan is not None else candidates:
             if cand == inverse:
                 continue
             ta, tb = pair_mul(t, p11, cand)

@@ -7,11 +7,23 @@
    candidate list, keeping the running eta-matrix product, and forces the
    last three entries; see quiddity/_kernel.py for the derivation.
 
-   Every int64 product, sum, difference and negation is checked.  An
-   overflow raises OverflowError instead of returning a wrong list, and the
-   caller reruns that input on the pure kernel, whose integers do not
-   overflow.  The candidates live in a heap array sized from the input, so
-   any number of them is accepted. */
+   The last free position is solved from the factor pairs of x = 1 + p11,
+   as in the pure kernel: the forced entries a and u there satisfy a*u = x
+   whatever c is, and c = (u - p12)/p11.  The ball of norms up to the limit
+   (only its b = 0 row when every entry given is real) is kept sorted by
+   norm, largest first, and each node tries only the norms d with d | N(x)
+   and N(x)/d <= limit.  The solved c are looked up among the candidates
+   sorted by value, every position of a duplicate is kept, and the hits go
+   through the same step as a scanned candidate, in candidate order.  When
+   the ball holds more than twice as many elements as the candidates, that
+   position is scanned instead.
+
+   Every int64 product, sum, difference and negation is checked, and the
+   integer square root is exact integer code.  An overflow raises
+   OverflowError instead of returning a wrong list, and the caller reruns
+   that input on the pure kernel, whose integers do not overflow.  The
+   candidates live in a heap array sized from the input, so any number of
+   them is accepted. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,6 +43,19 @@ typedef struct {
     elem p11, p12, p21, p22;
 } mat;
 
+/* A ball element, its norm, and where the next smaller norm starts. */
+typedef struct {
+    elem u;
+    int64_t norm;
+    Py_ssize_t next;
+} ball_elem;
+
+/* A candidate and its position in the candidate list. */
+typedef struct {
+    elem c;
+    Py_ssize_t pos;
+} ranked;
+
 typedef struct {
     int t, m, free, npre;
     Py_ssize_t ncand;
@@ -38,6 +63,11 @@ typedef struct {
     const elem *pre, *cand;  /* the prefix entries and the candidates */
     elem e[MAXM];            /* the cycle being built */
     PyObject *results;
+    /* The solve of the last free position; nball < 0 means it is scanned. */
+    Py_ssize_t nball;
+    ball_elem *ball;         /* by norm, largest first */
+    ranked *byval;           /* the candidates by value, then position */
+    Py_ssize_t *hits;        /* positions of the solved candidates */
 } search;
 
 /* Arithmetic: 0 on success, -1 with OverflowError set. */
@@ -164,6 +194,190 @@ windows_nonzero(const search *s)
     return 1;
 }
 
+/* floor(sqrt(n)) for n >= 0, digit by digit in integers. */
+static int64_t
+isqrt64(int64_t n)
+{
+    uint64_t x = (uint64_t)n, r = 0, bit = (uint64_t)1 << 62;
+    while (bit > x)
+        bit >>= 2;
+    for (; bit != 0; bit >>= 2) {
+        if (x >= r + bit) {
+            x -= r + bit;
+            r = (r >> 1) + bit;
+        } else {
+            r >>= 1;
+        }
+    }
+    return (int64_t)r;
+}
+
+/* floor(n / 2) */
+static int64_t
+half_floor(int64_t n)
+{
+    return (n - (n & 1)) / 2;
+}
+
+static int
+by_norm_descending(const void *x, const void *y)
+{
+    int64_t p = ((const ball_elem *)x)->norm, q = ((const ball_elem *)y)->norm;
+    return (p < q) - (p > q);
+}
+
+static int
+by_value(const void *x, const void *y)
+{
+    const ranked *p = x, *q = y;
+    if (p->c.a != q->c.a)
+        return p->c.a < q->c.a ? -1 : 1;
+    if (p->c.b != q->c.b)
+        return p->c.b < q->c.b ? -1 : 1;
+    return (p->pos > q->pos) - (p->pos < q->pos);
+}
+
+static int
+by_position(const void *x, const void *y)
+{
+    Py_ssize_t p = *(const Py_ssize_t *)x, q = *(const Py_ssize_t *)y;
+    return (p > q) - (p < q);
+}
+
+/* Fill s->ball with the nonzero elements of norm at most the limit, row by
+   row as the pure kernel's _rows does: 4 norm(a + b omega) = (2a + tb)^2
+   + (4 - t^2) b^2, so row b holds the a with |2a + tb| <= isqrt(4 limit -
+   (4 - t^2) b^2).  With `real` only row b = 0.  1 and s->nball set if they
+   number at most cap, 0 if more, -1 on error. */
+static int
+fill_ball(search *s, int real, Py_ssize_t cap)
+{
+    int64_t b, row, r, a, lo, hi, four, bb, t = s->t;
+    Py_ssize_t n = 0;
+    /* row b = 0 alone holds 2 isqrt(limit) elements */
+    if (s->limit >= 0 && isqrt64(s->limit) > cap / 2)
+        return 0;
+    /* so 4 limit fits, and r, b and a stay below its square root */
+    if (__builtin_mul_overflow(s->limit, (int64_t)4, &four))
+        return overflow();
+    for (b = 0;; b++) {
+        if (__builtin_mul_overflow(b, b, &bb) || __builtin_mul_overflow(bb, 4 - t * t, &bb))
+            return overflow();
+        if (bb > four)
+            break;
+        r = isqrt64(four - bb);
+        for (row = b; row >= -b; row -= 2 * b) {
+            lo = -half_floor(r + t * row);
+            hi = half_floor(r - t * row);
+            for (a = lo; a <= hi; a++) {
+                if (a == 0 && row == 0)
+                    continue;
+                if (n == cap)
+                    return 0;
+                s->ball[n].u = (elem){a, row};
+                if ((s->ball[n].norm = norm(t, s->ball[n].u)) < 0)
+                    return -1;
+                n++;
+            }
+            if (b == 0)
+                break;
+        }
+        if (real)
+            break;
+    }
+    s->nball = n;
+    return 1;
+}
+
+/* Set up the solve of the last free position, or leave s->nball at -1 so
+   that position is scanned.  0 on success, -1 on error. */
+static int
+prepare_solve(search *s)
+{
+    Py_ssize_t i, n = s->npre + s->ncand, cap = 2 * s->ncand;
+    int real = 1, r;
+    for (i = 0; i < n; i++)  /* the prefix entries, then the candidates */
+        real &= s->pre[i].b == 0;
+    if ((s->ball = PyMem_New(ball_elem, cap)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if ((r = fill_ball(s, real, cap)) <= 0)
+        return r;
+    s->byval = PyMem_New(ranked, s->ncand);
+    s->hits = PyMem_New(Py_ssize_t, s->ncand);
+    if (s->byval == NULL || s->hits == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    qsort(s->ball, s->nball, sizeof *s->ball, by_norm_descending);
+    for (i = s->nball - 1; i >= 0; i--)
+        s->ball[i].next = i + 1 < s->nball && s->ball[i + 1].norm == s->ball[i].norm
+                          ? s->ball[i + 1].next : i + 1;
+    for (i = 0; i < s->ncand; i++)
+        s->byval[i] = (ranked){s->cand[i], i};
+    qsort(s->byval, s->ncand, sizeof *s->byval, by_value);
+    return 0;
+}
+
+/* Append to s->hits, from nhit on, every position of c in the candidates;
+   the new count. */
+static Py_ssize_t
+add_hits(const search *s, elem c, Py_ssize_t nhit)
+{
+    Py_ssize_t lo = 0, hi = s->ncand, mid;
+    ranked key = {c, -1};
+    while (lo < hi) {
+        mid = lo + (hi - lo) / 2;
+        if (by_value(&s->byval[mid], &key) < 0)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    for (; lo < s->ncand && s->byval[lo].c.a == c.a && s->byval[lo].c.b == c.b; lo++)
+        s->hits[nhit++] = s->byval[lo].pos;
+    return nhit;
+}
+
+/* The positions, in order, of the candidates c for the last free position
+   whose u = p11 c + p12 has a cofactor a in the ball with a u = x = 1 + p11.
+   Their count, or -1 on error.  Walking the norms d of the ball from the
+   largest, N(x)/d only grows, so the walk stops once it passes the limit;
+   for N(x) > limit^2 that is at once. */
+static Py_ssize_t
+solve_last(search *s, const mat *p)
+{
+    elem x, a, num, c;
+    int64_t nx, d;
+    Py_ssize_t i, k, nhit = 0;
+    int r;
+    if (add(one, p->p11, &x) < 0)
+        return -1;
+    if (is_zero(x))
+        return 0;
+    if ((nx = norm(s->t, x)) < 0)
+        return -1;
+    for (i = 0; i < s->nball; i = s->ball[i].next) {
+        d = s->ball[i].norm;
+        if (nx / d > s->limit)
+            break;
+        if (nx % d != 0)
+            continue;
+        for (k = i; k < s->ball[i].next; k++) {
+            if ((r = divide(s->t, x, s->ball[k].u, &a)) < 0)
+                return -1;
+            if (r == 0)
+                continue;
+            if (sub(s->ball[k].u, p->p12, &num) < 0 || (r = divide(s->t, num, p->p11, &c)) < 0)
+                return -1;
+            if (r)
+                nhit = add_hits(s, c, nhit);
+        }
+    }
+    qsort(s->hits, nhit, sizeof *s->hits, by_position);
+    return nhit;
+}
+
 static int
 emit(search *s)
 {
@@ -242,23 +456,31 @@ solve_tail(search *s, const mat *p)
 /* Positions below npre take their prefix entry, so the prefix is replayed
    through the same pruning as the search.  c * prev == 1 exactly when c is
    the inverse of the previous entry, so that inverse, if there is one, is
-   found once per node and skipped. */
+   found once per node and skipped.  The last free position takes only the
+   solved candidates unless it is scanned. */
 static int
 extend(search *s, int depth, const mat *p)
 {
     const elem *choice = depth < s->npre ? &s->pre[depth] : s->cand;
+    const Py_ssize_t *order = NULL;
     Py_ssize_t i, nchoice = depth < s->npre ? 1 : s->ncand;
-    elem inv;
+    elem inv, c;
     mat q;
     int r, has_inv = 0;
     if (depth == s->free)
         return solve_tail(s, p);
     if (depth > 0 && (has_inv = divide(s->t, one, s->e[depth - 1], &inv)) < 0)
         return -1;
+    if (depth + 1 == s->free && depth >= s->npre && s->nball >= 0) {
+        if ((nchoice = solve_last(s, p)) < 0)
+            return -1;
+        order = s->hits;
+    }
     for (i = 0; i < nchoice; i++) {
-        if (has_inv && choice[i].a == inv.a && choice[i].b == inv.b)
+        c = choice[order != NULL ? order[i] : i];
+        if (has_inv && c.a == inv.a && c.b == inv.b)
             continue;
-        if ((r = step(s, depth, p, choice[i], &q)) < 0)
+        if ((r = step(s, depth, p, c, &q)) < 0)
             return -1;
         if (r && extend(s, depth + 1, &q) < 0)
             return -1;
@@ -330,16 +552,22 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
             goto done;
 
     s = (search){.t = t, .m = n + 3, .free = n, .npre = (int)npre, .ncand = ncand,
-                 .limit = limit, .pre = pool, .cand = pool + npre, .results = PyList_New(0)};
+                 .limit = limit, .pre = pool, .cand = pool + npre, .results = PyList_New(0),
+                 .nball = -1};
     if (s.results == NULL)
         goto done;
     for (i = 0; i < npre && r == 0; i++)
         r = out_of_range(&s, pool[i]);
+    if (r == 0 && npre < n)
+        r = prepare_solve(&s);
     if (r == 0)
         r = extend(&s, 0, &p);
     if (r < 0)
         Py_CLEAR(s.results);
 done:
+    PyMem_Free(s.ball);
+    PyMem_Free(s.byval);
+    PyMem_Free(s.hits);
     PyMem_Free(pool);
     Py_XDECREF(cands);
     Py_DECREF(prefix);

@@ -110,8 +110,15 @@ BENCHMARK_CELLS = [
     (Zzeta6, 3, 1062, 127),
 ]
 
+# the largest cells the pure kernel finishes in about a second
+LARGE_CELLS = [
+    (Z, 6, 429, 27),
+    (Zi, 4, 4368, 323),
+    (Zzeta6, 4, 8526, 628),
+]
 
-@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE + BENCHMARK_CELLS)
+
+@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE + BENCHMARK_CELLS + LARGE_CELLS)
 def test_kernels_agree(ring, n, total, orbits, compiled_kernel, monkeypatch):
     runs = []
     for kernel in (_kernel, compiled_kernel):
@@ -177,6 +184,118 @@ def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
         except OverflowError:
             outcomes.add("overflow")
     assert outcomes == {"equal", "overflow"}
+
+
+# Height 5 on the compiled kernel.  Both counts were cross-checked against
+# the search over every cycle when that search was still run on them.
+@pytest.mark.parametrize("ring,n,total,orbits", [
+    (Zi, 5, 50016, 3320),
+    (Zzeta6, 5, 113496, 7434),
+])
+def test_height_five_cells_on_compiled_kernel(ring, n, total, orbits, compiled_kernel,
+                                              monkeypatch):
+    monkeypatch.setattr(enumeration, "_default", compiled_kernel)
+    result = count_nonzero(ring, n)
+    assert (result.total, result.orbit_count) == (total, orbits)
+
+
+def _mul(t, x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1])
+
+
+def _norm(t, x):
+    return x[0] * x[0] + t * x[0] * x[1] + x[1] * x[1]
+
+
+def _div(t, x, y):
+    # q with q * y == x, or None; q = x * conj(y) / norm(y)
+    n = _norm(t, y)
+    if n == 0:
+        return None
+    a, b = _mul(t, x, (y[0] + t * y[1], -y[1]))
+    return None if a % n or b % n else (a // n, b // n)
+
+
+def scan_search(t, n, prefix, candidates, limit):
+    """The kernel contract computed by scanning: every candidate is tried at
+    every free position, in order, and the last three entries are forced.
+    Its arithmetic is its own, so it shares no code with either kernel."""
+    m = n + 3
+    out = []
+
+    def windows_nonzero(cycle):
+        for start in range(m):
+            prev, k = (1, 0), cycle[start]
+            for length in range(1, m - 2):
+                if k == (0, 0):
+                    return False
+                ka, kb = _mul(t, k, cycle[(start + length) % m])
+                prev, k = k, (ka - prev[0], kb - prev[1])
+        return True
+
+    def walk(entries, p11, p12, p21, p22):
+        if len(entries) == n:
+            u = p11
+            a = _div(t, (1 - p12[0], -p12[1]), u)
+            b = _div(t, (1 + p21[0], p21[1]), u)
+            if a is None or b is None:
+                return
+            cycle = entries + (a, u, b)
+            if (all(x != (0, 0) and _norm(t, x) <= limit for x in (a, u, b))
+                    and all(_mul(t, cycle[i - 1], cycle[i]) != (1, 0) for i in range(m))
+                    and windows_nonzero(cycle)):
+                out.append(cycle)
+            return
+        choices = candidates if len(entries) >= len(prefix) else [prefix[len(entries)]]
+        for c in choices:
+            if entries and _mul(t, entries[-1], c) == (1, 0):
+                continue
+            ta, tb = _mul(t, p11, c)
+            q11 = (ta + p12[0], tb + p12[1])
+            if q11 == (0, 0):
+                continue
+            ta, tb = _mul(t, p21, c)
+            walk(entries + (c,), q11, (-p11[0], -p11[1]), (ta + p22[0], tb + p22[1]),
+                 (-p21[0], -p21[1]))
+
+    if all(c != (0, 0) and _norm(t, c) <= limit for c in prefix):
+        walk((), (1, 0), (0, 0), (0, 0), (1, 0))
+    return out
+
+
+def _ball_size(t, limit, real):
+    # limits up to 81: every element of norm <= 81 has |a|, |b| <= 10
+    return sum(1 for a in range(-11, 12) for b in ((0,) if real else range(-11, 12))
+               if (a, b) != (0, 0) and _norm(t, (a, b)) <= limit)
+
+
+def test_last_position_solve_matches_the_scan(kernel):
+    # Both kernels solve the last free position when the ball of norms up to
+    # the limit holds at most twice as many elements as the candidates, and
+    # scan it otherwise.  Seeded draws cover both, with candidate lists that
+    # are unsorted, duplicated, real-only or mixed, and reach outside the ball.
+    rnd = random.Random(19)
+    small = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    found = {"solve": 0, "scan": 0}
+    for _ in range(400):
+        t, real = rnd.choice((0, 1)), rnd.random() < 0.4
+        limit = rnd.choice((4, 16, 81, 2**62))
+        n = rnd.randint(1, 5)
+        width = rnd.choice((1, 2, 3, 5, 9))
+        pool = [(a, b) for a in range(-width, width + 1)
+                for b in ((0,) if real else range(-width, width + 1)) if (a, b) != (0, 0)]
+        cands = [rnd.choice(pool) for _ in range(rnd.randint(1, 60))]
+        cands += rnd.sample(cands, rnd.randint(0, min(4, len(cands))))
+        rnd.shuffle(cands)
+        prefix = [rnd.choice([c for c in small if not real or c[1] == 0])
+                  for _ in range(rnd.randint(max(1, n - 2), n))]
+        expected = scan_search(t, n, prefix, cands, limit)
+        assert kernel.search_from_prefix(t, n, prefix, cands, limit) == expected, \
+            (t, n, prefix, cands, limit)
+        solves = (len(prefix) < n and limit < 100
+                  and _ball_size(t, limit, real) <= 2 * len(cands))
+        found["solve" if solves else "scan"] += len(expected)
+    assert min(found.values()) > 0, found
 
 
 def test_kernels_agree_on_deep_prefixes(compiled_kernel):
@@ -289,12 +408,21 @@ def test_output_is_sorted_and_duplicate_free():
         assert len(set(keys)) == len(keys)
 
 
-@pytest.mark.parametrize("n,count", [(1, 4), (2, 5), (3, 28), (4, 42), (5, 264), (6, 429)])
-def test_z_cells_are_the_conway_coxeter_cycles(n, count):
+# (height, cycles, orbits)
+Z_CELLS = [(1, 4, 2), (2, 5, 1), (3, 28, 6), (4, 42, 4), (5, 264, 24), (6, 429, 27),
+           (7, 2860, 164)]
+
+
+@pytest.mark.parametrize("n,count,orbits",
+                         [pytest.param(*cell, id=f"{cell[0]}-{cell[1]}") for cell in Z_CELLS])
+def test_z_cells_are_the_conway_coxeter_cycles(n, count, orbits, request, monkeypatch):
     # The paper's model generalises Conway-Coxeter theory; that the nonzero
     # integer friezes of height n are exactly the triangle-count cycles of
     # the triangulated (n+3)-gon, together with their negatives when n+3 is
-    # even, is an observed identity, checked here for n = 1..6.
+    # even, is an observed identity, checked here for n = 1..7.  Height 7
+    # runs on the compiled kernel.
+    if n == 7:
+        monkeypatch.setattr(enumeration, "_default", request.getfixturevalue("compiled_kernel"))
     m = n + 3
     cc = {cc_quiddity(tri).entries for tri in enumerate_triangulations(m)}
     if m % 2 == 0:
@@ -302,6 +430,8 @@ def test_z_cells_are_the_conway_coxeter_cycles(n, count):
     order = sorted(cc, key=lambda entries: tuple(Z.sort_key(c) for c in entries))
     assert [c.entries for c in enumerate_nonzero(Z, n)] == order
     assert len(order) == count
+    classes = {frozenset(v[s:] + v[:s] for v in (e, e[::-1]) for s in range(m)) for e in cc}
+    assert count_nonzero(Z, n).orbit_count == len(classes) == orbits
 
 
 def test_dihedral_closure():
