@@ -15,18 +15,21 @@ are forced: position m-1 must be u = P11 and the outer two are (1 - P12)/u
 and (1 + P21)/u, which must divide exactly and stay inside the candidate
 norm bound.  Survivors get a full cyclic window check before being emitted.
 
+Every entry has norm at most the limit (n + 1)^2, the square of the entry
+bound n + 1 over a ring whose nonzero norms are at least 1
+(`bounds.quiddity_bound`).  The prefix entries are placed by the same step
+as the searched ones, each as the one choice at its position.
+
 The last free position is solved, not scanned.  There c gives u = P11*c +
 P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11 whatever c is:
 every surviving c comes from a factor pair (a, u) of x with both norms
 within the limit, as c = (u - P12)/P11.  The pairs come from the ball of
-norms up to the limit, walked grouped by norm as the compiled kernel does
-and memoised per x for the tasks that share (t, limit); the ball holds
-only b = 0 elements when every prefix entry and candidate has b = 0, since
-Z is closed under the product.  The solved c that are candidates, taken
-once per occurrence in the candidate list and in its order, go through
-the same step as a scanned one, so the output does not change.  When the
-ball holds more than twice as many elements as the candidate list, the
-kernel scans that position instead.
+norms up to the limit (`rings.ball_rows`), walked grouped by norm as the
+compiled kernel does and memoised per x for the tasks that share (t, n);
+the ball holds only b = 0 elements when every prefix entry and candidate
+has b = 0, since Z is closed under the product.  The solved c that are
+candidates, taken once per occurrence in the candidate list and in its
+order, go through the same step as a scanned one.
 
 `quiddity._speedups` is the compiled twin of this module; both expose the
 same `search_from_prefix` and must return identical lists, except that the
@@ -37,9 +40,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import isqrt
 
-from quiddity.rings import pair_conj, pair_div, pair_mul, pair_norm
+from quiddity.rings import ball_rows, pair_conj, pair_div, pair_mul, pair_norm
 
 KERNEL_KIND = "pure"
 
@@ -62,24 +64,6 @@ def _windows_nonzero(t, entries, m):
     return True
 
 
-def _rows(t, limit, real):
-    """The ball of nonzero pairs with norm at most `limit`, row by row: row
-    b = 0 first, then rows b and -b for b = 1, 2, ...; with `real`, only
-    row b = 0.  Each row is (b, lo, hi), its a running from lo to hi.
-
-    4 * norm(a + b*omega) = (2a + tb)^2 + (4 - t^2) b^2, so row b holds the
-    a with |2a + tb| <= isqrt(4 * limit - (4 - t^2) b^2).
-    """
-    b = 0
-    while (rest := 4 * limit - (4 - t * t) * b * b) >= 0:
-        r = isqrt(rest)
-        for row in (b, -b) if b else (0,):
-            yield row, -((r + t * row) // 2), (r - t * row) // 2
-        if real:
-            return
-        b += 1
-
-
 class _FactorPairs:
     """The factor pairs (a, u) of x with a and u in the ball of norms up to
     `limit` (its b = 0 row alone when `real`), by the u of each pair.
@@ -92,7 +76,7 @@ class _FactorPairs:
 
     def __init__(self, t, limit, real):
         groups = {}
-        for b, lo, hi in _rows(t, limit, real):
+        for b, lo, hi in ball_rows(t, limit, real):
             for a in range(lo, hi + 1):
                 if a or b:
                     groups.setdefault(pair_norm(t, (a, b)), []).append((a, b))
@@ -123,27 +107,22 @@ _factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
 
 
 @lru_cache(maxsize=1)
-def _solve_plan(t, limit, real, candidates):
-    """None when the ball holds more than twice as many elements as the
-    candidates, so the last free position is scanned; else the ball's
-    factor pairs and each candidate's indices, every one of a duplicate's."""
-    size = 0
-    for b, lo, hi in _rows(t, limit, real):
-        size += hi - lo + (b != 0)  # row 0 holds zero
-        if size > 2 * len(candidates):
-            return None
+def _positions(candidates):
+    """Each candidate's indices, every one of a duplicate's; one candidate
+    list at a time, shared by the tasks of one suffix."""
     where = {}
     for i, cand in enumerate(candidates):
         where.setdefault(cand, []).append(i)
-    return _factor_pairs(t, limit, real), where
+    return where
 
 
-def search_from_prefix(t, n, prefix, candidates, limit):
+def search_from_prefix(t, n, prefix, candidates):
     """All cycles completing `prefix`, as tuples of element pairs.
 
     t: 0 or 1, the ring's omega^2 = t*omega - 1 (0 for Z);
+    n: the height, so cycles have n + 3 entries of norm at most (n + 1)^2;
     prefix: the first search entries (at least one), already chosen;
-    candidates: allowed entries in search order; limit: max norm.
+    candidates: allowed entries in search order.
     Entries are (a, b) tuples.  Results follow the candidate order, so
     disjoint prefixes partition the full search deterministically.
     """
@@ -151,20 +130,22 @@ def search_from_prefix(t, n, prefix, candidates, limit):
         raise ValueError(f"t must be 0 or 1, got {t!r}")
     m = n + 3
     free = m - 3
-    if not (1 <= len(prefix) <= free <= MAX_DEPTH):
+    npre = len(prefix)
+    if not (1 <= npre <= free <= MAX_DEPTH):
         raise ValueError("bad prefix length or height")
+    limit = (n + 1) ** 2
+    if not all(0 < pair_norm(t, c) <= limit for c in prefix):
+        return []
+    if npre < free:
+        real = not any(b for _, b in chain(prefix, candidates))
+        pairs, where = _factor_pairs(t, limit, real), _positions(tuple(candidates))
 
     results = []
-    plan = None
-    if len(prefix) < free:
-        real = not any(b for _, b in chain(prefix, candidates))
-        plan = _solve_plan(t, limit, real, tuple(candidates))
 
     def solved(p11, p12):
         # the candidates c whose u = p11*c + p12 has a ball cofactor a with
         # a*u = 1 + p11, in candidate order; c = (u - p12) * conj(p11) / d
         # with d = norm(p11) must divide exactly
-        pairs, where = plan
         us = pairs.cofactors((p11[0] + 1, p11[1]))
         if not us:
             return ()
@@ -197,10 +178,16 @@ def search_from_prefix(t, n, prefix, candidates, limit):
         if depth == free:
             solve_tail(p11, p12, p21, entries)
             return
-        # c * prev == 1 exactly when c is prev's inverse (None if it has none)
-        inverse = pair_div(t, ONE, entries[-1])
         last = depth + 1 == free  # then q11 is the forced entry u
-        for cand in solved(p11, p12) if last and plan is not None else candidates:
+        if depth < npre:
+            choices = prefix[depth:depth + 1]
+        elif last:
+            choices = solved(p11, p12)
+        else:
+            choices = candidates
+        # c * prev == 1 exactly when c is prev's inverse (None if it has none)
+        inverse = pair_div(t, ONE, entries[-1]) if entries else None
+        for cand in choices:
             if cand == inverse:
                 continue
             ta, tb = pair_mul(t, p11, cand)
@@ -212,22 +199,8 @@ def search_from_prefix(t, n, prefix, candidates, limit):
             extend(depth + 1, q11, (-p11[0], -p11[1]), q21,
                    (-p21[0], -p21[1]), entries + (cand,))
 
-    # replay the prefix through the same pruning the search applies
-    p11, p12, p21, p22 = (1, 0), (0, 0), (0, 0), (1, 0)
-    entries = ()
-    for cand in prefix:
-        ca, cb = cand
-        if (ca == 0 and cb == 0) or pair_norm(t, cand) > limit:
-            return []
-        if entries and pair_mul(t, entries[-1], cand) == ONE:
-            return []
-        ta, tb = pair_mul(t, p11, cand)
-        q11 = (ta + p12[0], tb + p12[1])
-        if q11 == (0, 0):
-            return []
-        ta, tb = pair_mul(t, p21, cand)
-        q21 = (ta + p22[0], tb + p22[1])
-        p11, p12, p21, p22 = q11, (-p11[0], -p11[1]), q21, (-p21[0], -p21[1])
-        entries = entries + (cand,)
-    extend(len(entries), p11, p12, p21, p22, entries)
+    try:
+        extend(0, ONE, (0, 0), (0, 0), ONE, ())
+    finally:
+        del extend  # it holds itself through its closure cell
     return results

@@ -5,7 +5,9 @@
    stated once, in quiddity/rings.py, and mul, norm and divide below compute
    exactly those.  The search walks positions 1..m-3 depth first over the
    candidate list, keeping the running eta-matrix product, and forces the
-   last three entries; see quiddity/_kernel.py for the derivation.
+   last three entries; see quiddity/_kernel.py for the derivation.  Every
+   entry has norm at most the limit (n + 1)^2, and each prefix entry is the
+   one choice at its position.
 
    The last free position is solved from the factor pairs of x = 1 + p11,
    as in the pure kernel: the forced entries a and u there satisfy a*u = x
@@ -14,9 +16,8 @@
    norm, largest first, and each node tries only the norms d with d | N(x)
    and N(x)/d <= limit.  The solved c are looked up among the candidates
    sorted by value, every position of a duplicate is kept, and the hits go
-   through the same step as a scanned candidate, in candidate order.  When
-   the ball holds more than twice as many elements as the candidates, that
-   position is scanned instead.
+   through the same step as a scanned candidate, in candidate order.  At
+   the depth cap the ball holds at most 1044 elements.
 
    Every int64 product, sum, difference and negation is checked, and the
    integer square root is exact integer code.  An overflow raises
@@ -63,7 +64,7 @@ typedef struct {
     const elem *pre, *cand;  /* the prefix entries and the candidates */
     elem e[MAXM];            /* the cycle being built */
     PyObject *results;
-    /* The solve of the last free position; nball < 0 means it is scanned. */
+    /* The solve of the last free position. */
     Py_ssize_t nball;
     ball_elem *ball;         /* by norm, largest first */
     ranked *byval;           /* the candidates by value, then position */
@@ -244,39 +245,24 @@ by_position(const void *x, const void *y)
     return (p > q) - (p < q);
 }
 
-/* Fill s->ball with the nonzero elements of norm at most the limit, row by
-   row as the pure kernel's _rows does: 4 norm(a + b omega) = (2a + tb)^2
-   + (4 - t^2) b^2, so row b holds the a with |2a + tb| <= isqrt(4 limit -
-   (4 - t^2) b^2).  With `real` only row b = 0.  1 and s->nball set if they
-   number at most cap, 0 if more, -1 on error. */
-static int
-fill_ball(search *s, int real, Py_ssize_t cap)
+/* The nonzero elements of norm at most the limit, row by row as
+   quiddity.rings.ball_rows: 4 norm(a + b omega) = (2a + tb)^2 + (4 - t^2)
+   b^2, so row b holds the a with |2a + tb| <= isqrt(4 limit - (4 - t^2)
+   b^2).  With `real` only row b = 0.  Stored in ball unless it is NULL;
+   their number.  The limit is at most 17^2, so nothing here overflows. */
+static Py_ssize_t
+fill_ball(const search *s, int real, ball_elem *ball)
 {
-    int64_t b, row, r, a, lo, hi, four, bb, t = s->t;
+    int64_t b, row, r, a, t = s->t, four = 4 * s->limit;
     Py_ssize_t n = 0;
-    /* row b = 0 alone holds 2 isqrt(limit) elements */
-    if (s->limit >= 0 && isqrt64(s->limit) > cap / 2)
-        return 0;
-    /* so 4 limit fits, and r, b and a stay below its square root */
-    if (__builtin_mul_overflow(s->limit, (int64_t)4, &four))
-        return overflow();
-    for (b = 0;; b++) {
-        if (__builtin_mul_overflow(b, b, &bb) || __builtin_mul_overflow(bb, 4 - t * t, &bb))
-            return overflow();
-        if (bb > four)
-            break;
-        r = isqrt64(four - bb);
+    for (b = 0; (4 - t * t) * b * b <= four; b++) {
+        r = isqrt64(four - (4 - t * t) * b * b);
         for (row = b; row >= -b; row -= 2 * b) {
-            lo = -half_floor(r + t * row);
-            hi = half_floor(r - t * row);
-            for (a = lo; a <= hi; a++) {
+            for (a = -half_floor(r + t * row); a <= half_floor(r - t * row); a++) {
                 if (a == 0 && row == 0)
                     continue;
-                if (n == cap)
-                    return 0;
-                s->ball[n].u = (elem){a, row};
-                if ((s->ball[n].norm = norm(t, s->ball[n].u)) < 0)
-                    return -1;
+                if (ball != NULL)
+                    ball[n] = (ball_elem){{a, row}, norm(t, (elem){a, row}), 0};
                 n++;
             }
             if (b == 0)
@@ -285,31 +271,26 @@ fill_ball(search *s, int real, Py_ssize_t cap)
         if (real)
             break;
     }
-    s->nball = n;
-    return 1;
+    return n;
 }
 
-/* Set up the solve of the last free position, or leave s->nball at -1 so
-   that position is scanned.  0 on success, -1 on error. */
+/* Set up the solve of the last free position.  0 on success, -1 on error. */
 static int
 prepare_solve(search *s)
 {
-    Py_ssize_t i, n = s->npre + s->ncand, cap = 2 * s->ncand;
-    int real = 1, r;
+    Py_ssize_t i, n = s->npre + s->ncand;
+    int real = 1;
     for (i = 0; i < n; i++)  /* the prefix entries, then the candidates */
         real &= s->pre[i].b == 0;
-    if ((s->ball = PyMem_New(ball_elem, cap)) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    if ((r = fill_ball(s, real, cap)) <= 0)
-        return r;
+    s->nball = fill_ball(s, real, NULL);
+    s->ball = PyMem_New(ball_elem, s->nball);
     s->byval = PyMem_New(ranked, s->ncand);
     s->hits = PyMem_New(Py_ssize_t, s->ncand);
-    if (s->byval == NULL || s->hits == NULL) {
+    if (s->ball == NULL || s->byval == NULL || s->hits == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    fill_ball(s, real, s->ball);
     qsort(s->ball, s->nball, sizeof *s->ball, by_norm_descending);
     for (i = s->nball - 1; i >= 0; i--)
         s->ball[i].next = i + 1 < s->nball && s->ball[i + 1].norm == s->ball[i].norm
@@ -453,11 +434,11 @@ solve_tail(search *s, const mat *p)
     return emit(s);
 }
 
-/* Positions below npre take their prefix entry, so the prefix is replayed
+/* Positions below npre take their prefix entry, so the prefix goes
    through the same pruning as the search.  c * prev == 1 exactly when c is
    the inverse of the previous entry, so that inverse, if there is one, is
    found once per node and skipped.  The last free position takes only the
-   solved candidates unless it is scanned. */
+   solved candidates. */
 static int
 extend(search *s, int depth, const mat *p)
 {
@@ -471,7 +452,7 @@ extend(search *s, int depth, const mat *p)
         return solve_tail(s, p);
     if (depth > 0 && (has_inv = divide(s->t, one, s->e[depth - 1], &inv)) < 0)
         return -1;
-    if (depth + 1 == s->free && depth >= s->npre && s->nball >= 0) {
+    if (depth + 1 == s->free && depth >= s->npre) {
         if ((nchoice = solve_last(s, p)) < 0)
             return -1;
         order = s->hits;
@@ -506,7 +487,7 @@ to_elem(PyObject *pair, elem *out)
 }
 
 PyDoc_STRVAR(search_from_prefix_doc,
-"search_from_prefix(t, n, prefix, candidates, limit)\n--\n\n"
+"search_from_prefix(t, n, prefix, candidates)\n--\n\n"
 "All cycles completing `prefix`, as tuples of element pairs.\n\n"
 "Same contract and output as the pure kernel's search_from_prefix; raises\n"
 "OverflowError where int64 arithmetic would overflow.");
@@ -514,9 +495,8 @@ PyDoc_STRVAR(search_from_prefix_doc,
 static PyObject *
 search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"t", "n", "prefix", "candidates", "limit", NULL};
+    static char *kwlist[] = {"t", "n", "prefix", "candidates", NULL};
     int t, n, r = 0;
-    long long limit;
     PyObject *prefix_arg, *cand_arg, *prefix = NULL, *cands = NULL;
     elem *pool = NULL;
     Py_ssize_t i, npre, ncand;
@@ -524,8 +504,8 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
     search s = {.results = NULL};
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOOL:search_from_prefix", kwlist,
-                                     &t, &n, &prefix_arg, &cand_arg, &limit))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiOO:search_from_prefix", kwlist,
+                                     &t, &n, &prefix_arg, &cand_arg))
         return NULL;
     if (t != 0 && t != 1)
         return PyErr_Format(PyExc_ValueError, "t must be 0 or 1, got %d", t);
@@ -552,8 +532,8 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
             goto done;
 
     s = (search){.t = t, .m = n + 3, .free = n, .npre = (int)npre, .ncand = ncand,
-                 .limit = limit, .pre = pool, .cand = pool + npre, .results = PyList_New(0),
-                 .nball = -1};
+                 .limit = (int64_t)(n + 1) * (n + 1), .pre = pool, .cand = pool + npre,
+                 .results = PyList_New(0)};
     if (s.results == NULL)
         goto done;
     for (i = 0; i < npre && r == 0; i++)

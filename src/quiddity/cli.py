@@ -23,7 +23,7 @@ from quiddity.errors import InvalidCycleError, QuiddityError, UsageError
 from quiddity.frieze import FriezeWindow, frieze_from_cycle, verify
 from quiddity.labelling import cycle_from_labelling, is_admissible, labelling_from_cycle
 from quiddity.reduction import reduce_to_base
-from quiddity.rings import _printable, _rational_from_json, elements_norm_at_most, ring_from_tag
+from quiddity.rings import _printable, _rational_from_json, count_norm_at_most, ring_from_tag
 from quiddity import transforms
 
 __all__ = ["main"]
@@ -190,7 +190,7 @@ def bound_cmd(tag, n, m_inf):
     _printable(B_sq.denominator)
     line = f"B={B} B_sq={B_sq}"
     if ring.is_discrete:
-        line += f" candidates={len(elements_norm_at_most(ring, B_sq))}"
+        line += f" candidates={count_norm_at_most(ring, B_sq)}"
     click.echo(line)
 
 
@@ -279,23 +279,19 @@ def cluster_cmd(cycle_json, fmt):
 @main.command("enumerate")
 @click.option("--ring", "tag", required=True, help="Ring tag, e.g. Z, Zi, Zzeta6.")
 @click.option("--height", "n", required=True, type=int)
-@click.option("--orbits", is_flag=True, help="Also count dihedral orbits.")
 @click.option("--jobs", default=1, show_default=True, type=int)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False, writable=True),
               help="Also write the full result as JSON to this file.")
 @_format_option
 @_guard
-def enumerate_cmd(tag, n, orbits, jobs, out_path, fmt):
+def enumerate_cmd(tag, n, jobs, out_path, fmt):
     """Count all quiddity cycles of one height with zero-free friezes."""
     ring = ring_from_tag(tag)
     result = enumeration.count_nonzero(ring, n, jobs=jobs)
     if fmt == "json":
         click.echo(jsonio.dumps(jsonio.result_to_json(result)))
     else:
-        if orbits:
-            click.echo(f"total={result.total} orbits={result.orbit_count}")
-        else:
-            click.echo(f"total={result.total}")
+        click.echo(f"total={result.total} orbits={result.orbit_count}")
         click.echo()
         click.echo(f"{'ring':<8}{'height':>7}{'cycles':>8}{'orbits':>8}")
         click.echo(f"{ring.tag:<8}{n:>7}{result.total:>8}{result.orbit_count:>8}")

@@ -115,7 +115,7 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    argl = [(ring.t, n, prefix, pairs[i:], (n + 1) ** 2)
+    argl = [(ring.t, n, prefix, pairs[i:])
             for prefix, i in _canonical_tasks(ring, n, elems, pairs)]
     workers = min(jobs, len(argl))
     if workers <= 1:

@@ -69,7 +69,9 @@ __all__ = [
     "Cyclotomic",
     "ring_from_tag",
     "norm_sq",
+    "ball_rows",
     "elements_norm_at_most",
+    "count_norm_at_most",
     "divisors_of_two",
 ]
 
@@ -758,25 +760,42 @@ def norm_sq(ring: Ring, x):
     return ring.norm_sq(ring.check_element(x))
 
 
-def elements_norm_at_most(ring: Ring, bound_sq) -> list:
-    """All nonzero x with norm_sq(x) <= bound_sq, sorted by the total order."""
+def ball_rows(t: int, limit: int, real: bool):
+    """The pairs with norm at most `limit`, zero included, row by row: row
+    b = 0 first, then rows b and -b for b = 1, 2, ...; with `real`, only
+    row b = 0.  Each row is (b, lo, hi), its a running from lo to hi.
+
+    4 * norm(a + b*omega) = (2a + tb)^2 + (4 - t^2) b^2, so row b holds the
+    a with |2a + tb| <= isqrt(4 * limit - (4 - t^2) b^2).
+    """
+    b = 0
+    while (rest := 4 * limit - (4 - t * t) * b * b) >= 0:
+        r = isqrt(rest)
+        for row in (b, -b) if b else (0,):
+            yield row, -((r + t * row) // 2), (r - t * row) // 2
+        if real:
+            return
+        b += 1
+
+
+def _ball(ring: Ring, bound_sq):
+    # norms are integers, and Z is the b = 0 row
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
-    bound_sq = Fraction(bound_sq)
-    if bound_sq < 1:
-        return []
-    if ring is Z:
-        r = isqrt(math.floor(bound_sq))
-        out = [n for n in range(-r, r + 1) if n != 0]
-    else:
-        # a^2 + tab + b^2 = (a + tb/2)^2 + (4 - t^2) b^2 / 4 is symmetric in
-        # a and b, so both coordinates are bounded by sqrt(4B / (4 - t^2))
-        t = ring.t
-        r = isqrt(math.floor(4 * bound_sq / (4 - t * t)))
-        out = [ring.element(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
-               if (a or b) and pair_norm(t, (a, b)) <= bound_sq]
+    return ball_rows(ring.t, math.floor(bound_sq), ring is Z)
+
+
+def elements_norm_at_most(ring: Ring, bound_sq) -> list:
+    """All nonzero x with norm_sq(x) <= bound_sq, sorted by the total order."""
+    out = [a if ring is Z else ring.element(a, b)
+           for b, lo, hi in _ball(ring, bound_sq) for a in range(lo, hi + 1) if a or b]
     out.sort(key=ring.sort_key)
     return out
+
+
+def count_norm_at_most(ring: Ring, bound_sq) -> int:
+    """len(elements_norm_at_most(ring, bound_sq)), summed from the row widths."""
+    return sum(hi - lo + (b != 0) for b, lo, hi in _ball(ring, bound_sq))  # row 0 holds zero
 
 
 def _field_stream(ring: Ring):

@@ -16,7 +16,7 @@ from quiddity.clusters import diagonal_label
 from quiddity.cycles import Cycle
 from quiddity.frieze import frieze_from_cycle
 from quiddity.jsonio import dumps, result_from_json, result_to_json
-from quiddity.rings import Z
+from quiddity.rings import Z, Zi, Zzeta6, elements_norm_at_most
 
 
 HEXAGON_JSON = '{"ring": "Z", "entries": [1, 4, 1, 2, 2, 2]}'
@@ -179,6 +179,18 @@ def test_bound_discrete(runner):
     assert result.output == "B=3 B_sq=9 candidates=28\n"
 
 
+def test_bound_counts_the_candidate_list(runner):
+    # the count is summed from the ball's rows, never built element by element
+    for ring in (Z, Zi, Zzeta6):
+        for n in range(1, 9):
+            result = runner.invoke(main, ["bound", "--ring", ring.tag, "--height", str(n)])
+            count = len(elements_norm_at_most(ring, (n + 1) ** 2))
+            assert result.output.endswith(f" candidates={count}\n"), (ring, n)
+    # Gaussian integers of norm at most 601^2, counted column by column
+    result = runner.invoke(main, ["bound", "--ring", "Zi", "--height", "600"])
+    assert result.output == "B=601 B_sq=361201 candidates=1134596\n"
+
+
 def test_bound_field_and_fraction(runner):
     result = runner.invoke(main, ["bound", "--ring", "Q", "--height", "3"])
     assert result.exit_code == 0
@@ -312,8 +324,7 @@ def test_cluster_json_at_large_m(runner, entries):
 
 
 def test_enumerate_table(runner):
-    result = runner.invoke(main, [
-        "enumerate", "--ring", "Zi", "--height", "2", "--orbits"])
+    result = runner.invoke(main, ["enumerate", "--ring", "Zi", "--height", "2"])
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert lines[0] == "total=55 orbits=7"
@@ -323,8 +334,11 @@ def test_enumerate_table(runner):
 
 
 def test_enumerate_without_orbit_flag(runner):
+    # the first line always carries the orbit count, so no flag asks for it
     result = runner.invoke(main, ["enumerate", "--ring", "Z", "--height", "1"])
-    assert result.output.splitlines()[0] == "total=4"
+    assert result.output.splitlines()[0] == "total=4 orbits=2"
+    result = runner.invoke(main, ["enumerate", "--ring", "Z", "--height", "1", "--orbits"])
+    assert result.exit_code == 2
 
 
 def test_enumerate_json_round_trip(runner):

@@ -5,6 +5,8 @@ engine is cross-checked against a naive product scan on the smallest cells
 and its structural invariants are tested on the rest.
 """
 
+import gc
+import inspect
 import itertools
 import random
 import subprocess
@@ -63,7 +65,7 @@ def full_search(ring, n):
                     if x * y != ring.one]
     out = []
     for prefix in prefixes:
-        for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs, (n + 1) ** 2):
+        for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs):
             out.append(tuple(element[p] for p in tup))
     return sorted(out, key=lambda e: tuple(ring.sort_key(x) for x in e))
 
@@ -152,38 +154,41 @@ def kernel(request):
 ])
 def test_kernel_rejects_bad_prefix_or_height(kernel, t, n, prefix, message):
     with pytest.raises(ValueError, match=message):
-        kernel.search_from_prefix(t, n, prefix, [(1, 0)], (n + 1) ** 2)
+        kernel.search_from_prefix(t, n, prefix, [(1, 0)])
 
 
 @pytest.mark.parametrize("prefix", [[(0, 0)], [(5, 0)], [(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
 def test_kernel_prunes_bad_prefix_entries(kernel, prefix):
-    # a zero entry, an entry above the norm limit, an adjacent product 1, and a
-    # zero continuant (1 * -1 + 1)
-    assert kernel.search_from_prefix(Z.t, 3, prefix, [(1, 0), (2, 0)], 16) == []
+    # a zero entry, an entry above the norm limit 16, an adjacent product 1,
+    # and a zero continuant (1 * -1 + 1)
+    assert kernel.search_from_prefix(Z.t, 3, prefix, [(1, 0), (2, 0)]) == []
 
 
 def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
     # entries near the int64 range: the compiled kernel returns the pure
-    # kernel's list or raises OverflowError, never a wrong list
+    # kernel's list or raises OverflowError, never a wrong list.  A prefix
+    # inside the norm limit passes the kernel's first check, so an overflow
+    # there comes from the search itself.
     rnd = random.Random(5)
     outcomes = set()
     for _ in range(400):
         ring, n = rnd.choice([Z, Zi, Zzeta6]), rnd.randrange(1, 7)
-        big = rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1])
 
-        def elem():
+        def elem(big):
             return rnd.randint(-big, big), 0 if ring is Z else rnd.randint(-big, big)
 
-        prefix = [elem() for _ in range(rnd.randint(1, n))]
-        cands = [elem() for _ in range(3)]
-        limit = rnd.choice([4, 81, 2**62])
-        pure = _kernel.search_from_prefix(ring.t, n, prefix, cands, limit)
+        inside = rnd.random() < 0.5
+        prefix = [elem(1 if inside else rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1]))
+                  for _ in range(rnd.randint(1, n))]
+        big = rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1])
+        cands = [elem(big) for _ in range(3)]
+        pure = _kernel.search_from_prefix(ring.t, n, prefix, cands)
         try:
-            assert compiled_kernel.search_from_prefix(ring.t, n, prefix, cands, limit) == pure
+            assert compiled_kernel.search_from_prefix(ring.t, n, prefix, cands) == pure
             outcomes.add("equal")
         except OverflowError:
-            outcomes.add("overflow")
-    assert outcomes == {"equal", "overflow"}
+            outcomes.add("search overflow" if inside else "overflow")
+    assert outcomes == {"equal", "overflow", "search overflow"}
 
 
 # Height 5 on the compiled kernel.  Both counts were cross-checked against
@@ -216,11 +221,11 @@ def _div(t, x, y):
     return None if a % n or b % n else (a // n, b // n)
 
 
-def scan_search(t, n, prefix, candidates, limit):
+def scan_search(t, n, prefix, candidates):
     """The kernel contract computed by scanning: every candidate is tried at
     every free position, in order, and the last three entries are forced.
     Its arithmetic is its own, so it shares no code with either kernel."""
-    m = n + 3
+    m, limit = n + 3, (n + 1) ** 2
     out = []
 
     def windows_nonzero(cycle):
@@ -263,23 +268,16 @@ def scan_search(t, n, prefix, candidates, limit):
     return out
 
 
-def _ball_size(t, limit, real):
-    # limits up to 81: every element of norm <= 81 has |a|, |b| <= 10
-    return sum(1 for a in range(-11, 12) for b in ((0,) if real else range(-11, 12))
-               if (a, b) != (0, 0) and _norm(t, (a, b)) <= limit)
-
-
 def test_last_position_solve_matches_the_scan(kernel):
-    # Both kernels solve the last free position when the ball of norms up to
-    # the limit holds at most twice as many elements as the candidates, and
-    # scan it otherwise.  Seeded draws cover both, with candidate lists that
-    # are unsorted, duplicated, real-only or mixed, and reach outside the ball.
+    # Both kernels solve the last free position unless the prefix fills it.
+    # Seeded draws cover both, with candidate lists that are unsorted,
+    # duplicated, real-only or mixed, and reach outside the ball of norms up
+    # to the limit (n + 1)^2.
     rnd = random.Random(19)
     small = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
-    found = {"solve": 0, "scan": 0}
+    found = {"solve": 0, "prefix": 0, "outside": 0}
     for _ in range(400):
         t, real = rnd.choice((0, 1)), rnd.random() < 0.4
-        limit = rnd.choice((4, 16, 81, 2**62))
         n = rnd.randint(1, 5)
         width = rnd.choice((1, 2, 3, 5, 9))
         pool = [(a, b) for a in range(-width, width + 1)
@@ -289,12 +287,11 @@ def test_last_position_solve_matches_the_scan(kernel):
         rnd.shuffle(cands)
         prefix = [rnd.choice([c for c in small if not real or c[1] == 0])
                   for _ in range(rnd.randint(max(1, n - 2), n))]
-        expected = scan_search(t, n, prefix, cands, limit)
-        assert kernel.search_from_prefix(t, n, prefix, cands, limit) == expected, \
-            (t, n, prefix, cands, limit)
-        solves = (len(prefix) < n and limit < 100
-                  and _ball_size(t, limit, real) <= 2 * len(cands))
-        found["solve" if solves else "scan"] += len(expected)
+        expected = scan_search(t, n, prefix, cands)
+        assert kernel.search_from_prefix(t, n, prefix, cands) == expected, \
+            (t, n, prefix, cands)
+        found["solve" if len(prefix) < n else "prefix"] += len(expected)
+        found["outside"] += any(_norm(t, c) > (n + 1) ** 2 for c in cands)
     assert min(found.values()) > 0, found
 
 
@@ -313,15 +310,37 @@ def test_kernels_agree_on_deep_prefixes(compiled_kernel):
     prefixes += [p[:4] for p in prefixes[:9]]
     found = 0
     for prefix in prefixes:
-        pure = _kernel.search_from_prefix(Zi.t, n, list(prefix), pairs, (n + 1) ** 2)
-        fast = compiled_kernel.search_from_prefix(Zi.t, n, list(prefix), pairs, (n + 1) ** 2)
+        pure = _kernel.search_from_prefix(Zi.t, n, list(prefix), pairs)
+        fast = compiled_kernel.search_from_prefix(Zi.t, n, list(prefix), pairs)
         assert fast == pure, prefix
         found += len(pure)
     assert len(prefixes) == 99 and found > len(prefixes)
 
 
+def test_kernels_share_one_signature(compiled_kernel):
+    pure = inspect.signature(_kernel.search_from_prefix)
+    assert inspect.signature(compiled_kernel.search_from_prefix) == pure
+    assert list(pure.parameters) == ["t", "n", "prefix", "candidates"]
+
+
+def test_pure_kernel_leaves_no_reference_cycle():
+    # each task's search state is freed by reference counting alone: a task
+    # with cycles, one with none, one whose prefix fills every free position
+    # and one whose prefix is pruned at once
+    pairs = [Zi.to_pair(x) for x in candidate_entries(Zi, 3)]
+    tasks = [[(1, 0)], [(3, 0), (3, 0)], [(1, 0), (2, 0), (3, 0)], [(9, 0)]]
+    gc.collect()
+    gc.disable()
+    try:
+        for prefix in tasks:
+            _kernel.search_from_prefix(Zi.t, 3, prefix, pairs)
+            assert gc.collect() == 0, prefix
+    finally:
+        gc.enable()
+
+
 # the forced entry u (about 2.6e18) fits in int64 but its norm does not
-OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)], 289)
+OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)])
 
 
 def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
