@@ -244,7 +244,8 @@ def unit_family(ring: Ring, n: int, how_many: int) -> list:
         if any(t == b for b in bad):
             continue
         cyc = unit_family_cycle(ring, n, t)
-        assert is_nonzero(frieze_from_cycle(cyc))
+        if not is_nonzero(frieze_from_cycle(cyc)):
+            raise RuntimeError(f"the frieze of {cyc} at parameter {t} has a zero")
         out.append((t, cyc))
         if len(out) == how_many:
             break

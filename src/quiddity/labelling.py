@@ -43,8 +43,9 @@ walk children first, in O(m): it is forced whenever it exists.
 
 The combinatorial reduction engine works in the other direction, removing
 ears (vertices in a single triangle) and squares; its six cases mirror the
-integer-cycle reduction cases one for one.  A square is removable at window
-k when its four corners are the consecutive vertices k-1..k+2.
+integer-cycle reduction cases one for one, chosen by the same rule.  A
+square is removable at window k when its four corners are the consecutive
+vertices k-1..k+2.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import reduce_to_base
+from quiddity.reduction import _NEGATES, _choose_case, reduce_to_base
 from quiddity.rings import Z, _check_int
 
 __all__ = [
@@ -124,12 +125,6 @@ class Triangulation:
         object.__setattr__(self, "triangles", tuple(sorted(walk)))
         object.__setattr__(self, "_walk", walk)
         object.__setattr__(self, "_parent", parent)
-
-    def is_ear(self, v: int) -> bool:
-        """True iff vertex v lies in exactly one triangle."""
-        prev = (v - 2) % self.m + 1
-        nxt = v % self.m + 1
-        return tuple(sorted((prev, v, nxt))) in self._parent
 
 
 def _apexes_from_diagonals(m: int, diagonals: frozenset) -> dict:
@@ -299,13 +294,14 @@ def is_admissible(lab: Labelling) -> bool:
 def cycle_from_labelling(lab: Labelling) -> Cycle:
     """Vertex sums of an admissible labelling, as an integer quiddity cycle.
 
-    That the sums always form a quiddity cycle is a theorem; it is asserted
-    on every call rather than trusted.
+    That the sums always form a quiddity cycle is a theorem; it is checked
+    on every call rather than trusted, and a failure raises RuntimeError.
     """
     if not is_admissible(lab):
         raise InvalidLabellingError("labelling is not admissible")
     cycle = Cycle(Z, lab.vertex_sums())
-    assert is_quiddity(cycle), "admissible labelling must give a quiddity cycle"
+    if not is_quiddity(cycle):
+        raise RuntimeError(f"an admissible labelling gave {cycle}, not a quiddity cycle")
     return cycle
 
 
@@ -316,7 +312,8 @@ def cc_quiddity(tri: Triangulation) -> Cycle:
         for v in t:
             counts[v - 1] += 1
     cycle = Cycle(Z, tuple(counts))
-    assert is_quiddity(cycle)
+    if not is_quiddity(cycle):
+        raise RuntimeError(f"triangle counts {cycle} are not a quiddity cycle")
     return cycle
 
 
@@ -373,7 +370,7 @@ def _glue_back(boundary: list, labels: dict, step) -> None:
     (1, m - 1) or (2, m), and then the reduced cycle would hold a single
     entry in {-1, 0, 1}, against the small-entry corollary.
     """
-    if step.case_tag in ("T2", "T3"):
+    if step.case_tag in [f"T{case}" for case in _NEGATES]:
         for t in labels:
             labels[t] = -labels[t]
     before = step.before.entries
@@ -395,9 +392,9 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """An admissible labelling whose vertex sums are exactly `cycle`.
 
     Built by reducing the cycle to (0,0) and undoing the reduction steps
-    backwards on the 2-gon with `_glue_back`.  Every stage is checked: its
-    sums are the step's input and it is admissible.  The result is one of
-    possibly several admissible labellings for the cycle.
+    backwards on the 2-gon with `_glue_back`.  Every stage is checked with
+    a raise: its sums are the step's input and it is admissible.  The
+    result is one of possibly several admissible labellings for the cycle.
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
@@ -405,15 +402,14 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     steps = reduce_to_base(cycle).steps
     boundary, labels = [0, 1], {}
     result = _from_triangles(2, {})
-    assert is_admissible(result), "the 2-gon must be admissible"
     for step in reversed(steps):
         _glue_back(boundary, labels, step)
         pos = {v: i for i, v in enumerate(boundary, 1)}
         result = _from_triangles(len(pos), {
             tuple(sorted((pos[a], pos[b], pos[c]))): x
             for (a, b, c), x in labels.items()})
-        assert result.vertex_sums() == step.before.entries, "undo missed the step input"
-        assert is_admissible(result), "undo lost admissibility"
+        if result.vertex_sums() != step.before.entries or not is_admissible(result):
+            raise RuntimeError(f"undoing {step.case_tag} at {step.indices} missed {step.before}")
     return result
 
 
@@ -471,20 +467,6 @@ def _without(lab: Labelling, vertices: set, triangles: set) -> Labelling:
                                        if (a, b, c) not in triangles})
 
 
-def _ear(lab: Labelling, k: int) -> tuple:
-    """The vertices and triangles that removing ear vertex k drops: k and
-    its one triangle.
-
-        p---k---q          p---q
-         \\  |  /     ->     (edge p-q now on the boundary)
-          \\ | /
-    """
-    m = lab.m
-    ear = tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))
-    assert ear in lab.labels
-    return {k}, {ear}
-
-
 def _square_windows(partition: list, m: int) -> dict:
     """The removable squares of a square partition, keyed by window: the
     square at window k has the four corners a, u, v, b = k-1, k, k+1, k+2.
@@ -509,16 +491,6 @@ def _square_windows(partition: list, m: int) -> dict:
     return windows
 
 
-def _square(lab: Labelling, k: int, square: tuple) -> tuple:
-    """The vertices and triangles that removing `square`, the matched
-    square on vertices (k-1 .. k+2), drops: the two middle vertices and
-    both triangles."""
-    m = lab.m
-    a, u, v, b = (_cyc(k - 1 + i, m) for i in range(4))
-    assert set(square[0] + square[1]) == {a, u, v, b}
-    return {u, v}, set(square)
-
-
 def _negated(lab: Labelling) -> Labelling:
     return _prechecked(Labelling, triangulation=lab.triangulation,
                        labels={t: -x for t, x in lab.labels.items()})
@@ -528,66 +500,55 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     """One combinatorial reduction case, chosen by fixed priority
     TC0 > TC1 > TC2 > TC3 > TC4 > TC5 with minimal indices.
 
-    Cases mirror the integer-cycle reduction one for one: remove an ear
-    labelled 1; remove a square and negate (m odd); remove an ear labelled
-    -1 and negate (m even); remove two separated squares; remove two
-    separated -1 ears.  The result is admissible (asserted); at least one
-    case always applies on admissible input.
+    Cases mirror the integer-cycle reduction one for one, chosen by its
+    rule: remove an ear labelled 1; remove a square and negate (m odd);
+    remove an ear labelled -1 and negate (m even); remove two separated
+    squares; remove two separated -1 ears.  The result is checked
+    admissible with a raise; one case always applies on admissible input.
     """
     partition = square_partition(lab)
     if partition is None or labelling_sign(lab) != 1:
         raise InvalidLabellingError("labelling is not admissible")
     m = lab.m
-
     if m < 4:
-        assert lab.labels == {} or list(lab.labels.values()) == [1]
         return LabellingStep("TC0", (), lab, lab)
 
-    tri = lab.triangulation
-    ears = [k for k in range(1, m + 1) if tri.is_ear(k)]
-    ear_labels = [lab.labels[tuple(sorted((_cyc(k - 1, m), k, _cyc(k + 1, m))))]
-                  for k in ears]
-    ears_one = [k for k, x in zip(ears, ear_labels) if x == 1]
-    if ears_one:
-        k = ears_one[0]
-        after = _without(lab, *_ear(lab, k))
-        assert is_admissible(after)
-        return LabellingStep("TC1", (k,), lab, after)
-
+    # an ear, a vertex in one triangle, is the middle corner of a triangle
+    # over a side of length 2, or vertex 1 of (1, 2, m) or m of (1, m-1, m)
+    ears = {}
+    for t in lab.labels:
+        a, c, b = t
+        if b - a == 2:
+            ears[c] = t
+        elif t == (1, 2, m):
+            ears[1] = t
+        elif t == (1, m - 1, m):
+            ears[m] = t
     windows = _square_windows(partition, m)
-    squares = sorted(windows)
-    if squares and m % 2 == 1:
-        k = squares[0]
-        after = _negated(_without(lab, *_square(lab, k, windows[k])))
-        assert is_admissible(after)
-        return LabellingStep("TC2", (k,), lab, after)
-
-    ears_minus = [k for k, x in zip(ears, ear_labels) if x == -1]
-    if ears_minus and m % 2 == 0:
-        k = ears_minus[0]
-        after = _negated(_without(lab, *_ear(lab, k)))
-        assert is_admissible(after)
-        return LabellingStep("TC3", (k,), lab, after)
-
-    # _first_separated_pair also skips the pair (1, m), which admissible
-    # input never holds: both ears, or both squares, would hold the one
-    # triangle on the boundary edge (m, 1).  The two blocks of a separated
-    # pair share no removed vertex and no triangle, so one `_without` call
-    # drops both.
-    pair = _first_separated_pair(squares, m)
-    if pair:
-        j, k = pair
-        (vj, tj), (vk, tk) = _square(lab, j, windows[j]), _square(lab, k, windows[k])
-        after = _without(lab, vj | vk, tj | tk)
-        assert is_admissible(after)
-        return LabellingStep("TC4", (j, k), lab, after)
-
-    pair = _first_separated_pair(ears_minus, m)
-    if pair:
-        j, k = pair
-        (vj, tj), (vk, tk) = _ear(lab, j), _ear(lab, k)
-        after = _without(lab, vj | vk, tj | tk)
-        assert is_admissible(after)
-        return LabellingStep("TC5", (j, k), lab, after)
-
-    raise RuntimeError("no case applies; contradicts the combinatorial theorem")
+    # _first_separated_pair skips the pair (1, m), which admissible input
+    # never holds: both ears, or both squares, would hold the one triangle
+    # on the boundary edge (m, 1)
+    chosen = _choose_case(m, sorted(k for k, t in ears.items() if lab.labels[t] == 1),
+                          sorted(windows),
+                          sorted(k for k, t in ears.items() if lab.labels[t] == -1))
+    if chosen is None:
+        raise RuntimeError("no case applies; contradicts the combinatorial theorem")
+    case, indices = chosen
+    # Cases 2 and 4 remove the squares at windows k, on vertices k-1 .. k+2:
+    # both triangles and the two middle vertices.  The others remove ear k
+    # and its triangle.  The blocks of a separated pair share no removed
+    # vertex and no triangle, so one `_without` call drops both.
+    vertices, triangles = set(), set()
+    for k in indices:
+        if case in (2, 4):
+            vertices |= {k, _cyc(k + 1, m)}
+            triangles.update(windows[k])
+        else:
+            vertices.add(k)
+            triangles.add(ears[k])
+    after = _without(lab, vertices, triangles)
+    if case in _NEGATES:
+        after = _negated(after)
+    if not is_admissible(after):
+        raise RuntimeError(f"case TC{case} at {indices} left an inadmissible labelling")
+    return LabellingStep(f"TC{case}", indices, lab, after)

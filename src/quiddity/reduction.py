@@ -14,12 +14,13 @@ pairing contractions or negating:
     T4  collapse around two separated 0s
     T5  drop two separated -1s
 
-At least one case always applies; that is a theorem, and the engine raises
-RuntimeError rather than guessing if the scan comes up empty.  Every step
-asserts that its output is a quiddity cycle.  `reduce_step_Z` also checks
-its input; `reduce_to_base` checks only the first, so each cycle of a trace
-is checked exactly once.  A step records its case, its indices and the
-cycles before and after it; `quiddity.labelling` undoes it from these alone.
+`_choose_case` holds that priority, for the labelling reduction too.  At
+least one case always applies; that is a theorem, and the engine raises
+RuntimeError rather than guessing if none does, or if a step's output is
+not a quiddity cycle.  `reduce_step_Z` also checks its input;
+`reduce_to_base` checks only the first, so each cycle of a trace is
+checked exactly once.  A step records its case, its indices and the cycles
+before and after it; `quiddity.labelling` undoes it from these alone.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
     """One reduction case for an integer quiddity cycle, by fixed priority
     T0 > T1 > T2 > T3 > T4 > T5 with minimal indices.
 
-    The result of every non-terminal case is again a quiddity cycle
-    (asserted).  One case always applies; that is the classification theorem
+    The result of every non-terminal case is checked to be a quiddity
+    cycle.  One case always applies; that is the classification theorem
     this engine implements.
     """
     _require_integer(cycle)
@@ -119,60 +120,66 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
     return _reduce_step(cycle)
 
 
-def _reduce_step(cycle: Cycle) -> ReductionStep:
-    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity; the
-    result is asserted quiddity, so a chain of steps checks each cycle once.
-    On (1, 1, 1) this is the T1 at 1 that ends at (0, 0)."""
-    m = cycle.m
-    ones = _positions_of(cycle, 1)
+# The contraction of each case, at the 1, 0 or -1 it chose.  Cases 2 and 3
+# flip the sign of the eta-product, and negating their result restores it.
+_CONTRACT = {1: contract_one, 2: contract_zero, 3: contract_minus_one,
+             4: contract_zero, 5: contract_minus_one}
+_NEGATES = (2, 3)
+
+
+def _choose_case(m: int, ones: list, zeros: list, minus: list):
+    """The case 1-5 that reduces an m-gon and its indices, by fixed priority
+    with minimal indices, or None.  `ones`, `zeros` and `minus` are the
+    sorted positions of the entries 1, 0 and -1 of a cycle, or of the ears
+    labelled 1, the removable squares and the ears labelled -1 of a
+    labelling."""
     if ones:
-        k = ones[0]
-        after = contract_one(cycle, k).cycle
-        assert is_quiddity(after)
-        return ReductionStep("T1", (k,), cycle, after, -1, -1)
-
-    zeros = _positions_of(cycle, 0)
+        return 1, (ones[0],)
     if zeros and m % 2 == 1:
-        k = zeros[0]
-        after = negate(contract_zero(cycle, k).cycle)
-        assert is_quiddity(after)
-        return ReductionStep("T2", (k,), cycle, after, -1, -1)
-
-    minus = _positions_of(cycle, -1)
+        return 2, (zeros[0],)
     if minus and m % 2 == 0:
-        k = minus[0]
-        after = negate(contract_minus_one(cycle, k).cycle)
-        assert is_quiddity(after)
-        return ReductionStep("T3", (k,), cycle, after, -1, -1)
-
+        return 3, (minus[0],)
     pair = _first_separated_pair(zeros, m)
     if pair:
-        j, k = pair
-        # contracting at k removes k - 1 and k, both above j (k - j > 1),
-        # so j keeps its index in the middle cycle
-        mid = contract_zero(cycle, k).cycle
-        after = contract_zero(mid, j).cycle
-        assert is_quiddity(after)
-        return ReductionStep("T4", (j, k), cycle, after, -1, -1)
-
+        return 4, pair
     pair = _first_separated_pair(minus, m)
     if pair:
-        j, k = pair
-        mid = contract_minus_one(cycle, k).cycle
-        after = contract_minus_one(mid, j).cycle
-        assert is_quiddity(after)
-        return ReductionStep("T5", (j, k), cycle, after, -1, -1)
+        return 5, pair
+    return None
 
-    raise RuntimeError("no case applies; contradicts the reduction theorem")
+
+def _reduce_step(cycle: Cycle) -> ReductionStep:
+    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity; the
+    result is checked, so a chain of steps checks each cycle once.  On
+    (1, 1, 1) this is the T1 at 1 that ends at (0, 0)."""
+    at = {1: [], 0: [], -1: []}
+    for k, c in enumerate(cycle.entries, 1):
+        if c in at:
+            at[c].append(k)
+    chosen = _choose_case(cycle.m, at[1], at[0], at[-1])
+    if chosen is None:
+        raise RuntimeError("no case applies; contradicts the reduction theorem")
+    case, indices = chosen
+    after = cycle
+    # a pair (j, k) is contracted at k first: that removes entries above j
+    # only (k - j > 1), so j keeps its index in the middle cycle
+    for k in reversed(indices):
+        after = _CONTRACT[case](after, k).cycle
+    if case in _NEGATES:
+        after = negate(after)
+    if not is_quiddity(after):
+        raise RuntimeError(f"case T{case} at {indices} gave {after}, not a quiddity cycle")
+    return ReductionStep(f"T{case}", indices, cycle, after, -1, -1)
 
 
 def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     """Full reduction of an integer quiddity cycle to (0,0).
 
-    The input is checked once and every step asserts its output, so each
-    cycle of the trace is checked exactly once.  The terminal (1,1,1) is not
-    left standing: one more T1 step takes it to (0,0), so every trace ends
-    at the 2-gon and can be inverted into a triangulation labelling.
+    The input is checked once and every step checks its output with a
+    raise, so each cycle of the trace is checked exactly once, also under
+    `python -O`.  The terminal (1,1,1) is not left standing: one more T1
+    step takes it to (0,0), so every trace ends at the 2-gon and can be
+    inverted into a triangulation labelling.
     """
     _require_integer(cycle)
     if not is_quiddity(cycle):
@@ -182,7 +189,8 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     while current.entries != (0, 0):
         step = _reduce_step(current)
         steps.append(step)
-        assert step.after.m < current.m, "reduction must shrink the cycle"
+        if step.after.m >= current.m:
+            raise RuntimeError(f"case {step.case_tag} did not shrink {current}")
         current = step.after
     return ReductionTrace(cycle, tuple(steps))
 

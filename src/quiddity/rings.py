@@ -793,9 +793,22 @@ def elements_norm_at_most(ring: Ring, bound_sq) -> list:
     return out
 
 
+# The count of lattice points in a disc has no closed form, so it is summed
+# one row at a time; a ball with more rows than this is refused, not walked.
+_MAX_BALL_ROWS = 10 ** 5
+
+
 def count_norm_at_most(ring: Ring, bound_sq) -> int:
-    """len(elements_norm_at_most(ring, bound_sq)), summed from the row widths."""
-    return sum(hi - lo + (b != 0) for b, lo, hi in _ball(ring, bound_sq))  # row 0 holds zero
+    """len(elements_norm_at_most(ring, bound_sq)), summed from the row widths.
+
+    Raises `UsageError` when the ball has more than `_MAX_BALL_ROWS` rows:
+    2 * isqrt(4 * bound_sq // (4 - t^2)) + 1 of them, or 1 over Z."""
+    ball = _ball(ring, bound_sq)
+    rows = 1 if ring is Z else 2 * isqrt(4 * math.floor(bound_sq) // (4 - ring.t ** 2)) + 1
+    if rows > _MAX_BALL_ROWS:
+        raise UsageError(f"the ball of norm at most B_sq={bound_sq} has {rows} rows, "
+                         f"more than the {_MAX_BALL_ROWS} that are counted one by one")
+    return sum(hi - lo + (b != 0) for b, lo, hi in ball)  # row 0 holds zero
 
 
 def _field_stream(ring: Ring):

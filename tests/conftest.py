@@ -110,6 +110,22 @@ def glued_cycle():
     return _glued_cycle
 
 
+@pytest.fixture(scope="session")
+def child_python():
+    """`child_python(*args, timeout=60)`: the finished run of a child Python
+    with these arguments, importing the same quiddity as this process
+    wherever pytest found it.  `-O` strips assert statements."""
+    src = str(Path(enumeration.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+    def run(*args, timeout=60):
+        return subprocess.run([sys.executable, *args],
+                              capture_output=True, text=True, timeout=timeout, env=env)
+
+    return run
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 

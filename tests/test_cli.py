@@ -212,6 +212,15 @@ def test_bound_past_the_digit_limit_is_a_usage_error(runner, norm_inf):
     assert result.output.startswith("error: number with more than")
 
 
+def test_bound_refuses_a_ball_of_too_many_rows(child_python):
+    # B = 2e9 gives 4e9 + 1 rows over Z[i]; walking them took minutes
+    proc = child_python("-m", "quiddity", "bound", "--ring", "Zi", "--height", "1",
+                        "--norm-inf", "1e-9", timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the ball of norm at most B_sq=4000000000000000000 ")
+
+
 def test_reduce_trace(runner):
     result = runner.invoke(main, [
         "reduce", "--cycle", '{"ring": "Z", "entries": [0, 2, -2, 0, 2, -2]}'])
@@ -221,14 +230,13 @@ def test_reduce_trace(runner):
         "end: (0, 0)\n")
 
 
-def test_reduce_certify(runner):
+def test_reduce_rejects_certify(runner):
+    # reduce_to_base checks every step with a raise, so there is no flag
     result = runner.invoke(main, [
         "reduce", "--cycle", '{"ring": "Z", "entries": [-1, -1, 0, 0, -1]}',
         "--certify"])
-    assert result.exit_code == 0
-    lines = result.output.splitlines()
-    assert lines[0].startswith("T2 at (3,)")
-    assert lines[-1] == "CERTIFY: ok (2 steps)"
+    assert result.exit_code == 2
+    assert "--certify" in result.output
 
 
 def test_reduce_rejects_non_quiddity(runner):

@@ -565,6 +565,18 @@ def test_unit_family_over_z_is_finite():
     assert sorted(ts) == [1, 2]
 
 
+def test_unit_family_check_survives_python_O(child_python):
+    # with no parameter excluded, t = -1 gives a frieze with a zero, and
+    # the certification must refuse it under -O too
+    proc = child_python("-O", "-c", "from quiddity import enumeration\n"
+                        "from quiddity.rings import Z\n"
+                        "enumeration._excluded_parameters = lambda ring, n: []\n"
+                        "print(enumeration.unit_family(Z, 3, 4))\n")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "RuntimeError: the frieze of (1, 1, 2, -1, -1, -2) at parameter -1 has a zero")
+
+
 def test_unit_family_over_fifth_cyclotomic():
     members = unit_family(Cyclotomic(5), 3, 10)
     assert len(members) == 10

@@ -2,15 +2,12 @@
 combinatorial reduction engine."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from quiddity import labelling
+from quiddity.bounds import _first_separated_pair
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import (
     InvalidCycleError,
@@ -93,8 +90,6 @@ def test_triangle_walk_rejects_exactly_the_crossing_chord_sets(m):
 def test_triangle_derivation():
     tri = fan_hexagon()
     assert tri.triangles == ((1, 2, 6), (2, 3, 4), (2, 4, 5), (2, 5, 6))
-    assert tri.is_ear(3) and tri.is_ear(1)
-    assert not tri.is_ear(2) and not tri.is_ear(4)
     assert sum(2 in t for t in tri.triangles) == 4
 
 
@@ -144,19 +139,14 @@ def test_from_triangles_rejects_malformed_triangles(case):
         _from_triangles(m, labels)
 
 
-def test_from_triangles_checks_survive_python_O():
+def test_from_triangles_checks_survive_python_O(child_python):
     # -O strips assert statements; the tiling count must raise all the same
-    src = str(Path(labelling.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    code = ("from quiddity.errors import UsageError\n"
-            "from quiddity.labelling import _from_triangles\n"
-            "try:\n"
-            "    _from_triangles(4, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 3, 4): 1})\n"
-            "except UsageError as exc:\n"
-            "    print('refused:', exc)\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = child_python("-O", "-c", "from quiddity.errors import UsageError\n"
+                        "from quiddity.labelling import _from_triangles\n"
+                        "try:\n"
+                        "    _from_triangles(4, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 3, 4): 1})\n"
+                        "except UsageError as exc:\n"
+                        "    print('refused:', exc)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("refused: 3 triangles do not tile the 4-gon")
 
@@ -449,6 +439,57 @@ def test_labelling_reduction_wrapped_ear_pair():
     # vertices 1, 2, 4, 5, 6 survive as 1 .. 5
     assert step.after.m == 5
     assert step.after.labels == {(1, 2, 5): 1, (2, 3, 4): -1, (2, 4, 5): -1}
+
+
+def chosen_by_hand(lab: Labelling) -> tuple:
+    """The case tag and indices of the first step on an admissible `lab`
+    with m >= 4, its ears counted from the labels: the vertices in exactly
+    one triangle."""
+    m = lab.m
+    held = {v: [t for t in lab.labels if v in t] for v in range(1, m + 1)}
+    ear = {v: lab.labels[ts[0]] for v, ts in held.items() if len(ts) == 1}
+    ones = sorted(v for v, x in ear.items() if x == 1)
+    minus = sorted(v for v, x in ear.items() if x == -1)
+    squares = sorted(labelling._square_windows(square_partition(lab), m))
+    if ones:
+        return "TC1", (ones[0],)
+    if squares and m % 2 == 1:
+        return "TC2", (squares[0],)
+    if minus and m % 2 == 0:
+        return "TC3", (minus[0],)
+    for tag, found in (("TC4", squares), ("TC5", minus)):
+        pair = _first_separated_pair(found, m)
+        if pair:
+            return tag, pair
+    return None
+
+
+# labellings whose first ear is vertex 1, the corner of (1, 2, m), or
+# vertex m, the corner of (1, m - 1, m)
+EARS_AT_THE_WRAP = (
+    (5, {(1, 2, 5): 1, (2, 3, 5): 1, (3, 4, 5): 1}, ("TC1", (1,))),
+    (5, {(1, 2, 3): -1, (1, 3, 4): -1, (1, 4, 5): 1}, ("TC1", (5,))),
+    (4, {(1, 2, 4): -1, (2, 3, 4): -1}, ("TC3", (1,))),
+    (6, {(1, 2, 5): 1, (1, 5, 6): -1, (2, 3, 4): 2, (2, 4, 5): -2}, ("TC3", (6,))),
+    (5, {(1, 2, 5): -1, (2, 3, 5): 1, (3, 4, 5): -1}, ("TC5", (1, 4))),
+    (7, {(1, 2, 6): 1, (1, 6, 7): -1, (2, 3, 4): -1, (2, 4, 5): -1, (2, 5, 6): -1},
+     ("TC5", (3, 7))),
+)
+
+
+def test_ears_read_off_the_triangles(glued_cycle):
+    tags = set()
+    for m, labels, want in EARS_AT_THE_WRAP:
+        lab = _from_triangles(m, labels)
+        step = reduce_labelling_step(lab)
+        assert (step.case_tag, step.indices) == want == chosen_by_hand(lab)
+    rng = random.Random(40)
+    for m in range(4, 41):
+        lab = labelling_from_cycle(Cycle(Z, glued_cycle(rng, m)))
+        for step in reduce_labelling_fully(lab)[:-1]:
+            assert (step.case_tag, step.indices) == chosen_by_hand(step.before)
+            tags.add(step.case_tag)
+    assert tags == {"TC1", "TC2", "TC3", "TC4", "TC5"}
 
 
 def test_labelling_reduction_rejects_inadmissible():

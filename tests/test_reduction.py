@@ -1,10 +1,13 @@
 """Reduction engines: case selection, totality, and undoing each step."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from quiddity import labelling, reduction
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, UnsupportedRingError
 from quiddity.labelling import (
@@ -214,3 +217,43 @@ def test_every_step_rebuilds_exactly():
                                          for t, x in labels.items()})
         assert lab.vertex_sums() == entries
         assert labelling_sign(lab) == -eps
+
+
+def test_reduction_engines_hold_no_assert():
+    # an assert vanishes under python -O; these modules check with raises
+    for module in (reduction, labelling):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+# each child breaks one step of an engine and must stop on that step's check
+BROKEN_UNDER_PYTHON_O = {
+    "a contraction with a wrong entry": (
+        "from dataclasses import replace\n"
+        "from quiddity import reduction\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "contract = reduction._CONTRACT[1]\n"
+        "def wrong(cycle, k):\n"
+        "    out = contract(cycle, k)\n"
+        "    entries = (out.cycle.entries[0] + 1,) + out.cycle.entries[1:]\n"
+        "    return replace(out, cycle=Cycle(Z, entries))\n"
+        "reduction._CONTRACT[1] = wrong\n"
+        "reduction.reduce_to_base(Cycle(Z, (1, 4, 1, 2, 2, 2)))\n",
+        "RuntimeError: case T1 at (1,) gave (4, 1, 2, 2, 1), not a quiddity cycle"),
+    "a labelling step that does not negate": (
+        "from quiddity import labelling\n"
+        "from quiddity.labelling import Labelling, Triangulation, reduce_labelling_step\n"
+        "labelling._negated = lambda lab: lab\n"
+        "lab = Labelling(Triangulation(4, {(1, 3)}), {(1, 2, 3): -1, (1, 3, 4): -1})\n"
+        "reduce_labelling_step(lab)\n",
+        "RuntimeError: case TC3 at (2,) left an inadmissible labelling"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_UNDER_PYTHON_O))
+def test_step_checks_survive_python_O(child_python, case):
+    code, error = BROKEN_UNDER_PYTHON_O[case]
+    proc = child_python("-O", "-c", code)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == error

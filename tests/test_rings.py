@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiddity import rings
 from quiddity.errors import UsageError, UnsupportedRingError
 from quiddity.rings import (
     Cyclotomic,
@@ -16,6 +17,8 @@ from quiddity.rings import (
     Z,
     Zi,
     Zzeta6,
+    ball_rows,
+    count_norm_at_most,
     divisors_of_two,
     elements_norm_at_most,
     norm_sq,
@@ -295,3 +298,22 @@ def test_cyclotomic_division_matches_linear_solve(d):
                 assert y * got == x
     # the cases include both exact quotients and non-multiples
     assert 0 < divisible < len(ys) * 5
+
+
+@pytest.mark.parametrize("ring", [Zi, Zzeta6])
+def test_count_norm_at_most_refuses_a_ball_past_the_row_cap(ring):
+    # limits on both sides of the cap: the count is refused exactly when the
+    # walk would take more rows than the cap
+    cap = rings._MAX_BALL_ROWS
+    edge = (cap // 2) ** 2 * (4 - ring.t ** 2) // 4
+    outcomes = set()
+    for limit in range(edge - 3, edge + 4):
+        too_many = sum(1 for _ in ball_rows(ring.t, limit, False)) > cap
+        try:
+            count_norm_at_most(ring, limit)
+        except UsageError as exc:
+            assert too_many and f"B_sq={limit} " in str(exc)
+        else:
+            assert not too_many
+        outcomes.add(too_many)
+    assert outcomes == {True, False}
