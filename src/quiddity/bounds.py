@@ -72,7 +72,7 @@ def find_two_small(cycle: Cycle) -> tuple:
 
     Requires the full eta-product to be a scalar multiple of the identity
     (true for quiddity cycles and epsilon-cycles).  Existence is a theorem;
-    the scan asserts it rather than assuming it.
+    the scan checks it with a raise rather than assuming it.
     """
     ring = cycle.ring
     if scalar_of_identity(full_product(cycle), ring) is None:
@@ -116,5 +116,6 @@ def candidate_entries(ring: Ring, n: int) -> list:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
     B = quiddity_bound(1, n)
     bound_sq = B * B
-    assert bound_sq.denominator == 1
+    if bound_sq.denominator != 1:
+        raise RuntimeError(f"the squared entry bound {bound_sq} is not an integer")
     return elements_norm_at_most(ring, int(bound_sq))

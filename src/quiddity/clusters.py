@@ -93,7 +93,7 @@ def is_degenerate_alternating(cycle: Cycle) -> bool:
 
     For odd length the zero branch can never close up, so a True answer
     forces the all-ones cycle with m = 3 (mod 6); that consequence is
-    asserted, not assumed.
+    checked with a raise, not assumed.
     """
     if cycle.m % 2 == 0:
         raise NotApplicableError("defined for odd-length cycles")
@@ -105,8 +105,9 @@ def is_degenerate_alternating(cycle: Cycle) -> bool:
         if a * b == ring.one or (a == ring.zero and b == ring.zero):
             continue
         return False
-    assert all(c == ring.one for c in cycle.entries)
-    assert cycle.m % 6 == 3
+    if cycle.m % 6 != 3 or any(c != ring.one for c in cycle.entries):
+        raise RuntimeError(f"{cycle} alternates degenerately but is not the all-ones "
+                           "cycle of length 3 mod 6")
     return True
 
 
@@ -141,8 +142,9 @@ def all_ones_cluster(m: int) -> Cluster:
     labels = {}
     for i, j in tri.diagonals:
         value = diagonal_label(f, i, j)
-        assert value == _mod6_label(j - i)
-        assert value != 0
+        if value == 0 or value != _mod6_label(j - i):
+            raise RuntimeError(f"the all-ones {m}-gon has label {value} on the diagonal "
+                               f"({i}, {j}), not {_mod6_label(j - i)}")
         labels[(i, j)] = value
     return Cluster(tri, labels)
 

@@ -84,6 +84,16 @@ class Cycle:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", checked)
 
+    @classmethod
+    def _computed(cls, ring: Ring, entries: tuple) -> "Cycle":
+        """A cycle of `entries`, a nonempty tuple computed by ring operations
+        from checked elements of `ring` and checked parameters, so elements
+        of `ring` already: `__init__`'s per-entry check is skipped."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "ring", ring)
+        object.__setattr__(cycle, "entries", entries)
+        return cycle
+
     @property
     def m(self) -> int:
         return len(self.entries)
@@ -158,15 +168,15 @@ def rotate(cycle: Cycle, s: int = 1) -> Cycle:
     """Rotate by s: rotate(c, 1) = (c_m, c_1, ..., c_{m-1})."""
     m = cycle.m
     s %= m
-    return Cycle(cycle.ring, cycle.entries[m - s:] + cycle.entries[:m - s])
+    return Cycle._computed(cycle.ring, cycle.entries[m - s:] + cycle.entries[:m - s])
 
 
 def reverse(cycle: Cycle) -> Cycle:
-    return Cycle(cycle.ring, cycle.entries[::-1])
+    return Cycle._computed(cycle.ring, cycle.entries[::-1])
 
 
 def negate(cycle: Cycle) -> Cycle:
-    return Cycle(cycle.ring, [-e for e in cycle.entries])
+    return Cycle._computed(cycle.ring, tuple([-e for e in cycle.entries]))
 
 
 def continuant(ring: Ring, entries) -> object:

@@ -172,8 +172,11 @@ class EnumerationResult:
     representatives: tuple
 
     def __post_init__(self):
-        assert self.total >= self.orbit_count
-        assert self.orbit_count == len(self.representatives)
+        if self.orbit_count != len(self.representatives):
+            raise UsageError(f"{self.orbit_count} orbits need as many representatives, "
+                             f"got {len(self.representatives)}")
+        if self.total < self.orbit_count:
+            raise UsageError(f"{self.total} cycles cannot make {self.orbit_count} orbits")
 
 
 def count_nonzero(ring: Ring, n: int, jobs: int = 1) -> EnumerationResult:

@@ -25,11 +25,13 @@ rebuilt polygon:
         entry k-1; sums (..., a, b, ...) become (..., a, x, 0, b-x, ...)
 
 Steps that negated their cycle negate the labels first, and a step that
-contracted a pair (j, k) at k first is undone at j first.  `_glue_back`
-does this on vertex ids that never change, kept in counterclockwise order
-in a `boundary` list, so a glue is one or two list inserts.  Each stage,
-and each polygon that the reduction below leaves, becomes a `Labelling`
-through one builder, `_from_triangles`.  A sorted triangle (a, c, b) is
+contracted a pair (j, k) at k first is undone at j first.
+`_Polygon.glue_back` does this on vertex ids that never change, kept in
+counterclockwise order in a `boundary` list with the vertex sums beside
+them, so a glue is one or two list inserts and at most three sums.  Each
+stage is checked from that running state; the finished polygon, and each
+polygon that the reduction below leaves, becomes a `Labelling` through one
+builder, `_from_triangles`.  A sorted triangle (a, c, b) is
 the one triangle under its long side (a, b), so the labelled triangles map
 each side to its apex, and one walk from the side (1, m) over that map
 checks that they tile the polygon and records the triangles, the dual tree
@@ -357,59 +359,111 @@ def _prechecked(cls, **fields):
     return obj
 
 
-def _glue_back(boundary: list, labels: dict, step) -> None:
-    """Undo the reduction `step` in place, on the polygon of `step.after`
-    given as its vertex ids in counterclockwise order and its labelled
-    triangles, triples of ids; it becomes a polygon of `step.before`.
+# the cases whose steps negate their cycle, as step tags
+_NEGATING_TAGS = frozenset(f"T{case}" for case in _NEGATES)
 
-    Entry k of `step.before` is 0 where a square was contracted and the
-    label of the ear otherwise.  No id ever leaves the boundary, so
-    `len(boundary)` is always a fresh one.  In a pair of squares (j, k),
-    entry j - 1 of `step.before` is still the x of the square at j: the
-    square at k would change it only as its vertex k + 1, for (j, k) =
-    (1, m - 1) or (2, m), and then the reduced cycle would hold a single
-    entry in {-1, 0, 1}, against the small-entry corollary.
+
+class _Polygon:
+    """The labelled polygon that `labelling_from_cycle` glues blocks back
+    onto, kept as one running state from the 2-gon on: its vertex ids in
+    counterclockwise order (`boundary`), its labelled triangles as triples
+    of ids (`labels`), its vertex sums in step with `boundary` (`sums`) and
+    the numbers of its `negative` and `zero` labels.  Each glue changes
+    what its block touches and no more; `labelling` builds the `Labelling`.
     """
-    if step.case_tag in [f"T{case}" for case in _NEGATES]:
-        for t in labels:
-            labels[t] = -labels[t]
-    before = step.before.entries
-    for k in step.indices:
-        s = before[k - 1]
-        n = len(boundary) + (1 if s else 2)
-        for p in ([k - 1] if s else sorted(((k - 2) % n, k - 1))):
-            boundary.insert(p, len(boundary))
-        a, u, v, b = (boundary[(k - 3 + i) % n] for i in range(4))
-        if s:
-            labels[(u, v, b)] = s
-        else:
-            x = before[(k - 2) % len(before)]
-            labels[(a, u, v)] = x
-            labels[(a, v, b)] = -x
+
+    def __init__(self):
+        self.boundary, self.sums, self.labels = [0, 1], [0, 0], {}
+        self.negative = self.zero = 0
+
+    def glue_back(self, step) -> None:
+        """Undo the reduction `step` on this polygon, a polygon of
+        `step.after`; it becomes a polygon of `step.before`.
+
+        Entry k of `step.before` is 0 where a square was contracted and the
+        label of the ear otherwise.  No id ever leaves the boundary, so
+        `len(boundary)` is always a fresh one.  An ear s adds s to the sums
+        of its two neighbours and puts s at its new vertex; a square x puts
+        x and 0 at its two new vertices u and v and subtracts x from the
+        vertex b after them; a negating step negates every label and sum.
+        In a pair of squares (j, k), entry j - 1 of `step.before` is still
+        the x of the square at j: the square at k would change it only as
+        its vertex k + 1, for (j, k) = (1, m - 1) or (2, m), and then the
+        reduced cycle would hold a single entry in {-1, 0, 1}, against the
+        small-entry corollary.
+        """
+        boundary, sums, labels = self.boundary, self.sums, self.labels
+        if step.case_tag in _NEGATING_TAGS:
+            for t in labels:
+                labels[t] = -labels[t]
+            sums[:] = [-x for x in sums]
+            self.negative = len(labels) - self.zero - self.negative
+        before = step.before.entries
+        for k in step.indices:
+            s = before[k - 1]
+            n = len(boundary) + (1 if s else 2)
+            for p in ([k - 1] if s else sorted(((k - 2) % n, k - 1))):
+                boundary.insert(p, len(boundary))
+                sums.insert(p, 0)
+            a, u, v, b = (boundary[(k - 3 + i) % n] for i in range(4))
+            if s:
+                labels[(u, v, b)] = s
+                sums[(k - 2) % n] += s
+                sums[k - 1] = s
+                sums[k % n] += s
+                self.negative += s < 0
+            else:
+                x = before[(k - 2) % len(before)]
+                labels[(a, u, v)] = x
+                labels[(a, v, b)] = -x
+                sums[(k - 2) % n] = x
+                sums[k % n] -= x
+                if x:
+                    self.negative += 1
+                else:
+                    self.zero += 2
+
+    def sign_holds(self) -> bool:
+        """Condition (ii), from the running counts of negative and zero
+        labels."""
+        return self.zero % 2 == 0 and (self.negative + self.zero // 2) % 2 == 0
+
+    def labelling(self) -> Labelling:
+        """This polygon as a `Labelling`, its vertices numbered 1..m along
+        `boundary`, built and checked by `_from_triangles`."""
+        pos = {v: i for i, v in enumerate(self.boundary, 1)}
+        return _from_triangles(len(pos), {
+            tuple(sorted((pos[a], pos[b], pos[c]))): x
+            for (a, b, c), x in self.labels.items()})
 
 
 def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """An admissible labelling whose vertex sums are exactly `cycle`.
 
     Built by reducing the cycle to (0,0) and undoing the reduction steps
-    backwards on the 2-gon with `_glue_back`.  Every stage is checked with
-    a raise: its sums are the step's input and it is admissible.  The
-    result is one of possibly several admissible labellings for the cycle.
+    backwards on the 2-gon, on one running `_Polygon`.  Every stage is
+    checked with a raise from that state, at the cost of its step: its sums
+    are the step's input, the labels of its ears are +-1 and the sign
+    condition (ii) holds.  Condition (i) holds by construction, since each
+    square is glued as one pair of adjacent opposite labels.  The one
+    `Labelling` built at the end is checked in full: its triangles tile the
+    polygon, it is admissible and its sums are `cycle`.  The result is one
+    of possibly several admissible labellings for the cycle.
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
     # reduce_to_base raises InvalidCycleError unless the cycle is quiddity
     steps = reduce_to_base(cycle).steps
-    boundary, labels = [0, 1], {}
-    result = _from_triangles(2, {})
+    polygon = _Polygon()
     for step in reversed(steps):
-        _glue_back(boundary, labels, step)
-        pos = {v: i for i, v in enumerate(boundary, 1)}
-        result = _from_triangles(len(pos), {
-            tuple(sorted((pos[a], pos[b], pos[c]))): x
-            for (a, b, c), x in labels.items()})
-        if result.vertex_sums() != step.before.entries or not is_admissible(result):
+        polygon.glue_back(step)
+        before = step.before.entries
+        if (tuple(polygon.sums) != before or not polygon.sign_holds()
+                or any(before[k - 1] not in (1, 0, -1) for k in step.indices)):
             raise RuntimeError(f"undoing {step.case_tag} at {step.indices} missed {step.before}")
+    result = polygon.labelling()
+    if result.vertex_sums() != cycle.entries or not is_admissible(result):
+        raise RuntimeError(f"the labelling glued for {cycle} is inadmissible or has other sums")
     return result
 
 

@@ -17,10 +17,20 @@ pairing contractions or negating:
 `_choose_case` holds that priority, for the labelling reduction too.  At
 least one case always applies; that is a theorem, and the engine raises
 RuntimeError rather than guessing if none does, or if a step's output is
-not a quiddity cycle.  `reduce_step_Z` also checks its input;
-`reduce_to_base` checks only the first, so each cycle of a trace is
-checked exactly once.  A step records its case, its indices and the cycles
-before and after it; `quiddity.labelling` undoes it from these alone.
+not a quiddity cycle.  That check is local, a few products and one
+comparison of tuples per move: each contraction must keep the entries
+outside its window k-1..k+1 and satisfy its window identity,
+
+    eta(a) eta(1) eta(b)  =  eta(a-1) eta(b-1)
+    eta(a) eta(-1) eta(b) = -eta(a+1) eta(b+1)
+    eta(a) eta(0) eta(b)  = -eta(a+b)
+
+and a negation of m' entries turns a product +-I into (-1)^m' (+-I).  From
+a quiddity input these facts imply exactly that the output is quiddity.
+`reduce_step_Z` and `reduce_to_base` check their input in full, so each
+cycle of a trace is checked, also under `python -O`.  A step records its
+case, its indices and the cycles before and after it; `quiddity.labelling`
+undoes it from these alone.
 """
 
 from __future__ import annotations
@@ -71,8 +81,18 @@ def _require_integer(cycle: Cycle):
         raise UnsupportedRingError("reduction is an integer-cycle result")
 
 
-def _positions_of(cycle: Cycle, value) -> list:
-    return [k for k, c in enumerate(cycle.entries, 1) if c == value]
+def _first_positions(entries: tuple, value, count: int) -> list:
+    """The first `count` 1-based positions of `value` in `entries`, or all
+    of them if there are fewer, each found by one C-level `tuple.index`."""
+    out = []
+    k = 0
+    while len(out) < count:
+        try:
+            k = entries.index(value, k) + 1
+        except ValueError:
+            break
+        out.append(k)
+    return out
 
 
 def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
@@ -86,17 +106,17 @@ def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
         raise InvalidCycleError(f"not a {eps:+d}-cycle: {cycle}")
     if cycle.entries == (0, 0):
         return ReductionStep("I0", (), cycle, cycle, eps, eps)
-    ones = _positions_of(cycle, 1)
+    ones = _first_positions(cycle.entries, 1, 1)
     if ones:
         k = ones[0]
         after = contract_one(cycle, k).cycle
         return ReductionStep("I1", (k,), cycle, after, eps, eps)
-    zeros = _positions_of(cycle, 0)
+    zeros = _first_positions(cycle.entries, 0, 1)
     if zeros:
         k = zeros[0]
         after = contract_zero(cycle, k).cycle
         return ReductionStep("I2", (k,), cycle, after, eps, -eps)
-    minus = _positions_of(cycle, -1)
+    minus = _first_positions(cycle.entries, -1, 1)
     if minus:
         k = minus[0]
         after = contract_minus_one(cycle, k).cycle
@@ -125,6 +145,8 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
 _CONTRACT = {1: contract_one, 2: contract_zero, 3: contract_minus_one,
              4: contract_zero, 5: contract_minus_one}
 _NEGATES = (2, 3)
+# the entry each case contracts
+_ENTRY = {1: 1, 2: 0, 3: -1, 4: 0, 5: -1}
 
 
 def _choose_case(m: int, ones: list, zeros: list, minus: list):
@@ -132,7 +154,12 @@ def _choose_case(m: int, ones: list, zeros: list, minus: list):
     with minimal indices, or None.  `ones`, `zeros` and `minus` are the
     sorted positions of the entries 1, 0 and -1 of a cycle, or of the ears
     labelled 1, the removable squares and the ears labelled -1 of a
-    labelling."""
+    labelling.
+
+    The first three positions of each list decide the case, so a caller
+    may pass just those.  Of sorted positions p1 < p2 < p3, the pair
+    (p1, p3) is separated unless p3 = m and p1 = 1; then p3 is the last
+    position, and the list has no fourth."""
     if ones:
         return 1, (ones[0],)
     if zeros and m % 2 == 1:
@@ -149,35 +176,102 @@ def _choose_case(m: int, ones: list, zeros: list, minus: list):
 
 
 def _reduce_step(cycle: Cycle) -> ReductionStep:
-    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity; the
-    result is checked, so a chain of steps checks each cycle once.  On
-    (1, 1, 1) this is the T1 at 1 that ends at (0, 0)."""
-    at = {1: [], 0: [], -1: []}
-    for k, c in enumerate(cycle.entries, 1):
-        if c in at:
-            at[c].append(k)
-    chosen = _choose_case(cycle.m, at[1], at[0], at[-1])
+    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity.  The
+    result is checked with a raise from the local facts of `_moves_hold`,
+    which imply that it is quiddity.  On (1, 1, 1) this is the T1 at 1 that
+    ends at (0, 0)."""
+    entries = cycle.entries
+    chosen = _choose_case(len(entries), *(_first_positions(entries, value, 3)
+                                          for value in (1, 0, -1)))
     if chosen is None:
         raise RuntimeError("no case applies; contradicts the reduction theorem")
     case, indices = chosen
-    after = cycle
+    moves = _moves(cycle, case, indices)
+    after = moves[-1]
+    if not _moves_hold(case, indices, moves):
+        raise RuntimeError(f"case T{case} at {indices} gave {after}, not a quiddity cycle")
+    return ReductionStep(f"T{case}", indices, cycle, after, -1, -1)
+
+
+def _moves(cycle: Cycle, case: int, indices: tuple) -> list:
+    """`cycle` and the cycles that case `case` at `indices` takes it through:
+    one contraction per index, then the negation of cases 2 and 3."""
+    moves = [cycle]
     # a pair (j, k) is contracted at k first: that removes entries above j
     # only (k - j > 1), so j keeps its index in the middle cycle
     for k in reversed(indices):
-        after = _CONTRACT[case](after, k).cycle
+        moves.append(_CONTRACT[case](moves[-1], k).cycle)
     if case in _NEGATES:
-        after = negate(after)
-    if not is_quiddity(after):
-        raise RuntimeError(f"case T{case} at {indices} gave {after}, not a quiddity cycle")
-    return ReductionStep(f"T{case}", indices, cycle, after, -1, -1)
+        moves.append(negate(moves[-1]))
+    return moves
+
+
+def _moves_hold(case: int, indices: tuple, moves: list) -> bool:
+    """Whether the last of `moves`, the cycles that case `case` at `indices`
+    takes the quiddity cycle `moves[0]` through (`_moves`), is quiddity,
+    read from local facts in O(m) comparisons and O(1) products.
+
+    Each contraction must keep the entries outside its window and satisfy
+    the window identity of its rule, which keeps the eta-product (a 1) or
+    negates it (a 0 or a -1).  Cases 2 and 3 then negate every entry, which
+    multiplies a product +-I by (-1)^m'.  Given these facts the last cycle
+    is quiddity exactly when the signs take -I back to -I.
+    """
+    entry = _ENTRY[case]
+    sign = -1
+    for k, before, after in zip(reversed(indices), moves, moves[1:]):
+        if not _window_holds(before.entries, after.entries, k, entry):
+            return False
+        if entry != 1:
+            sign = -sign
+    if case in _NEGATES:
+        before, after = moves[-2].entries, moves[-1].entries
+        if after != tuple([-e for e in before]):
+            return False
+        if len(after) % 2:
+            sign = -sign
+    return sign == -1
+
+
+def _window_holds(before: tuple, after: tuple, k: int, entry: int) -> bool:
+    """Whether `after` is `before` with its `entry` at k contracted, up to the
+    sign of the rule's window identity: the entry at k is `entry`, the m - 3
+    entries outside the window k-1..k+1 follow the replacement unchanged and
+    in order, and the window's eta-product is the replacement's, negated
+    for a 0 or a -1.  The replacement is two entries for a 1 or a -1 and
+    one for a 0, and starts at position k-1 of `after`; a 0 at k = 1 leaves
+    it at position 1, since the merged entry keeps index 2 and `after`
+    starts there (see `quiddity.transforms`)."""
+    m, n = len(before), len(after)
+    width = 2 if entry else 1
+    if n != m - 3 + width or before[k - 1] != entry:
+        return False
+    i = (k - 2) % m
+    j = 0 if entry == 0 and k == 1 else (k - 2) % n
+    around = before[i:] + before[:i]
+    replaced = after[j:] + after[:j]
+    if around[3:] != replaced[width:]:
+        return False
+    p = _eta_product(around[:3])
+    q = _eta_product(replaced[:width])
+    return p == (q if entry == 1 else tuple([-x for x in q]))
+
+
+def _eta_product(entries: tuple) -> tuple:
+    """eta(c_1) ... eta(c_k) of integers as (P11, P12, P21, P22), by the
+    running-product rule of `quiddity.cycles`."""
+    p11, p12, p21, p22 = 1, 0, 0, 1
+    for c in entries:
+        p11, p12, p21, p22 = p11 * c + p12, -p11, p21 * c + p22, -p21
+    return p11, p12, p21, p22
 
 
 def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     """Full reduction of an integer quiddity cycle to (0,0).
 
-    The input is checked once and every step checks its output with a
-    raise, so each cycle of the trace is checked exactly once, also under
-    `python -O`.  The terminal (1,1,1) is not left standing: one more T1
+    The input is checked in full once, and every step checks its output
+    with a raise from the step's local facts, which imply that the output
+    is quiddity; this holds also under `python -O`.  The terminal (1,1,1) is not left standing: one more T1
     step takes it to (0,0), so every trace ends at the 2-gon and can be
     inverted into a triangulation labelling.
     """

@@ -346,7 +346,8 @@ def _cyclotomic_poly(d: int) -> tuple:
     for e in range(1, d):
         if d % e == 0:
             num, rem = _divmod_monic(num, _cyclotomic_poly(e))
-            assert not any(rem)
+            if any(rem):
+                raise RuntimeError(f"Phi_{e} does not divide x^{d} - 1")
     return tuple(num)
 
 
@@ -683,7 +684,8 @@ class CyclotomicRing(Ring):
                     conj[j * k % d] += c
                 r = r * CycloElement(self, conj)
         n, *rest = (y * r).coeffs
-        assert not any(rest), "the norm of a cyclotomic integer is rational"
+        if any(rest):
+            raise RuntimeError(f"the norm of {y!r} is not rational")
         if n == 0:
             return None
         q = (x * r).coeffs

@@ -10,6 +10,10 @@ cyclic order, and the result is based at the smallest surviving original
 index.  A merged entry inherits the index of the rightmost window position it
 replaces.
 
+Every result is built from checked entries and checked parameters by ring
+operations, so it skips `Cycle`'s per-entry check (`Cycle._computed`); a
+parameter such as lam or u is checked before it is used.
+
 Division never falls back to the fraction field: an inexact quotient in a
 non-field ring raises NotRepresentableError, and a zero denominator raises
 SingularError.  Callers switch rings explicitly if they want fractions.
@@ -88,7 +92,7 @@ def _insert(cycle: Cycle, k: int, value, delta) -> Cycle:
         mod[k - 1] = mod[k - 1] + delta
         mod[k] = mod[k] + delta
         out = mod[:k] + [value] + mod[k:]
-    return Cycle(ring, tuple(out))
+    return Cycle._computed(ring, tuple(out))
 
 
 def _remove_entry(cycle: Cycle, k: int, delta) -> Cycle:
@@ -100,7 +104,7 @@ def _remove_entry(cycle: Cycle, k: int, delta) -> Cycle:
     mod[k - 2] = mod[k - 2] + delta          # position k-1 (wraps to m)
     mod[k % cycle.m] = mod[k % cycle.m] + delta  # position k+1 (wraps to 1)
     del mod[k - 1]
-    return Cycle(cycle.ring, tuple(mod))
+    return Cycle._computed(cycle.ring, tuple(mod))
 
 
 def expand_one(cycle: Cycle, k: int) -> SignedCycle:
@@ -162,7 +166,7 @@ def contract_uv(cycle: Cycle, k: int) -> Cycle:
     mod[(k + 1) % m] = mod[(k + 1) % m] + db  # b at position k+2
     mod[k % m] = w                        # merged entry at position k+1
     del mod[k - 1]
-    return Cycle(ring, tuple(mod))
+    return Cycle._computed(ring, tuple(mod))
 
 
 def rescale_lambda(cycle: Cycle, k: int, lam) -> Cycle:
@@ -172,7 +176,7 @@ def rescale_lambda(cycle: Cycle, k: int, lam) -> Cycle:
     The product is unchanged.  lam = 0 or w = 0 is singular.
     """
     ring = cycle.ring
-    ring.check_element(lam)
+    lam = ring.check_element(lam)
     if lam == ring.zero:
         raise SingularError("scale factor must be nonzero")
     if cycle.m < 4:
@@ -192,7 +196,7 @@ def rescale_lambda(cycle: Cycle, k: int, lam) -> Cycle:
     mod[(k + 1) % m] = mod[(k + 1) % m] + db
     mod[k - 1] = lam * u
     mod[k % m] = _div(ring, v, lam)
-    return Cycle(ring, tuple(mod))
+    return Cycle._computed(ring, tuple(mod))
 
 
 def contract_zero(cycle: Cycle, k: int) -> SignedCycle:
@@ -212,7 +216,7 @@ def contract_zero(cycle: Cycle, k: int) -> SignedCycle:
     mod[k % m] = mod[k - 2] + mod[k % m]
     removed = {(k - 2) % m, k - 1}
     out = [mod[i] for i in range(m) if i not in removed]
-    return SignedCycle(Cycle(ring, tuple(out)), -1)
+    return SignedCycle(Cycle._computed(ring, tuple(out)), -1)
 
 
 def shift_zero(cycle: Cycle, k: int, u) -> Cycle:
@@ -221,7 +225,7 @@ def shift_zero(cycle: Cycle, k: int, u) -> Cycle:
     The product is unchanged for any u.
     """
     ring = cycle.ring
-    ring.check_element(u)
+    u = ring.check_element(u)
     k = _norm_k(cycle, k)
     if cycle.entry(k) != ring.zero:
         raise NotApplicableError(f"entry {k} is {cycle.entry(k)!r}, not 0")
@@ -229,7 +233,7 @@ def shift_zero(cycle: Cycle, k: int, u) -> Cycle:
     mod = list(cycle.entries)
     mod[k - 2] = mod[k - 2] + u
     mod[k % m] = mod[k % m] - u
-    return Cycle(ring, tuple(mod))
+    return Cycle._computed(ring, tuple(mod))
 
 
 def conjugate_diag(ring: Ring, window, z):
@@ -258,7 +262,7 @@ def scale_alternating(cycle: Cycle, t) -> Cycle:
     its frieze keeps zeros in exactly the same positions.
     """
     ring = cycle.ring
-    ring.check_element(t)
+    t = ring.check_element(t)
     if t == ring.zero:
         raise SingularError("scale factor must be nonzero")
     if cycle.m % 2 != 0:
@@ -267,4 +271,4 @@ def scale_alternating(cycle: Cycle, t) -> Cycle:
     for k in range(1, cycle.m + 1):
         c = cycle.entry(k)
         out.append(t * c if k % 2 == 1 else _div(ring, c, t))
-    return Cycle(ring, tuple(out))
+    return Cycle._computed(ring, tuple(out))

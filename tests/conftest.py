@@ -74,17 +74,26 @@ def z_corpus():
     return cycles
 
 
-def _glued_cycle(rng: random.Random, m: int) -> tuple:
-    """Vertex sums of a random labelled triangulation of the m-gon.
+def _glued_cycle(rng: random.Random, m: int, kind: str = "mixed") -> tuple:
+    """Vertex sums of a random labelled triangulation of the m-gon, m >= 3.
 
     Blocks are glued onto edges of the 2-gon with sums (0, 0): a triangle
     labelled +1 or -1 turns sums (a, b) into (a+s, s, b+s), a square
-    labelled x, -x with x in -2..2 turns them into (a, x, 0, b-x).  Each
-    -1 triangle and each square flips the sign of the eta product, and the
-    last triangle's label makes the number of flips even.
+    labelled x, -x turns them into (a, x, 0, b-x).  Each -1 triangle and
+    each square flips the sign of the eta product, and the last triangle's
+    label makes the number of flips even.  A "mixed" cycle has any number
+    of squares with x in -2..2; a "zeros" cycle has squares with x = 0 on
+    at least half of the m - 3 vertices glued before the last; a "cc" cycle
+    has +1 triangles only, so it is the Conway-Coxeter cycle of a random
+    triangulation.
     """
-    squares = rng.randint(0, (m - 3) // 2)
-    moves = ["square"] * squares + [rng.choice((1, -1)) for _ in range(m - 3 - 2 * squares)]
+    if kind == "cc":
+        squares, signs = 0, (1,)
+    elif kind == "zeros":
+        squares, signs = rng.randint((m - 3) // 4, (m - 3) // 2), (1, -1)
+    else:
+        squares, signs = rng.randint(0, (m - 3) // 2), (1, -1)
+    moves = ["square"] * squares + [rng.choice(signs) for _ in range(m - 3 - 2 * squares)]
     rng.shuffle(moves)
     flips = squares + moves.count(-1)
     moves.append(-1 if flips % 2 else 1)
@@ -93,7 +102,7 @@ def _glued_cycle(rng: random.Random, m: int) -> tuple:
         p = rng.randrange(len(sums))
         q = (p + 1) % len(sums)
         if move == "square":
-            x = rng.randint(-2, 2)
+            x = 0 if kind == "zeros" else rng.randint(-2, 2)
             sums[q] -= x
             sums[p + 1:p + 1] = [x, 0]
         else:
@@ -106,7 +115,8 @@ def _glued_cycle(rng: random.Random, m: int) -> tuple:
 
 @pytest.fixture(scope="session")
 def glued_cycle():
-    """`_glued_cycle(rng, m)`: a seeded integer quiddity cycle of length m."""
+    """`_glued_cycle(rng, m, kind="mixed")`: a seeded integer quiddity cycle
+    of length m, of kind "cc", "mixed" or "zeros"."""
     return _glued_cycle
 
 

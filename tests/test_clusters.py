@@ -92,6 +92,16 @@ def test_all_ones_cluster_nine_gon():
     assert cluster.labels[(1, 6)] == -1
 
 
+def test_all_ones_cluster_label_check_survives_python_O(child_python):
+    # each diagonal's label is checked against its mod-6 value with a raise
+    proc = child_python("-O", "-c", "from quiddity import clusters\n"
+                        "clusters.diagonal_label = lambda f, i, j: 0\n"
+                        "clusters.all_ones_cluster(9)\n")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        "RuntimeError: the all-ones 9-gon has label 0 on the diagonal (")
+
+
 def test_all_ones_cluster_fifteen_gon():
     cluster = all_ones_cluster(15)
     assert len(cluster.triangulation.diagonals) == 12

@@ -502,7 +502,7 @@ def test_representatives_are_canonical():
 
 
 def test_result_validates_counts():
-    with pytest.raises(AssertionError):
+    with pytest.raises(UsageError):
         EnumerationResult(Z, 1, 1, 2, (Cycle(Z, (1, 2, 1, 2)),))
 
 

@@ -17,6 +17,7 @@ from quiddity.errors import (
 )
 from quiddity.labelling import (
     Labelling,
+    _Polygon,
     _from_triangles,
     Triangulation,
     cc_quiddity,
@@ -321,18 +322,24 @@ def test_labelling_round_trip_on_corpus(z_corpus):
         assert cycle_from_labelling(lab).entries == cycle.entries
 
 
-def test_labelling_from_cycle_reads_the_sums_once_per_stage(z_corpus, monkeypatch):
-    # `_glue_back` reads each block off its step alone, so the sums are read
-    # only to compare each stage with its step's input
-    calls = []
-    sums = Labelling.vertex_sums
-    monkeypatch.setattr(Labelling, "vertex_sums",
-                        lambda self: calls.append(1) or sums(self))
-    for cycle in z_corpus[:20]:
-        calls.clear()
-        lab = labelling_from_cycle(cycle)
-        assert len(calls) == len(reduce_to_base(cycle).steps)
-        assert sums(lab) == cycle.entries
+def test_labelling_from_cycle_running_state_matches_a_rebuild(glued_cycle):
+    # labelling_from_cycle checks each stage from the running sums and sign
+    # counts of one `_Polygon`; every stage, rebuilt in full, must agree
+    rng = random.Random(324)
+    for kind in ("cc", "mixed", "zeros"):
+        for m in range(3, 61):
+            cycle = Cycle(Z, glued_cycle(rng, m, kind))
+            polygon = _Polygon()
+            for step in reversed(reduce_to_base(cycle).steps):
+                polygon.glue_back(step)
+                lab = polygon.labelling()
+                assert tuple(polygon.sums) == lab.vertex_sums() == step.before.entries
+                labels = list(lab.labels.values())
+                assert polygon.negative == sum(x < 0 for x in labels)
+                assert polygon.zero == labels.count(0)
+                assert polygon.sign_holds() and labelling_sign(lab) == 1
+                assert square_partition(lab) is not None
+            assert labelling_from_cycle(cycle) == polygon.labelling()
 
 
 def test_labelling_from_cycle_guards():

@@ -11,8 +11,7 @@ from quiddity import labelling, reduction
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, UnsupportedRingError
 from quiddity.labelling import (
-    _from_triangles,
-    _glue_back,
+    _Polygon,
     cycle_from_labelling,
     labelling_from_cycle,
     labelling_sign,
@@ -183,6 +182,42 @@ def test_trace_checks_each_cycle_once(glued_cycle):
             reduce_to_base(Cycle(Z, entries))
 
 
+def test_first_three_positions_decide_the_case():
+    # _reduce_step passes _choose_case only the first three positions of
+    # each entry value; the labelling reduction passes all of them
+    rng = random.Random(3)
+    for _ in range(3000):
+        m = rng.randint(2, 12)
+        ones, zeros, minus = (sorted(rng.sample(range(1, m + 1), rng.randint(0, min(m, 6))))
+                              for _ in range(3))
+        assert (reduction._choose_case(m, ones[:3], zeros[:3], minus[:3])
+                == reduction._choose_case(m, ones, zeros, minus))
+
+
+def test_local_step_check_agrees_with_the_whole_cycle(glued_cycle):
+    # each step checks its output from local facts; their verdict must be
+    # is_quiddity's, on the real output and on the output with one entry
+    # off by one, anywhere
+    rng = random.Random(222)
+    tags = set()
+    for kind in ("cc", "mixed", "zeros"):
+        for m in list(range(3, 66, 3)) + [64, 65]:
+            for step in reduce_to_base(Cycle(Z, glued_cycle(rng, m, kind))).steps:
+                tags.add(step.case_tag)
+                case, indices = int(step.case_tag[1:]), step.indices
+                moves = reduction._moves(step.before, case, indices)
+                assert moves[-1] == step.after
+                assert reduction._moves_hold(case, indices, moves) is is_quiddity(step.after) is True
+                after = step.after.entries
+                n = len(after)
+                for p in (range(n) if n <= 12 else rng.sample(range(n), 6)):
+                    wrong = after[:p] + (after[p] + rng.choice((1, -1)),) + after[p + 1:]
+                    wrong = Cycle(Z, wrong)
+                    verdict = reduction._moves_hold(case, indices, moves[:-1] + [wrong])
+                    assert verdict is is_quiddity(wrong) is False
+    assert tags == {"T1", "T2", "T3", "T4", "T5"}
+
+
 # one step each whose contraction window reaches vertex 1 or vertex m
 WRAPPED_STEPS = (
     ((1, 2, 1, 2), "T1", (1,)),
@@ -210,20 +245,22 @@ def test_every_step_rebuilds_exactly():
     for entries, eps in (((1, 1, 1), -1), ((0, 0, 0, 0), 1), ((-1, -1, -1), 1)):
         step = reduce_step_epsilon(Cycle(Z, entries), eps)
         assert (step.indices, step.after.entries) == ((1,), (0, 0))
-        boundary, labels = [0, 1], {}
-        _glue_back(boundary, labels, step)
-        pos = {v: i for i, v in enumerate(boundary, 1)}
-        lab = _from_triangles(len(pos), {tuple(sorted(pos[v] for v in t)): x
-                                         for t, x in labels.items()})
-        assert lab.vertex_sums() == entries
+        polygon = _Polygon()
+        polygon.glue_back(step)
+        lab = polygon.labelling()
+        assert lab.vertex_sums() == tuple(polygon.sums) == entries
         assert labelling_sign(lab) == -eps
 
 
 def test_reduction_engines_hold_no_assert():
-    # an assert vanishes under python -O; these modules check with raises
-    for module in (reduction, labelling):
-        tree = ast.parse(Path(module.__file__).read_text())
-        assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    # an assert vanishes under python -O; every module of the package,
+    # the reduction engines included, checks with raises
+    modules = sorted(Path(reduction.__file__).parent.glob("*.py"))
+    assert Path(reduction.__file__) in modules and Path(labelling.__file__) in modules
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], path.name
 
 
 # each child breaks one step of an engine and must stop on that step's check
@@ -241,6 +278,39 @@ BROKEN_UNDER_PYTHON_O = {
         "reduction._CONTRACT[1] = wrong\n"
         "reduction.reduce_to_base(Cycle(Z, (1, 4, 1, 2, 2, 2)))\n",
         "RuntimeError: case T1 at (1,) gave (4, 1, 2, 2, 1), not a quiddity cycle"),
+    "a 0-contraction with a wrong entry": (
+        "from dataclasses import replace\n"
+        "from quiddity import reduction\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "contract = reduction._CONTRACT[2]\n"
+        "def wrong(cycle, k):\n"
+        "    out = contract(cycle, k)\n"
+        "    entries = (out.cycle.entries[0] + 1,) + out.cycle.entries[1:]\n"
+        "    return replace(out, cycle=Cycle(Z, entries))\n"
+        "reduction._CONTRACT[2] = wrong\n"
+        "reduction.reduce_to_base(Cycle(Z, (-1, 0, 0, -1, -1)))\n",
+        "RuntimeError: case T2 at (2,) gave (0, 1, 1), not a quiddity cycle"),
+    "a contraction with a wrong entry outside its window": (
+        "from dataclasses import replace\n"
+        "from quiddity import reduction\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "contract = reduction._CONTRACT[1]\n"
+        "def wrong(cycle, k):\n"
+        "    out = contract(cycle, k)\n"
+        "    entries = out.cycle.entries[:2] + (out.cycle.entries[2] + 1,) + out.cycle.entries[3:]\n"
+        "    return replace(out, cycle=Cycle(Z, entries))\n"
+        "reduction._CONTRACT[1] = wrong\n"
+        "reduction.reduce_to_base(Cycle(Z, (1, 4, 1, 2, 2, 2)))\n",
+        "RuntimeError: case T1 at (1,) gave (3, 1, 3, 2, 1), not a quiddity cycle"),
+    "a labelling stage that does not negate": (
+        "from quiddity import labelling\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "labelling._NEGATING_TAGS = frozenset()\n"
+        "labelling.labelling_from_cycle(Cycle(Z, (-1, -2, -1, -2)))\n",
+        "RuntimeError: undoing T3 at (1,) missed (-1, -2, -1, -2)"),
     "a labelling step that does not negate": (
         "from quiddity import labelling\n"
         "from quiddity.labelling import Labelling, Triangulation, reduce_labelling_step\n"
