@@ -29,15 +29,14 @@ contracted a pair (j, k) at k first is undone at j first.
 `_Polygon.glue_back` does this on vertex ids that never change, kept in
 counterclockwise order in a `boundary` list with the vertex sums beside
 them, so a glue is one or two list inserts and at most three sums.  Each
-stage is checked from that running state; the finished polygon, and each
-polygon that the reduction below leaves, becomes a `Labelling` through one
-builder, `_from_triangles`.  A sorted triangle (a, c, b) is
-the one triangle under its long side (a, b), so the labelled triangles map
-each side to its apex, and one walk from the side (1, m) over that map
-checks that they tile the polygon and records the triangles, the dual tree
-and the diagonals (the walked sides that are not polygon edges).
-`Triangulation(m, diagonals)` runs the same walk on the map it reads off
-its diagonals.
+stage is checked from that running state, and the finished polygon becomes
+a `Labelling` through one builder, `_from_triangles`.  A sorted triangle
+(a, c, b) is the one triangle under its long side (a, b), so the labelled
+triangles map each side to its apex, and one walk from the side (1, m)
+over that map checks that they tile the polygon and records the
+triangles, the dual tree and the diagonals (the walked sides that are not
+polygon edges).  `Triangulation(m, diagonals)` runs the same walk on the
+map it reads off its diagonals.
 
 The dual graph of a triangulation is a tree.  The walk records it, each
 triangle with its parent, and the square pairing of (i) is read off that
@@ -47,11 +46,18 @@ The combinatorial reduction engine works in the other direction, removing
 ears (vertices in a single triangle) and squares; its six cases mirror the
 integer-cycle reduction cases one for one, chosen by the same rule.  A
 square is removable at window k when its four corners are the consecutive
-vertices k-1..k+2.
+vertices k-1..k+2.  `labelling_from_cycle` and each step leave on their
+result the facts they checked, its square partition and its numbers of
+negative and zero labels, so a chain of steps checks its input in full
+only once.  Each step renumbers the surviving vertices in order and
+derives its polygon's labels, triangles, diagonals and facts from its
+input's, at the cost of the step; that polygon walks its triangles only
+when a full check or `square_partition` reads the walk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from quiddity.bounds import _first_separated_pair
@@ -63,7 +69,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import _NEGATES, _choose_case, reduce_to_base
+from quiddity.reduction import _ENTRY, _NEGATES, _choose_case, reduce_to_base
 from quiddity.rings import Z, _check_int
 
 __all__ = [
@@ -94,7 +100,9 @@ class Triangulation:
     the neighbour of a just below b (`_apexes_from_diagonals`).  The walk
     then validates the m - 3 chords: it finishes only by cutting the polygon
     along m - 3 of them, all of the set, so none can cross.  `_from_triangles`
-    takes the map from labelled triangles instead.
+    takes the map from labelled triangles instead.  A labelling reduction
+    step derives its triangulation's diagonals and sorted triangles from
+    its input's, and the walk over those triangles is made when first read.
     The 2-gon has no triangles at all; that degenerate case is allowed.
     """
 
@@ -121,12 +129,21 @@ class Triangulation:
         if len(diags) != max(m - 3, 0):
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
         walk, parent, _ = _walk_sides(m, _apexes_from_diagonals(m, diags))
+        object.__setattr__(self, "triangles", tuple(sorted(walk)))
         self._record(walk, parent)
 
     def _record(self, walk: tuple, parent: dict):
-        object.__setattr__(self, "triangles", tuple(sorted(walk)))
         object.__setattr__(self, "_walk", walk)
         object.__setattr__(self, "_parent", parent)
+
+    def __getattr__(self, name):
+        # only a triangulation that a labelling reduction step built lacks
+        # its walk; every other attribute that is missing stays missing
+        if name not in ("_walk", "_parent"):
+            raise AttributeError(name)
+        walk, parent, _ = _walk_sides(self.m, {(a, b): c for a, c, b in self.triangles})
+        self._record(walk, parent)
+        return self.__dict__[name]
 
 
 def _apexes_from_diagonals(m: int, diagonals: frozenset) -> dict:
@@ -280,11 +297,21 @@ def labelling_sign(lab: Labelling) -> int:
     Raises if the number of zero labels is odd (then d is no integer and the
     sign is undefined).
     """
-    neg = sum(1 for v in lab.labels.values() if v < 0)
-    zeros = sum(1 for v in lab.labels.values() if v == 0)
-    if zeros % 2 != 0:
+    negative, zero = _label_counts(lab.labels)
+    if zero % 2 != 0:
         raise InvalidLabellingError("sign undefined: odd number of zero labels")
-    return -1 if (neg + zeros // 2) % 2 else 1
+    return -1 if (negative + zero // 2) % 2 else 1
+
+
+def _label_counts(labels: dict) -> tuple:
+    """The numbers of negative and of zero labels."""
+    values = list(labels.values())
+    return sum(x < 0 for x in values), values.count(0)
+
+
+def _sign_holds(negative: int, zero: int) -> bool:
+    """Condition (ii), from the numbers of negative and zero labels."""
+    return zero % 2 == 0 and (negative + zero // 2) % 2 == 0
 
 
 def is_admissible(lab: Labelling) -> bool:
@@ -345,7 +372,8 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
         if type(x) is not int:
             raise InvalidLabellingError(f"labels must be integers, got {x!r}")
     walk, parent, diagonals = _walk_sides(m, under)
-    tri = _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals))
+    tri = _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals),
+                      triangles=tuple(sorted(walk)))
     tri._record(walk, parent)
     return _prechecked(Labelling, triangulation=tri, labels=dict(labels))
 
@@ -426,7 +454,7 @@ class _Polygon:
     def sign_holds(self) -> bool:
         """Condition (ii), from the running counts of negative and zero
         labels."""
-        return self.zero % 2 == 0 and (self.negative + self.zero // 2) % 2 == 0
+        return _sign_holds(self.negative, self.zero)
 
     def labelling(self) -> Labelling:
         """This polygon as a `Labelling`, its vertices numbered 1..m along
@@ -446,8 +474,10 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     are the step's input, the labels of its ears are +-1 and the sign
     condition (ii) holds.  Condition (i) holds by construction, since each
     square is glued as one pair of adjacent opposite labels.  The one
-    `Labelling` built at the end is checked in full: its triangles tile the
-    polygon, it is admissible and its sums are `cycle`.  The result is one
+    `Labelling` built at the end is checked: its triangles tile the
+    polygon, its square partition exists and its sums are `cycle`.  It
+    carries that partition and the polygon's label counts, so the first
+    `reduce_labelling_step` on it checks nothing twice.  The result is one
     of possibly several admissible labellings for the cycle.
     """
     if cycle.ring is not Z:
@@ -462,8 +492,11 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
                 or any(before[k - 1] not in (1, 0, -1) for k in step.indices)):
             raise RuntimeError(f"undoing {step.case_tag} at {step.indices} missed {step.before}")
     result = polygon.labelling()
-    if result.vertex_sums() != cycle.entries or not is_admissible(result):
+    partition = square_partition(result)
+    if (result.vertex_sums() != cycle.entries or partition is None
+            or not polygon.sign_holds()):
         raise RuntimeError(f"the labelling glued for {cycle} is inadmissible or has other sums")
+    _carry(result, partition, polygon.negative, polygon.zero)
     return result
 
 
@@ -511,14 +544,38 @@ def _cyc(v: int, m: int) -> int:
     return (v - 1) % m + 1
 
 
-def _without(lab: Labelling, vertices: set, triangles: set) -> Labelling:
-    """`lab` less `triangles` and the `vertices` only they held.  The other
-    vertices are renumbered densely in order, so each triple stays sorted."""
-    kept = [v for v in range(1, lab.m + 1) if v not in vertices]
-    new = {v: i for i, v in enumerate(kept, 1)}
-    return _from_triangles(len(kept), {(new[a], new[b], new[c]): x
-                                       for (a, b, c), x in lab.labels.items()
-                                       if (a, b, c) not in triangles})
+def _carry(lab: Labelling, partition: list, negative: int, zero: int) -> None:
+    """Keep on `lab` the facts of its admissibility checked as it was built:
+    its square partition and its numbers of negative and zero labels, with
+    a snapshot of the labels they describe."""
+    object.__setattr__(lab, "_checked", (dict(lab.labels), partition, negative, zero))
+
+
+def _checked_facts(lab: Labelling) -> tuple:
+    """The square partition of `lab` and its numbers of negative and zero
+    labels; raises `InvalidLabellingError` unless `lab` is admissible with
+    integer labels.
+
+    The facts that `lab` carries count while its labels still equal their
+    snapshot, one dict comparison.  A labelling that carries none, built by
+    hand or changed in place, is checked in full.
+    """
+    labels = lab.labels
+    if not {int}.issuperset(map(type, labels.values())):
+        # the label types that `Labelling` accepts, for a label set in place
+        for x in labels.values():
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidLabellingError(f"labels must be integers, got {x!r}")
+    carried = getattr(lab, "_checked", None)
+    if carried is not None and carried[0] == labels:
+        return carried[1:]
+    if labels.keys() != set(lab.triangulation.triangles):
+        raise InvalidLabellingError("labels must cover exactly the triangles")
+    partition = square_partition(lab)
+    negative, zero = _label_counts(labels)
+    if partition is None or not _sign_holds(negative, zero):
+        raise InvalidLabellingError("labelling is not admissible")
+    return partition, negative, zero
 
 
 def _square_windows(partition: list, m: int) -> dict:
@@ -534,20 +591,17 @@ def _square_windows(partition: list, m: int) -> dict:
     Its two triangles split the quadrilateral a, u, v, b along one of its
     two diagonals.  Only pairs of the partition count; a coincidental
     opposite-label adjacency that the partition does not pair is not a
-    removable square.
+    removable square.  The square starts at the corner a whose predecessor
+    among the sorted corners is a + 3, cyclically; in the 4-gon every
+    corner is such a start, so its one square sits at all four windows.
     """
     windows = {}
     for pair in partition:
-        corners = set(pair[0] + pair[1])
-        for a in corners:
-            if corners == {_cyc(a + i, m) for i in range(4)}:
-                windows[_cyc(a + 1, m)] = pair
+        corners = sorted(set(pair[0] + pair[1]))
+        for i in range(4):
+            if (corners[i - 1] - corners[i]) % m == 3:
+                windows[corners[i] % m + 1] = pair
     return windows
-
-
-def _negated(lab: Labelling) -> Labelling:
-    return _prechecked(Labelling, triangulation=lab.triangulation,
-                       labels={t: -x for t, x in lab.labels.items()})
 
 
 def reduce_labelling_step(lab: Labelling) -> LabellingStep:
@@ -557,52 +611,101 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     Cases mirror the integer-cycle reduction one for one, chosen by its
     rule: remove an ear labelled 1; remove a square and negate (m odd);
     remove an ear labelled -1 and negate (m even); remove two separated
-    squares; remove two separated -1 ears.  The result is checked
-    admissible with a raise; one case always applies on admissible input.
+    squares; remove two separated -1 ears.  One case always applies on
+    admissible input.
+
+    The input is checked in full unless it carries the facts of a previous
+    step or of `labelling_from_cycle` for its present labels
+    (`_checked_facts`).  `after` is derived from the input: the surviving
+    vertices are renumbered once, in order, so each triple, the sorted
+    triangles and the sorted partition stay sorted; its diagonals are the
+    input's less those that the removed triangles border.  Its square
+    partition is the input's less the removed squares and its label counts
+    are the input's less the removed labels, negated with the labels in
+    cases 2 and 3.  The checks are local and raise, also under `python -O`:
+    each removed block is an ear labelled as its case says or a partition
+    pair at a window, the m' - 2 triangles and m' - 3 diagonals of an
+    m'-gon are left, and condition (ii) holds from the counts.  `after`
+    carries its facts; its triangle walk is made when first read.
     """
-    partition = square_partition(lab)
-    if partition is None or labelling_sign(lab) != 1:
-        raise InvalidLabellingError("labelling is not admissible")
+    partition, negative, zero = _checked_facts(lab)
     m = lab.m
     if m < 4:
         return LabellingStep("TC0", (), lab, lab)
 
+    labels = lab.labels
     # an ear, a vertex in one triangle, is the middle corner of a triangle
     # over a side of length 2, or vertex 1 of (1, 2, m) or m of (1, m-1, m)
     ears = {}
-    for t in lab.labels:
+    for t in labels:
         a, c, b = t
         if b - a == 2:
             ears[c] = t
-        elif t == (1, 2, m):
-            ears[1] = t
-        elif t == (1, m - 1, m):
-            ears[m] = t
+        elif b - a == m - 1:
+            if c == 2:
+                ears[1] = t
+            if c == m - 1:
+                ears[m] = t
     windows = _square_windows(partition, m)
     # _first_separated_pair skips the pair (1, m), which admissible input
     # never holds: both ears, or both squares, would hold the one triangle
     # on the boundary edge (m, 1)
-    chosen = _choose_case(m, sorted(k for k, t in ears.items() if lab.labels[t] == 1),
+    chosen = _choose_case(m, sorted(k for k, t in ears.items() if labels[t] == 1),
                           sorted(windows),
-                          sorted(k for k, t in ears.items() if lab.labels[t] == -1))
+                          sorted(k for k, t in ears.items() if labels[t] == -1))
     if chosen is None:
         raise RuntimeError("no case applies; contradicts the combinatorial theorem")
     case, indices = chosen
     # Cases 2 and 4 remove the squares at windows k, on vertices k-1 .. k+2:
     # both triangles and the two middle vertices.  The others remove ear k
-    # and its triangle.  The blocks of a separated pair share no removed
-    # vertex and no triangle, so one `_without` call drops both.
-    vertices, triangles = set(), set()
+    # and its triangle.
+    removed, gone = set(), set()
     for k in indices:
         if case in (2, 4):
-            vertices |= {k, _cyc(k + 1, m)}
-            triangles.update(windows[k])
+            block = windows.get(k, ())
+            removed |= {k, _cyc(k + 1, m)}
         else:
-            vertices.add(k)
-            triangles.add(ears[k])
-    after = _without(lab, vertices, triangles)
-    if case in _NEGATES:
-        after = _negated(after)
-    if not is_admissible(after):
+            t = ears.get(k)
+            block = (t,) if labels.get(t) == _ENTRY[case] else ()
+            removed.add(k)
+        if not block:
+            raise RuntimeError(f"case TC{case} at {indices} finds no block at {k}")
+        gone.update(block)
+
+    # The input less the removed triangles and the chords they border: a
+    # removed vertex lies in removed triangles only, and a kept chord whose
+    # ends become neighbours is the outer side of a removed block.
+    kept_labels = dict(labels)
+    kept_triangles = list(lab.triangulation.triangles)
+    kept_diagonals = set(lab.triangulation.diagonals)
+    for t in gone:
+        x = kept_labels.pop(t)
+        negative -= x < 0
+        zero -= x == 0
+        del kept_triangles[bisect_left(kept_triangles, t)]
+        a, c, b = t
+        kept_diagonals.difference_update(((a, c), (c, b), (a, b)))
+    # new[v]: the number of surviving vertex v; None for a removed one
+    new, start = [], 0
+    for shift, v in enumerate(sorted(removed)):
+        new += range(start - shift, v - shift)
+        new.append(None)
+        start = v + 1
+    size = m - len(removed)
+    new += range(start - len(removed), size + 1)
+
+    sign = -1 if case in _NEGATES else 1
+    after_labels = {(new[a], new[c], new[b]): sign * x for (a, c, b), x in kept_labels.items()}
+    triangles = tuple([(new[a], new[c], new[b]) for a, c, b in kept_triangles])
+    diagonals = frozenset([(new[i], new[j]) for i, j in kept_diagonals])
+    pairs = [((new[a], new[c], new[b]), (new[d], new[e], new[f]))
+             for (a, c, b), (d, e, f) in partition if (a, c, b) not in gone]
+    if sign < 0:
+        negative = size - 2 - zero - negative
+    if (len(triangles) != size - 2 or len(diagonals) != max(size - 3, 0)
+            or not _sign_holds(negative, zero)):
         raise RuntimeError(f"case TC{case} at {indices} left an inadmissible labelling")
+    tri = _prechecked(Triangulation, m=size, diagonals=diagonals, triangles=triangles)
+    after = _prechecked(Labelling, triangulation=tri, labels=after_labels)
+    _carry(after, pairs, negative, zero)
     return LabellingStep(f"TC{case}", indices, lab, after)

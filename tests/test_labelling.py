@@ -1,6 +1,7 @@
 """Labelled triangulations: admissibility, vertex sums, and the
 combinatorial reduction engine."""
 
+import enum
 import itertools
 import random
 
@@ -30,7 +31,7 @@ from quiddity.labelling import (
     reduce_labelling_step,
     square_partition,
 )
-from quiddity.reduction import reduce_step_Z, reduce_to_base
+from quiddity.reduction import _NEGATES, _choose_case, reduce_step_Z, reduce_to_base
 from quiddity.rings import Z
 
 
@@ -516,3 +517,134 @@ def test_combinatorial_and_integer_engines_can_diverge():
     assert tag_c in ("TC2", "TC5")
     steps = reduce_labelling_fully(lab)
     assert steps[-1].case_tag == "TC0"
+
+
+def reference_step(lab: Labelling) -> tuple:
+    """The case tag, indices and `after` of one labelling reduction step,
+    computed as the library did before its steps carried their checked
+    facts: the input checked in full, the removable squares found by
+    comparing corner sets, `after` rebuilt by one `_from_triangles` walk
+    and checked in full."""
+    partition = square_partition(lab)
+    if partition is None or labelling_sign(lab) != 1:
+        raise InvalidLabellingError("labelling is not admissible")
+    m = lab.m
+    if m < 4:
+        return "TC0", (), lab
+    ears = {}
+    for t in lab.labels:
+        a, c, b = t
+        if b - a == 2:
+            ears[c] = t
+        elif t == (1, 2, m):
+            ears[1] = t
+        elif t == (1, m - 1, m):
+            ears[m] = t
+    windows = {}
+    for pair in partition:
+        corners = set(pair[0] + pair[1])
+        for a in corners:
+            if corners == {(a + i - 1) % m + 1 for i in range(4)}:
+                windows[a % m + 1] = pair
+    case, indices = _choose_case(
+        m, sorted(k for k, t in ears.items() if lab.labels[t] == 1), sorted(windows),
+        sorted(k for k, t in ears.items() if lab.labels[t] == -1))
+    vertices, triangles = set(), set()
+    for k in indices:
+        if case in (2, 4):
+            vertices |= {k, k % m + 1}
+            triangles.update(windows[k])
+        else:
+            vertices.add(k)
+            triangles.add(ears[k])
+    kept = [v for v in range(1, m + 1) if v not in vertices]
+    new = {v: i for i, v in enumerate(kept, 1)}
+    sign = -1 if case in _NEGATES else 1
+    after = _from_triangles(len(kept), {(new[a], new[b], new[c]): sign * x
+                                        for (a, b, c), x in lab.labels.items()
+                                        if (a, b, c) not in triangles})
+    assert is_admissible(after)
+    return f"TC{case}", indices, after
+
+
+def assert_carries_its_facts(lab: Labelling):
+    # the facts a labelling carries are those of its full rebuild
+    rebuilt = _from_triangles(lab.m, lab.labels)
+    labels = list(rebuilt.labels.values())
+    assert labelling_sign(rebuilt) == 1
+    assert lab._checked == (rebuilt.labels, square_partition(rebuilt),
+                            sum(x < 0 for x in labels), labels.count(0))
+
+
+def test_labelling_steps_match_a_reference_step(glued_cycle):
+    rng = random.Random(5)
+    tags = set()
+    for kind in ("cc", "mixed", "zeros"):
+        for m in range(4, 66, 2):
+            lab = labelling_from_cycle(Cycle(Z, glued_cycle(rng, m, kind)))
+            assert_carries_its_facts(lab)
+            while lab.m >= 4:
+                step = reduce_labelling_step(lab)
+                after = step.after
+                assert (step.case_tag, step.indices, after) == reference_step(lab)
+                rebuilt = _from_triangles(after.m, after.labels).triangulation
+                built = after.triangulation
+                assert built.triangles == rebuilt.triangles
+                assert built.diagonals == rebuilt.diagonals
+                assert built._walk == rebuilt._walk
+                assert built._parent == rebuilt._parent
+                assert_carries_its_facts(after)
+                tags.add(step.case_tag)
+                lab = after
+    assert tags == {"TC1", "TC2", "TC3", "TC4", "TC5"}
+
+
+def test_a_labelling_changed_in_place_is_checked_in_full(glued_cycle):
+    rng = random.Random(6)
+    flipped = swapped = 0
+    for m in range(8, 40):
+        lab = labelling_from_cycle(Cycle(Z, glued_cycle(rng, m)))
+        while lab.m >= 4:
+            labels = lab.labels
+            ones = [t for t, x in labels.items() if x in (1, -1)]
+            if ones:
+                # one more or one fewer negative label breaks condition (ii)
+                t = ones[0]
+                x = labels[t]
+                labels[t] = -x
+                with pytest.raises(InvalidLabellingError, match="not admissible"):
+                    reduce_labelling_step(lab)
+                # an equal label of another type passes the snapshot's
+                # comparison, but not the type check
+                labels[t] = float(x)
+                with pytest.raises(InvalidLabellingError, match="must be integers"):
+                    reduce_labelling_step(lab)
+                labels[t] = x
+                flipped += 1
+            pairs = [(u, v) for u, v in square_partition(lab) if labels[u]]
+            if pairs:
+                # swapping a square's labels x, -x keeps it admissible
+                u, v = pairs[0]
+                labels[u], labels[v] = labels[v], labels[u]
+                step = reduce_labelling_step(lab)
+                fresh = reduce_labelling_step(Labelling(lab.triangulation, dict(labels)))
+                assert (step.case_tag, step.indices, step.after) == \
+                    (fresh.case_tag, fresh.indices, fresh.after)
+                assert step.after._checked == fresh.after._checked
+                swapped += 1
+            lab = reduce_labelling_step(lab).after
+    assert flipped > 100 and swapped > 20
+
+
+def test_labelling_step_takes_the_labels_labelling_takes():
+    # an int subclass is a label; a bool or a float set in place is not
+    class Label(enum.IntEnum):
+        ONE = 1
+
+    lab = Labelling(Triangulation(4, {(1, 3)}), {(1, 2, 3): 1, (1, 3, 4): Label.ONE})
+    step = reduce_labelling_step(lab)
+    assert (step.case_tag, step.after.labels) == ("TC1", {(1, 2, 3): 1})
+    for bad in (True, 1.0):
+        lab.labels[(1, 3, 4)] = bad
+        with pytest.raises(InvalidLabellingError, match="must be integers"):
+            reduce_labelling_step(lab)

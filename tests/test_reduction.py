@@ -314,10 +314,28 @@ BROKEN_UNDER_PYTHON_O = {
     "a labelling step that does not negate": (
         "from quiddity import labelling\n"
         "from quiddity.labelling import Labelling, Triangulation, reduce_labelling_step\n"
-        "labelling._negated = lambda lab: lab\n"
+        "labelling._NEGATES = ()\n"
         "lab = Labelling(Triangulation(4, {(1, 3)}), {(1, 2, 3): -1, (1, 3, 4): -1})\n"
         "reduce_labelling_step(lab)\n",
         "RuntimeError: case TC3 at (2,) left an inadmissible labelling"),
+    "a chain step that does not negate": (
+        "from quiddity import labelling\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "labelling._NEGATES = ()\n"
+        "lab = labelling.labelling_from_cycle(Cycle(Z, (-1, -2, -1, -2)))\n"
+        "labelling.reduce_labelling_step(lab)\n",
+        "RuntimeError: case TC3 at (1,) left an inadmissible labelling"),
+    "a chain step with a wrong carried count": (
+        "from quiddity import labelling\n"
+        "from quiddity.cycles import Cycle\n"
+        "from quiddity.rings import Z\n"
+        "lab = labelling.labelling_from_cycle(Cycle(Z, (1, 3, 1, 3, 1, 3)))\n"
+        "after = labelling.reduce_labelling_step(lab).after\n"
+        "labels, partition, negative, zero = after._checked\n"
+        "object.__setattr__(after, '_checked', (labels, partition, negative + 1, zero))\n"
+        "labelling.reduce_labelling_step(after)\n",
+        "RuntimeError: case TC1 at (2,) left an inadmissible labelling"),
 }
 
 
