@@ -43,6 +43,10 @@ class Cluster:
     labels: dict  # (i, j) -> ring element
 
     def __post_init__(self):
+        if not isinstance(self.triangulation, Triangulation):
+            raise UsageError(f"a cluster needs a Triangulation, got {self.triangulation!r}")
+        if not isinstance(self.labels, dict):
+            raise UsageError(f"labels map diagonals to ring elements, got {self.labels!r}")
         if set(self.labels) != set(self.triangulation.diagonals):
             raise UsageError("labels must cover exactly the diagonals")
 
@@ -59,14 +63,14 @@ def diagonal_label(f: FriezePattern, i: int, j: int):
 
     Vertices are 1..m; the diagonal between the neighbours of vertex k
     carries the quiddity entry c_k, which places (i, j) at grid position
-    (i+1, j+1).
+    (i+1, j+1), stored as rows[i][j - i].
     """
     m = f.m
-    if not (1 <= i < j <= m):
+    if not (1 <= _check_int(i, "a vertex") < _check_int(j, "a vertex") <= m):
         raise UsageError(f"need 1 <= i < j <= m, got ({i}, {j})")
     if j - i == 1 or (i, j) == (1, m):
         raise UsageError(f"({i}, {j}) is an edge of the {m}-gon, not a diagonal")
-    return f.entry(i + 1, j + 1)
+    return f.rows[i][j - i]
 
 
 def check_ptolemy(f: FriezePattern) -> bool:

@@ -63,6 +63,8 @@ class FriezePattern:
 
     def entry(self, i: int, j: int):
         """c_{i,j}, using periodicity c_{i,j} = c_{i+m,j+m} to normalize i."""
+        _check_int(i, "a row index")
+        _check_int(j, "a column index")
         m = self.m
         shift = (i - 1) // m
         i -= shift * m

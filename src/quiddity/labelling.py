@@ -46,19 +46,24 @@ The combinatorial reduction engine works in the other direction, removing
 ears (vertices in a single triangle) and squares; its six cases mirror the
 integer-cycle reduction cases one for one, chosen by the same rule.  A
 square is removable at window k when its four corners are the consecutive
-vertices k-1..k+2.  `labelling_from_cycle` and each step leave on their
-result the facts they checked, its square partition and its numbers of
-negative and zero labels, so a chain of steps checks its input in full
-only once.  Each step renumbers the surviving vertices in order and
-derives its polygon's labels, triangles, diagonals and facts from its
-input's, at the cost of the step; that polygon walks its triangles only
-when a full check or `square_partition` reads the walk.
+vertices k-1..k+2.
+
+A `Labelling` cannot change: its labels are a read-only view of the dict
+that was checked.  So it owns the facts of its admissibility, its square
+partition and its numbers of negative and zero labels, as the cached
+`_facts`, computed on first read.  A reduction step derives its result's
+labels, triangles, diagonals and facts from its input's, at the cost of
+the step, so a chain of steps checks each labelling in full at most once;
+the result walks its triangles only when `square_partition` reads the walk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from quiddity.bounds import _first_separated_pair
 from quiddity.cycles import Cycle, is_quiddity
@@ -100,10 +105,11 @@ class Triangulation:
     the neighbour of a just below b (`_apexes_from_diagonals`).  The walk
     then validates the m - 3 chords: it finishes only by cutting the polygon
     along m - 3 of them, all of the set, so none can cross.  `_from_triangles`
-    takes the map from labelled triangles instead.  A labelling reduction
-    step derives its triangulation's diagonals and sorted triangles from
-    its input's, and the walk over those triangles is made when first read.
-    The 2-gon has no triangles at all; that degenerate case is allowed.
+    takes the map from labelled triangles instead.  Both keep the walk as
+    `_dual`; a labelling reduction step derives its triangulation's
+    diagonals and sorted triangles from its input's, and that triangulation
+    walks its triangles when `_dual` is first read.  The 2-gon has no
+    triangles at all; that degenerate case is allowed.
     """
 
     m: int
@@ -130,20 +136,14 @@ class Triangulation:
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
         walk, parent, _ = _walk_sides(m, _apexes_from_diagonals(m, diags))
         object.__setattr__(self, "triangles", tuple(sorted(walk)))
-        self._record(walk, parent)
+        object.__setattr__(self, "_dual", (walk, parent))
 
-    def _record(self, walk: tuple, parent: dict):
-        object.__setattr__(self, "_walk", walk)
-        object.__setattr__(self, "_parent", parent)
-
-    def __getattr__(self, name):
-        # only a triangulation that a labelling reduction step built lacks
-        # its walk; every other attribute that is missing stays missing
-        if name not in ("_walk", "_parent"):
-            raise AttributeError(name)
+    @cached_property
+    def _dual(self) -> tuple:
+        """The triangles in walk order from the side (1, m) and each one's
+        parent: the dual tree."""
         walk, parent, _ = _walk_sides(self.m, {(a, b): c for a, c, b in self.triangles})
-        self._record(walk, parent)
-        return self.__dict__[name]
+        return walk, parent
 
 
 def _apexes_from_diagonals(m: int, diagonals: frozenset) -> dict:
@@ -229,12 +229,12 @@ def enumerate_triangulations(m: int) -> list:
 @dataclass(frozen=True)
 class Labelling:
     triangulation: Triangulation
-    labels: dict  # sorted triangle tuple -> int
+    labels: Mapping  # sorted triangle tuple -> int, read-only
 
     def __post_init__(self):
         if not isinstance(self.triangulation, Triangulation):
             raise UsageError(f"a labelling needs a Triangulation, got {self.triangulation!r}")
-        if not isinstance(self.labels, dict):
+        if not isinstance(self.labels, Mapping):
             raise UsageError(f"labels map triangles to integers, got {self.labels!r}")
         tris = set(self.triangulation.triangles)
         keyed = {}
@@ -251,7 +251,17 @@ class Labelling:
         for v in keyed.values():
             if isinstance(v, bool) or not isinstance(v, int):
                 raise InvalidLabellingError(f"labels must be integers, got {v!r}")
-        object.__setattr__(self, "labels", keyed)
+        object.__setattr__(self, "labels", MappingProxyType(keyed))
+
+    def __reduce__(self):
+        return Labelling, (self.triangulation, dict(self.labels))
+
+    @cached_property
+    def _facts(self) -> tuple:
+        """The square partition, None if there is none, and the numbers of
+        negative and of zero labels."""
+        values = list(self.labels.values())
+        return square_partition(self), sum(x < 0 for x in values), values.count(0)
 
     @property
     def m(self) -> int:
@@ -275,15 +285,15 @@ def square_partition(lab: Labelling):
     reverse), a triangle that still needs a partner can only take its
     parent, so the pairing is unique when it exists and is read off in O(m).
     """
-    tri = lab.triangulation
+    walk, parent = lab.triangulation._dual
     labels = lab.labels
     taken = set()
     pairs = []
-    for t in reversed(tri._walk):
+    for t in reversed(walk):
         x = labels[t]
         if x in (1, -1) or t in taken:
             continue
-        up = tri._parent[t]
+        up = parent[t]
         if up is None or up in taken or labels[up] != -x:
             return None
         taken.add(up)
@@ -297,16 +307,10 @@ def labelling_sign(lab: Labelling) -> int:
     Raises if the number of zero labels is odd (then d is no integer and the
     sign is undefined).
     """
-    negative, zero = _label_counts(lab.labels)
+    _, negative, zero = lab._facts
     if zero % 2 != 0:
         raise InvalidLabellingError("sign undefined: odd number of zero labels")
     return -1 if (negative + zero // 2) % 2 else 1
-
-
-def _label_counts(labels: dict) -> tuple:
-    """The numbers of negative and of zero labels."""
-    values = list(labels.values())
-    return sum(x < 0 for x in values), values.count(0)
 
 
 def _sign_holds(negative: int, zero: int) -> bool:
@@ -315,9 +319,8 @@ def _sign_holds(negative: int, zero: int) -> bool:
 
 
 def is_admissible(lab: Labelling) -> bool:
-    if square_partition(lab) is None:
-        return False
-    return labelling_sign(lab) == 1
+    partition, negative, zero = lab._facts
+    return partition is not None and _sign_holds(negative, zero)
 
 
 def cycle_from_labelling(lab: Labelling) -> Cycle:
@@ -373,14 +376,14 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
             raise InvalidLabellingError(f"labels must be integers, got {x!r}")
     walk, parent, diagonals = _walk_sides(m, under)
     tri = _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals),
-                      triangles=tuple(sorted(walk)))
-    tri._record(walk, parent)
-    return _prechecked(Labelling, triangulation=tri, labels=dict(labels))
+                      triangles=tuple(sorted(walk)), _dual=(walk, parent))
+    return _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(dict(labels)))
 
 
 def _prechecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` with these fields, without
-    its `__post_init__`: the caller has made every check it makes."""
+    """An instance of the frozen dataclass `cls` with these fields and
+    cached properties, without its `__post_init__`: the caller has made
+    every check it makes."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -475,10 +478,9 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     condition (ii) holds.  Condition (i) holds by construction, since each
     square is glued as one pair of adjacent opposite labels.  The one
     `Labelling` built at the end is checked: its triangles tile the
-    polygon, its square partition exists and its sums are `cycle`.  It
-    carries that partition and the polygon's label counts, so the first
-    `reduce_labelling_step` on it checks nothing twice.  The result is one
-    of possibly several admissible labellings for the cycle.
+    polygon, its sums are `cycle` and its `_facts` show it admissible, so
+    the first `reduce_labelling_step` on it checks nothing twice.  The
+    result is one of possibly several admissible labellings for the cycle.
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
@@ -492,11 +494,8 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
                 or any(before[k - 1] not in (1, 0, -1) for k in step.indices)):
             raise RuntimeError(f"undoing {step.case_tag} at {step.indices} missed {step.before}")
     result = polygon.labelling()
-    partition = square_partition(result)
-    if (result.vertex_sums() != cycle.entries or partition is None
-            or not polygon.sign_holds()):
+    if result.vertex_sums() != cycle.entries or not is_admissible(result):
         raise RuntimeError(f"the labelling glued for {cycle} is inadmissible or has other sums")
-    _carry(result, partition, polygon.negative, polygon.zero)
     return result
 
 
@@ -544,40 +543,6 @@ def _cyc(v: int, m: int) -> int:
     return (v - 1) % m + 1
 
 
-def _carry(lab: Labelling, partition: list, negative: int, zero: int) -> None:
-    """Keep on `lab` the facts of its admissibility checked as it was built:
-    its square partition and its numbers of negative and zero labels, with
-    a snapshot of the labels they describe."""
-    object.__setattr__(lab, "_checked", (dict(lab.labels), partition, negative, zero))
-
-
-def _checked_facts(lab: Labelling) -> tuple:
-    """The square partition of `lab` and its numbers of negative and zero
-    labels; raises `InvalidLabellingError` unless `lab` is admissible with
-    integer labels.
-
-    The facts that `lab` carries count while its labels still equal their
-    snapshot, one dict comparison.  A labelling that carries none, built by
-    hand or changed in place, is checked in full.
-    """
-    labels = lab.labels
-    if not {int}.issuperset(map(type, labels.values())):
-        # the label types that `Labelling` accepts, for a label set in place
-        for x in labels.values():
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InvalidLabellingError(f"labels must be integers, got {x!r}")
-    carried = getattr(lab, "_checked", None)
-    if carried is not None and carried[0] == labels:
-        return carried[1:]
-    if labels.keys() != set(lab.triangulation.triangles):
-        raise InvalidLabellingError("labels must cover exactly the triangles")
-    partition = square_partition(lab)
-    negative, zero = _label_counts(labels)
-    if partition is None or not _sign_holds(negative, zero):
-        raise InvalidLabellingError("labelling is not admissible")
-    return partition, negative, zero
-
-
 def _square_windows(partition: list, m: int) -> dict:
     """The removable squares of a square partition, keyed by window: the
     square at window k has the four corners a, u, v, b = k-1, k, k+1, k+2.
@@ -614,21 +579,24 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     squares; remove two separated -1 ears.  One case always applies on
     admissible input.
 
-    The input is checked in full unless it carries the facts of a previous
-    step or of `labelling_from_cycle` for its present labels
-    (`_checked_facts`).  `after` is derived from the input: the surviving
-    vertices are renumbered once, in order, so each triple, the sorted
-    triangles and the sorted partition stay sorted; its diagonals are the
-    input's less those that the removed triangles border.  Its square
-    partition is the input's less the removed squares and its label counts
-    are the input's less the removed labels, negated with the labels in
-    cases 2 and 3.  The checks are local and raise, also under `python -O`:
-    each removed block is an ear labelled as its case says or a partition
-    pair at a window, the m' - 2 triangles and m' - 3 diagonals of an
-    m'-gon are left, and condition (ii) holds from the counts.  `after`
-    carries its facts; its triangle walk is made when first read.
+    The input must be admissible by its `_facts`: computed on first read
+    for a labelling built by hand, and known already for one that
+    `labelling_from_cycle` or a step returned.  `after` is derived from the
+    input: the surviving vertices are renumbered once, in order, so each
+    triple, the sorted triangles and the sorted partition stay sorted; its
+    diagonals are the input's less those that the removed triangles
+    border.  Its square partition is the input's less the removed squares
+    and its label counts are the input's less the removed labels, negated
+    with the labels in cases 2 and 3.  The checks are local and raise, also
+    under `python -O`: each removed block is an ear labelled as its case
+    says or a partition pair at a window, the m' - 2 triangles and m' - 3
+    diagonals of an m'-gon are left, and condition (ii) holds from the
+    counts.  `after` has its `_facts` set; its triangulation walks its
+    triangles when its `_dual` is first read.
     """
-    partition, negative, zero = _checked_facts(lab)
+    if not is_admissible(lab):
+        raise InvalidLabellingError("labelling is not admissible")
+    partition, negative, zero = lab._facts
     m = lab.m
     if m < 4:
         return LabellingStep("TC0", (), lab, lab)
@@ -675,7 +643,7 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     # The input less the removed triangles and the chords they border: a
     # removed vertex lies in removed triangles only, and a kept chord whose
     # ends become neighbours is the outer side of a removed block.
-    kept_labels = dict(labels)
+    kept_labels = labels.copy()
     kept_triangles = list(lab.triangulation.triangles)
     kept_diagonals = set(lab.triangulation.diagonals)
     for t in gone:
@@ -706,6 +674,6 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
             or not _sign_holds(negative, zero)):
         raise RuntimeError(f"case TC{case} at {indices} left an inadmissible labelling")
     tri = _prechecked(Triangulation, m=size, diagonals=diagonals, triangles=triangles)
-    after = _prechecked(Labelling, triangulation=tri, labels=after_labels)
-    _carry(after, pairs, negative, zero)
+    after = _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(after_labels),
+                        _facts=(pairs, negative, zero))
     return LabellingStep(f"TC{case}", indices, lab, after)

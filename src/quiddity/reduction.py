@@ -271,9 +271,11 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
 
     The input is checked in full once, and every step checks its output
     with a raise from the step's local facts, which imply that the output
-    is quiddity; this holds also under `python -O`.  The terminal (1,1,1) is not left standing: one more T1
-    step takes it to (0,0), so every trace ends at the 2-gon and can be
-    inverted into a triangulation labelling.
+    is quiddity; this holds also under `python -O`.
+
+    The terminal (1,1,1) is not left standing: one more T1 step takes it to
+    (0,0), so every trace ends at the 2-gon and can be inverted into a
+    triangulation labelling.
     """
     _require_integer(cycle)
     if not is_quiddity(cycle):

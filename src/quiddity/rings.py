@@ -431,6 +431,10 @@ class Ring:
     def __repr__(self) -> str:
         return f"<ring {self.tag}>"
 
+    def __reduce__(self):
+        # each ring is a singleton that code compares by identity
+        return ring_from_tag, (self.tag,)
+
     # Subclasses provide: zero, one, from_int, check_element, norm_sq,
     # sort_key, exact_div, element_to_json, element_from_json.
 
@@ -722,7 +726,7 @@ def Cyclotomic(d: int) -> Ring:
     gives the Gaussian integers; everything else is a coefficient-vector ring
     with arithmetic and exact division only.
     """
-    if d < 1:
+    if _check_int(d, "the cyclotomic index") < 1:
         raise UsageError(f"bad cyclotomic index {d}")
     if d in (1, 2):
         return Z
@@ -734,6 +738,9 @@ def Cyclotomic(d: int) -> Ring:
 
 
 def ring_from_tag(tag: str) -> Ring:
+    """The ring with this tag; `Zzeta<d>` takes d in plain decimal digits."""
+    if not isinstance(tag, str):
+        raise UsageError(f"a ring tag is a string, got {tag!r}")
     if tag == "Z":
         return Z
     if tag == "Q":
@@ -744,12 +751,9 @@ def ring_from_tag(tag: str) -> Ring:
         return Zzeta6
     if tag == "Qi":
         return Qi
-    if tag.startswith("Zzeta"):
-        try:
-            d = int(tag[len("Zzeta"):])
-        except ValueError:
-            raise UsageError(f"unknown ring tag {tag!r}") from None
-        return Cyclotomic(d)
+    d = tag[len("Zzeta"):]
+    if tag.startswith("Zzeta") and d.isascii() and d.isdigit() and d[0] != "0":
+        return Cyclotomic(int(d))
     raise UsageError(f"unknown ring tag {tag!r}")
 
 

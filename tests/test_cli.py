@@ -47,6 +47,18 @@ def test_verify_cycle_usage_errors(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-cycle", '{"ring": 5, "entries": [1]}'],
+    ["verify-cycle", '{"ring": "Zzeta 5", "entries": [1]}'],
+    ["verify-frieze", '{"ring": ["Z"], "rows": []}'],
+    ["verify-frieze", '{"ring": "Zzeta1_0", "rows": []}'],
+])
+def test_a_bad_ring_tag_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "unknown ring tag" in result.output or "a ring tag is a string" in result.output
+
+
 def test_frieze_pretty(runner):
     result = runner.invoke(main, ["frieze", "--cycle", HEXAGON_JSON])
     assert result.exit_code == 0

@@ -31,6 +31,9 @@ def test_diagonal_label_reads_the_grid():
     # the diagonal skipping vertex k carries quiddity entry c_k
     for k in range(2, 6):
         assert diagonal_label(f, k - 1, k + 1) == HEXAGON.entry(k)
+    for i in range(1, 7):
+        for j in range(i + 2, 7 - (i == 1)):
+            assert diagonal_label(f, i, j) == f.entry(i + 1, j + 1)
 
 
 def test_diagonal_label_rejects_edges():
@@ -128,6 +131,22 @@ def test_cluster_label_coverage():
     with pytest.raises(UsageError):
         Cluster(tri, {(1, 3): 1, (2, 4): 1})
     assert Cluster(tri, {(1, 3): 0}).has_zero(Z)
+
+
+def test_cluster_argument_types():
+    tri = Triangulation(4, frozenset({(1, 3)}))
+    for triangulation in ("x", None, 4, (4, {(1, 3)})):
+        with pytest.raises(UsageError, match="needs a Triangulation"):
+            Cluster(triangulation, {})
+    for labels in (None, [(1, 3)], 5):
+        with pytest.raises(UsageError, match="labels map diagonals"):
+            Cluster(tri, labels)
+
+
+@pytest.mark.parametrize("i, j", [("1", 3), (1, 3.0), (True, 3), (None, 3)])
+def test_diagonal_label_needs_int_vertices(i, j):
+    with pytest.raises(UsageError, match="must be an integer"):
+        diagonal_label(frieze_from_cycle(HEXAGON), i, j)
 
 
 def test_zero_free_cluster_on_examples():

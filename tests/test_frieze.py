@@ -115,6 +115,13 @@ def test_entry_periodicity():
         f.entry(1, 9)
 
 
+@pytest.mark.parametrize("i, j", [(1.0, 3), (1, "3"), (True, 3), (None, 3)])
+def test_entry_needs_int_indices(i, j):
+    f = frieze_from_cycle(Cycle(Z, (1, 4, 1, 2, 2, 2)))
+    with pytest.raises(UsageError, match="must be an integer"):
+        f.entry(i, j)
+
+
 def test_degenerate_heights():
     f2 = frieze_from_cycle(Cycle(Z, (0, 0)))
     assert f2.height == -1

@@ -332,10 +332,10 @@ BROKEN_UNDER_PYTHON_O = {
         "from quiddity.rings import Z\n"
         "lab = labelling.labelling_from_cycle(Cycle(Z, (1, 3, 1, 3, 1, 3)))\n"
         "after = labelling.reduce_labelling_step(lab).after\n"
-        "labels, partition, negative, zero = after._checked\n"
-        "object.__setattr__(after, '_checked', (labels, partition, negative + 1, zero))\n"
+        "partition, negative, zero = after._facts\n"
+        "object.__setattr__(after, '_facts', (partition, negative + 1, zero))\n"
         "labelling.reduce_labelling_step(after)\n",
-        "RuntimeError: case TC1 at (2,) left an inadmissible labelling"),
+        "quiddity.errors.InvalidLabellingError: labelling is not admissible"),
 }
 
 

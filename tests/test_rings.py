@@ -1,5 +1,7 @@
 """Exact arithmetic in the supported subrings of C."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -152,6 +154,26 @@ def test_ring_from_tag():
     assert ring_from_tag("Zzeta5").tag == "Zzeta5"
     with pytest.raises(UsageError):
         ring_from_tag("Zfoo")
+
+
+@pytest.mark.parametrize("tag", [5, None, ["Z"], b"Z", "Zzeta 5", "Zzeta1_0", "Zzeta+5",
+                                 "Zzeta-5", "Zzeta05", "Zzeta0", "Zzeta", "Zzeta\u0665"])
+def test_ring_from_tag_refuses_tags_no_writer_emits(tag):
+    with pytest.raises(UsageError):
+        ring_from_tag(tag)
+
+
+@pytest.mark.parametrize("d", [5.0, "5", True, None])
+def test_cyclotomic_needs_an_int(d):
+    with pytest.raises(UsageError, match="must be an integer"):
+        Cyclotomic(d)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Zi, Zzeta6, Qi, Cyclotomic(5)], ids=lambda r: r.tag)
+def test_rings_survive_pickle_and_deepcopy(ring):
+    assert pickle.loads(pickle.dumps(ring)) is ring
+    assert copy.deepcopy(ring) is ring
+    assert copy.copy(ring) is ring
 
 
 def test_check_element_rejects_impostors():
