@@ -159,8 +159,7 @@ def search_from_prefix(t, n, prefix, candidates):
         return [candidates[i] for i in hits]
 
     def solve_tail(u, p12, p21, entries):
-        if pair_norm(t, u) > limit:
-            return
+        # `extend` checked u against the norm limit when it placed it
         a = pair_div(t, (1 - p12[0], -p12[1]), u)
         if a is None or a == (0, 0) or pair_norm(t, a) > limit:
             return

@@ -401,14 +401,13 @@ step(search *s, int depth, const mat *p, elem c, mat *q)
 }
 
 /* The last three entries are forced: u = p11 at position m-1, and
-   (1 - p12)/u and (1 + p21)/u on either side of it. */
+   (1 - p12)/u and (1 + p21)/u on either side of it.  `step` checked u
+   against the norm limit when it placed it. */
 static int
 solve_tail(search *s, const mat *p)
 {
     int t = s->t, r;
     elem u = p->p11, a, b, num;
-    if ((r = out_of_range(s, u)) != 0)
-        return r < 0 ? -1 : 0;
     if (sub(one, p->p12, &num) < 0)
         return -1;
     if ((r = divide(t, num, u, &a)) <= 0)

@@ -22,7 +22,7 @@ from quiddity.errors import (
     UsageError,
 )
 from quiddity.frieze import FriezePattern, frieze_from_cycle
-from quiddity.labelling import Triangulation
+from quiddity.labelling import Triangulation, _triangulation
 from quiddity.rings import Z, _check_int
 
 __all__ = [
@@ -202,15 +202,6 @@ def find_zero_free_cluster(cycle: Cycle):
         if all(c == ring.zero for c in cycle.entries):
             return None
         raise RuntimeError("no zero-free cluster found; contradicts the theorem")
-    diagonals = []
-    stack = [(1, m)]
-    while stack:
-        a, b = stack.pop()
-        c = apex[(a, b)]
-        for p, q in ((a, c), (c, b)):
-            if q - p >= 2:
-                diagonals.append((p, q))
-                stack.append((p, q))
-    tri = Triangulation(m, frozenset(diagonals))
+    tri = _triangulation(m, apex)
     labels = {(i, j): diagonal_label(f, i, j) for i, j in sorted(tri.diagonals)}
     return Cluster(tri, labels)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from quiddity.errors import UsageError
-from quiddity.rings import Ring
+from quiddity.rings import Ring, _check_int
 
 __all__ = [
     "Mat2",
@@ -103,7 +103,7 @@ class Cycle:
 
     def entry(self, k: int):
         """1-based cyclic access: entry(k) = c_k with c_{k+m} = c_k."""
-        return self.entries[(k - 1) % len(self.entries)]
+        return self.entries[(_check_int(k, "a cycle position") - 1) % len(self.entries)]
 
     def __repr__(self) -> str:
         return f"Cycle({self.ring.tag}, {list(self.entries)!r})"
@@ -129,15 +129,21 @@ def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
     Indices are cyclic; j is lifted by multiples of m until j >= i - 1, and
     j = i - 1 gives the empty product (the identity).
     """
+    i, j = _check_int(i, "a cycle position"), _check_int(j, "a cycle position")
     m = cycle.m
     while j < i - 1:
         j += m
     ring, entries = cycle.ring, cycle.entries
-    p11, p12, p21, p22 = ring.one, ring.zero, ring.zero, ring.one
-    for k in range(i - 1, j):
-        c = entries[k % m]
+    return Mat2(*_eta_product([entries[k % m] for k in range(i - 1, j)], ring.one, ring.zero))
+
+
+def _eta_product(entries, one, zero) -> tuple:
+    """eta(c_1) ... eta(c_k) of `entries` as (P11, P12, P21, P22), by the
+    running-product rule; `one` and `zero` are the ring's."""
+    p11, p12, p21, p22 = one, zero, zero, one
+    for c in entries:
         p11, p12, p21, p22 = p11 * c + p12, -p11, p21 * c + p22, -p21
-    return Mat2(p11, p12, p21, p22)
+    return p11, p12, p21, p22
 
 
 def full_product(cycle: Cycle) -> Mat2:
@@ -153,7 +159,7 @@ def scalar_of_identity(mat: Mat2, ring: Ring):
 
 def is_quiddity(cycle: Cycle) -> bool:
     """True iff the full product is minus the identity."""
-    return full_product(cycle) == -identity(cycle.ring)
+    return is_epsilon_cycle(cycle, -1)
 
 
 def is_epsilon_cycle(cycle: Cycle, eps: int) -> bool:
@@ -167,7 +173,7 @@ def is_epsilon_cycle(cycle: Cycle, eps: int) -> bool:
 def rotate(cycle: Cycle, s: int = 1) -> Cycle:
     """Rotate by s: rotate(c, 1) = (c_m, c_1, ..., c_{m-1})."""
     m = cycle.m
-    s %= m
+    s = _check_int(s, "a rotation") % m
     return Cycle._computed(cycle.ring, cycle.entries[m - s:] + cycle.entries[:m - s])
 
 
@@ -185,8 +191,4 @@ def continuant(ring: Ring, entries) -> object:
 
     This is exactly the top-left entry of eta(c_1) ... eta(c_k).
     """
-    prev2 = ring.zero  # K of the (-1)-window
-    prev = ring.one  # K of the empty window
-    for c in entries:
-        prev2, prev = prev, prev * ring.check_element(c) - prev2
-    return prev
+    return _eta_product([ring.check_element(c) for c in entries], ring.one, ring.zero)[0]

@@ -230,9 +230,10 @@ def _excluded_parameters(ring: Ring, n: int) -> list:
 def unit_family(ring: Ring, n: int, how_many: int) -> list:
     """Up to how_many pairs (t, cycle), t a divisor of 2, friezes checked.
 
-    Over a ring with finitely many divisors of 2 the list may come up short;
-    over rings with infinitely many (fields, or cyclotomic integers whose
-    order is not 1, 2, 3, 4 or 6) it has exactly how_many members.  Each
+    Over a ring with finitely many divisors of 2 (Z, Z[i], Z[w]) the list
+    may come up short.  Over the rest (Q, Q(i), and Z[zeta_d] for d not in
+    {1, 2, 3, 4, 6}) `divisors_of_two` streams without end, so the list has
+    exactly how_many members.  Each
     returned cycle is verified to be a quiddity cycle with a zero-free
     frieze, so callers can treat the family as certified.
     """

@@ -147,11 +147,12 @@ def frieze_from_cycle(cycle: Cycle) -> FriezePattern:
     if m < 2:
         raise InvalidCycleError("need length >= 2")
     rows = []
+    entries = cycle.entries
     for i in range(1, m + 1):
         row = [ring.zero, ring.one]
         prev2, prev = ring.zero, ring.one
-        for k in range(i, i + m - 1):
-            prev2, prev = prev, prev * cycle.entry(k) - prev2
+        for k in range(i - 1, i + m - 2):
+            prev2, prev = prev, prev * entries[k % m] - prev2
             row.append(prev)
         if row[m - 1] != ring.one or row[m] != ring.zero:
             raise InvalidCycleError(f"not a quiddity cycle: {cycle}")

@@ -104,11 +104,13 @@ class Triangulation:
     constructor takes that map from the diagonals: the apex over (a, b) is
     the neighbour of a just below b (`_apexes_from_diagonals`).  The walk
     then validates the m - 3 chords: it finishes only by cutting the polygon
-    along m - 3 of them, all of the set, so none can cross.  `_from_triangles`
-    takes the map from labelled triangles instead.  Both keep the walk as
-    `_dual`; a labelling reduction step derives its triangulation's
-    diagonals and sorted triangles from its input's, and that triangulation
-    walks its triangles when `_dual` is first read.  The 2-gon has no
+    along m - 3 of them, all of the set, so none can cross.  `_triangulation`
+    takes the map from elsewhere instead: from labelled triangles
+    (`_from_triangles`) or from the apexes of the zero-free cluster search
+    (`quiddity.clusters`).  Both keep the walk as `_dual`; a labelling
+    reduction step derives its triangulation's diagonals and sorted
+    triangles from its input's, and that triangulation walks its triangles
+    when `_dual` is first read.  The 2-gon has no
     triangles at all; that degenerate case is allowed.
     """
 
@@ -173,7 +175,8 @@ def _walk_sides(m: int, under: dict) -> tuple:
     from, None for the triangle on (1, m): this is the dual tree.  Each
     triangle cuts its sub-polygon a..b in two, so a finished walk tiles the
     polygon with m - 2 triangles.  Raises `UsageError` when a side the walk
-    reaches has no triangle, or when `under` holds more than those m - 2."""
+    reaches has no triangle.  Entries of `under` that the walk does not
+    reach are ignored."""
     walk = []
     parent = {}
     diagonals = []
@@ -193,9 +196,18 @@ def _walk_sides(m: int, under: dict) -> tuple:
         if b - c >= 2:
             stack.append((c, b, t))
             diagonals.append((c, b))
-    if not len(walk) == m - 2 == len(under):
-        raise UsageError(f"{len(under)} triangles do not tile the {m}-gon")
+    if len(walk) != m - 2:
+        raise UsageError(f"{len(walk)} triangles do not tile the {m}-gon")
     return tuple(walk), parent, diagonals
+
+
+def _triangulation(m: int, under: dict) -> Triangulation:
+    """The triangulation of the m-gon that `_walk_sides` walks from `under`,
+    a side -> apex map, built from that one walk: its sides of length at
+    least 2 are the diagonals, and the walk is kept as `_dual`."""
+    walk, parent, diagonals = _walk_sides(m, under)
+    return _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals),
+                       triangles=tuple(sorted(walk)), _dual=(walk, parent))
 
 
 def enumerate_triangulations(m: int) -> list:
@@ -339,11 +351,7 @@ def cycle_from_labelling(lab: Labelling) -> Cycle:
 
 def cc_quiddity(tri: Triangulation) -> Cycle:
     """Per-vertex triangle counts: the all-ones labelling's quiddity cycle."""
-    counts = [0] * tri.m
-    for t in tri.triangles:
-        for v in t:
-            counts[v - 1] += 1
-    cycle = Cycle(Z, tuple(counts))
+    cycle = Cycle(Z, Labelling(tri, dict.fromkeys(tri.triangles, 1)).vertex_sums())
     if not is_quiddity(cycle):
         raise RuntimeError(f"triangle counts {cycle} are not a quiddity cycle")
     return cycle
@@ -354,13 +362,13 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
     sorted vertex triple (a, c, b), built in one walk.
 
     The triangle (a, c, b) is the one under its long side (a, b), so the
-    triples give `_walk_sides` its side -> apex map directly; the walk's
-    sides of length at least 2 are the diagonals.  Nothing is derived a
-    second time.  Every check raises, so it holds under `python -O`:
-    each key is a tuple of ints with 1 <= a < c < b <= m, no two triangles
-    share a long side, every side the walk reaches has a triangle, and the
-    walk visits all m - 2 triangles and no others: they tile the polygon.
-    Every label is an int and not a bool.
+    triples give `_triangulation` its side -> apex map directly.  Nothing
+    is derived a second time.  Every check raises, so it holds under
+    `python -O`: each key is a tuple of ints with 1 <= a < c < b <= m, no
+    two triangles share a long side, every side the walk reaches has a
+    triangle, and after the walk, there are no triangles beyond the m - 2
+    it visits: they tile the polygon.  Every label is an int and not a
+    bool.
     """
     under = {}
     for t, x in labels.items():
@@ -374,9 +382,9 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
         under[(a, b)] = c
         if type(x) is not int:
             raise InvalidLabellingError(f"labels must be integers, got {x!r}")
-    walk, parent, diagonals = _walk_sides(m, under)
-    tri = _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals),
-                      triangles=tuple(sorted(walk)), _dual=(walk, parent))
+    tri = _triangulation(m, under)
+    if len(under) != len(tri.triangles):
+        raise UsageError(f"{len(under)} triangles do not tile the {m}-gon")
     return _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(dict(labels)))
 
 
@@ -539,10 +547,6 @@ class LabellingStep:
         return self.case_tag == "TC0"
 
 
-def _cyc(v: int, m: int) -> int:
-    return (v - 1) % m + 1
-
-
 def _square_windows(partition: list, m: int) -> dict:
     """The removable squares of a square partition, keyed by window: the
     square at window k has the four corners a, u, v, b = k-1, k, k+1, k+2.
@@ -631,7 +635,7 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     for k in indices:
         if case in (2, 4):
             block = windows.get(k, ())
-            removed |= {k, _cyc(k + 1, m)}
+            removed |= {k, k % m + 1}
         else:
             t = ears.get(k)
             block = (t,) if labels.get(t) == _ENTRY[case] else ()

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from quiddity.bounds import _first_separated_pair
-from quiddity.cycles import Cycle, is_epsilon_cycle, is_quiddity, negate
+from quiddity.cycles import Cycle, _eta_product, is_epsilon_cycle, is_quiddity, negate
 from quiddity.errors import InvalidCycleError, UnsupportedRingError
 from quiddity.rings import Z
 from quiddity.transforms import contract_minus_one, contract_one, contract_zero
@@ -106,21 +106,12 @@ def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
         raise InvalidCycleError(f"not a {eps:+d}-cycle: {cycle}")
     if cycle.entries == (0, 0):
         return ReductionStep("I0", (), cycle, cycle, eps, eps)
-    ones = _first_positions(cycle.entries, 1, 1)
-    if ones:
-        k = ones[0]
-        after = contract_one(cycle, k).cycle
-        return ReductionStep("I1", (k,), cycle, after, eps, eps)
-    zeros = _first_positions(cycle.entries, 0, 1)
-    if zeros:
-        k = zeros[0]
-        after = contract_zero(cycle, k).cycle
-        return ReductionStep("I2", (k,), cycle, after, eps, -eps)
-    minus = _first_positions(cycle.entries, -1, 1)
-    if minus:
-        k = minus[0]
-        after = contract_minus_one(cycle, k).cycle
-        return ReductionStep("I3", (k,), cycle, after, eps, -eps)
+    # cases I1-I3 contract the first 1, 0 or -1 as cases T1-T3 do
+    for case in (1, 2, 3):
+        if _ENTRY[case] in cycle.entries:
+            k = cycle.entries.index(_ENTRY[case]) + 1
+            signed = _CONTRACT[case](cycle, k)
+            return ReductionStep(f"I{case}", (k,), cycle, signed.cycle, eps, eps * signed.sign)
     raise RuntimeError("no entry in {-1,0,1}; contradicts the small-entry corollary")
 
 
@@ -252,18 +243,9 @@ def _window_holds(before: tuple, after: tuple, k: int, entry: int) -> bool:
     replaced = after[j:] + after[:j]
     if around[3:] != replaced[width:]:
         return False
-    p = _eta_product(around[:3])
-    q = _eta_product(replaced[:width])
+    p = _eta_product(around[:3], 1, 0)
+    q = _eta_product(replaced[:width], 1, 0)
     return p == (q if entry == 1 else tuple([-x for x in q]))
-
-
-def _eta_product(entries: tuple) -> tuple:
-    """eta(c_1) ... eta(c_k) of integers as (P11, P12, P21, P22), by the
-    running-product rule of `quiddity.cycles`."""
-    p11, p12, p21, p22 = 1, 0, 0, 1
-    for c in entries:
-        p11, p12, p21, p22 = p11 * c + p12, -p11, p21 * c + p22, -p21
-    return p11, p12, p21, p22
 
 
 def reduce_to_base(cycle: Cycle) -> ReductionTrace:

@@ -47,6 +47,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 
 from quiddity.errors import UnsupportedRingError, UsageError
@@ -818,53 +819,54 @@ def count_norm_at_most(ring: Ring, bound_sq) -> int:
 
 
 def _field_stream(ring: Ring):
-    """Deterministic stream of nonzero field elements, small ones first."""
+    """Deterministic stream of nonzero field elements, small ones first:
+    those with numerators and denominator of height at most h, for
+    h = 1, 2, ..., each height's new ones in the order of `sort_key`.
+    Over Q the imaginary numerator is 0."""
     seen = set()
     height = 1
     while True:
-        batch = []
-        if ring is Q:
-            for p in range(-height, height + 1):
-                for q in range(1, height + 1):
-                    x = Fraction(p, q)
-                    if x != 0 and x not in seen:
-                        batch.append(x)
-        else:
-            for pr in range(-height, height + 1):
-                for pi in range(-height, height + 1):
-                    for q in range(1, height + 1):
-                        x = _qi(pr, pi, q)
-                        if (pr or pi) and x not in seen:
-                            batch.append(x)
-        batch.sort(key=ring.sort_key)
-        for x in batch:
-            if x not in seen:
-                seen.add(x)
-                yield x
+        span = range(-height, height + 1)
+        batch = {Fraction(p, q) if ring is Q else _qi(p, i, q)
+                 for p in span for i in (span if ring is Qi else (0,))
+                 for q in range(1, height + 1) if p or i} - seen
+        seen |= batch
+        yield from sorted(batch, key=ring.sort_key)
         height += 1
 
 
 def _cyclotomic_divisor_stream(ring: CyclotomicRing):
-    """Stream +/- zeta^a (1+zeta)^k, keeping those that exactly divide 2."""
-    two = ring.from_int(2)
-    one_plus_zeta = ring.one + ring.zeta
+    """Stream the units +/- zeta^a u^k, k = 0, 1, ..., each once: units
+    divide 2.  u = 1 + zeta + ... + zeta^(j-1) for the least j >= 2 that
+    makes u a unit of infinite order, so the stream never ends.
+
+    A unit u is of finite order exactly when it is a root of unity, and
+    the roots of unity of Z[zeta_d] have orders dividing 2d.  For d not in
+    {1, 2, 3, 4, 6} the least j prime to d qualifies: u = (1 - zeta^j) /
+    (1 - zeta) is then a unit, and |u| = sin(j pi/d) / sin(pi/d) is not 1
+    unless j = d - 1.  Where 1 + zeta qualifies, j = 2: every odd d, and
+    d = 12."""
+    zetas = [ring.one]
+    for _ in range(ring.d - 1):
+        zetas.append(zetas[-1] * ring.zeta)
+    for j in range(2, ring.d):
+        u = sum(zetas[1:j], ring.one)
+        root = ring.one
+        for _ in range(2 * ring.d):
+            root = root * u
+        if root != ring.one and ring.exact_div(ring.one, u) is not None:
+            break
+    else:
+        raise RuntimeError(f"no unit of infinite order found in {ring.tag}")
     seen = set()
     power = ring.one
     while True:
-        for a in range(ring.d):
-            zeta_a = ring.one
-            for _ in range(a):
-                zeta_a = zeta_a * ring.zeta
-            for sign in (1, -1):
-                t = zeta_a * power
-                if sign < 0:
-                    t = -t
-                if t in seen:
-                    continue
-                seen.add(t)
-                if ring.exact_div(two, t) is not None:
+        for zeta_a in zetas:
+            for t in (zeta_a * power, -(zeta_a * power)):
+                if t not in seen:
+                    seen.add(t)
                     yield t
-        power = power * one_plus_zeta
+        power = power * u
 
 
 def divisors_of_two(ring: Ring, limit: int) -> list:
@@ -872,9 +874,12 @@ def divisors_of_two(ring: Ring, limit: int) -> list:
 
     For the discrete rings the complete finite set is returned whenever it is
     smaller than the limit.  For fields and general cyclotomic rings the
-    result is a deterministic prefix of an infinite family.
+    result is a deterministic prefix of an infinite family, so it always
+    has `limit` members: nonzero elements of small height in a field, and
+    units +/- zeta^a u^k of Z[zeta_d], u a fixed unit of infinite order
+    (`_cyclotomic_divisor_stream`).
     """
-    if limit <= 0:
+    if _check_int(limit, "the limit") <= 0:
         return []
     two = ring.from_int(2)
     if ring.is_discrete:
@@ -883,15 +888,9 @@ def divisors_of_two(ring: Ring, limit: int) -> list:
                 if ring.exact_div(two, t) is not None]
         return full[:limit]
     if ring in (Q, Qi):
-        out = []
-        for t in _field_stream(ring):
-            out.append(t)
-            if len(out) == limit:
-                return out
-    if isinstance(ring, CyclotomicRing):
-        out = []
-        for t in _cyclotomic_divisor_stream(ring):
-            out.append(t)
-            if len(out) == limit:
-                return out
-    raise UnsupportedRingError(f"no divisor enumeration for {ring.tag}")
+        stream = _field_stream(ring)
+    elif isinstance(ring, CyclotomicRing):
+        stream = _cyclotomic_divisor_stream(ring)
+    else:
+        raise UnsupportedRingError(f"no divisor enumeration for {ring.tag}")
+    return list(islice(stream, limit))

@@ -1,9 +1,11 @@
 """Local rewrites of eta-matrix products.
 
 Each operation rewrites a short cyclic window of a cycle and is backed by an
-exact 2x2 matrix identity.  Operations that change the product by a global
-factor return a SignedCycle carrying that factor; the rest return a plain
-Cycle because the product is unchanged.
+exact 2x2 matrix identity.  The rules that insert or remove a 1 or a -1,
+and contract_zero, return a SignedCycle carrying the sign, +1 or -1, by
+which they multiply the product, +1 included (expand_one, contract_one).
+The other rules return a plain Cycle: contract_uv, rescale_lambda and
+shift_zero keep the product, and scale_alternating conjugates it.
 
 Index bookkeeping after a contraction: surviving entries keep their original
 cyclic order, and the result is based at the smallest surviving original
@@ -30,7 +32,7 @@ from quiddity.errors import (
     SingularError,
     UsageError,
 )
-from quiddity.rings import Ring
+from quiddity.rings import Ring, _check_int
 
 __all__ = [
     "SignedCycle",
@@ -63,8 +65,8 @@ class SignedCycle:
 
 
 def _norm_k(cycle: Cycle, k: int) -> int:
-    """Cyclic position as 1..m."""
-    return (k - 1) % cycle.m + 1
+    """Cyclic position as 1..m, checked to be an int."""
+    return (_check_int(k, "a cycle position") - 1) % cycle.m + 1
 
 
 def _div(ring: Ring, x, y):
@@ -72,7 +74,7 @@ def _div(ring: Ring, x, y):
         raise SingularError("division by zero in transform")
     q = ring.exact_div(x, y)
     if q is None:
-        raise NotRepresentableError(f"{x!r} / {y!r} is not exact in {ring.tag}")
+        raise NotRepresentableError(f"{x} / {y} is not exact in {ring.tag}")
     return q
 
 
@@ -95,16 +97,20 @@ def _insert(cycle: Cycle, k: int, value, delta) -> Cycle:
     return Cycle._computed(ring, tuple(out))
 
 
-def _remove_entry(cycle: Cycle, k: int, delta) -> Cycle:
-    # drop position k, adding `delta` to both cyclic neighbors
+def _contract_unit(cycle: Cycle, k: int, s: int) -> SignedCycle:
+    # drop the entry s = +-1 at position k, subtracting s from both cyclic
+    # neighbors; the product is multiplied by s
+    k = _norm_k(cycle, k)
+    unit = cycle.ring.one if s == 1 else -cycle.ring.one
+    if cycle.entries[k - 1] != unit:
+        raise NotApplicableError(f"entry {k} is {cycle.entries[k - 1]}, not {s}")
     if cycle.m < 3:
         raise NotApplicableError("need two distinct neighbors to adjust")
-    k = _norm_k(cycle, k)
     mod = list(cycle.entries)
-    mod[k - 2] = mod[k - 2] + delta          # position k-1 (wraps to m)
-    mod[k % cycle.m] = mod[k % cycle.m] + delta  # position k+1 (wraps to 1)
+    mod[k - 2] = mod[k - 2] - unit          # position k-1 (wraps to m)
+    mod[k % cycle.m] = mod[k % cycle.m] - unit  # position k+1 (wraps to 1)
     del mod[k - 1]
-    return Cycle._computed(cycle.ring, tuple(mod))
+    return SignedCycle(Cycle._computed(cycle.ring, tuple(mod)), s)
 
 
 def expand_one(cycle: Cycle, k: int) -> SignedCycle:
@@ -118,11 +124,7 @@ def expand_one(cycle: Cycle, k: int) -> SignedCycle:
 
 def contract_one(cycle: Cycle, k: int) -> SignedCycle:
     """Remove an entry equal to 1, subtracting 1 from both neighbors."""
-    k = _norm_k(cycle, k)
-    one = cycle.ring.one
-    if cycle.entry(k) != one:
-        raise NotApplicableError(f"entry {k} is {cycle.entry(k)!r}, not 1")
-    return SignedCycle(_remove_entry(cycle, k, -one), 1)
+    return _contract_unit(cycle, k, 1)
 
 
 def expand_minus_one(cycle: Cycle, k: int) -> SignedCycle:
@@ -137,11 +139,7 @@ def expand_minus_one(cycle: Cycle, k: int) -> SignedCycle:
 def contract_minus_one(cycle: Cycle, k: int) -> SignedCycle:
     """Remove an entry equal to -1, adding 1 to both neighbors; negates the
     product."""
-    k = _norm_k(cycle, k)
-    one = cycle.ring.one
-    if cycle.entry(k) != -one:
-        raise NotApplicableError(f"entry {k} is {cycle.entry(k)!r}, not -1")
-    return SignedCycle(_remove_entry(cycle, k, one), -1)
+    return _contract_unit(cycle, k, -1)
 
 
 def contract_uv(cycle: Cycle, k: int) -> Cycle:
@@ -156,8 +154,8 @@ def contract_uv(cycle: Cycle, k: int) -> Cycle:
         raise NotApplicableError("window needs four distinct positions")
     k = _norm_k(cycle, k)
     m = cycle.m
-    u = cycle.entry(k)
-    v = cycle.entry(k + 1)
+    u = cycle.entries[k - 1]
+    v = cycle.entries[k % m]
     w = u * v - ring.one
     da = _div(ring, ring.one - v, w)
     db = _div(ring, ring.one - u, w)
@@ -183,8 +181,8 @@ def rescale_lambda(cycle: Cycle, k: int, lam) -> Cycle:
         raise NotApplicableError("window needs four distinct positions")
     k = _norm_k(cycle, k)
     m = cycle.m
-    u = cycle.entry(k)
-    v = cycle.entry(k + 1)
+    u = cycle.entries[k - 1]
+    v = cycle.entries[k % m]
     w = u * v - ring.one
     if w == ring.zero:
         raise SingularError("uv = 1 makes the window singular")
@@ -207,8 +205,8 @@ def contract_zero(cycle: Cycle, k: int) -> SignedCycle:
     """
     ring = cycle.ring
     k = _norm_k(cycle, k)
-    if cycle.entry(k) != ring.zero:
-        raise NotApplicableError(f"entry {k} is {cycle.entry(k)!r}, not 0")
+    if cycle.entries[k - 1] != ring.zero:
+        raise NotApplicableError(f"entry {k} is {cycle.entries[k - 1]}, not 0")
     if cycle.m < 3:
         raise NotApplicableError("result would be empty")
     m = cycle.m
@@ -227,8 +225,8 @@ def shift_zero(cycle: Cycle, k: int, u) -> Cycle:
     ring = cycle.ring
     u = ring.check_element(u)
     k = _norm_k(cycle, k)
-    if cycle.entry(k) != ring.zero:
-        raise NotApplicableError(f"entry {k} is {cycle.entry(k)!r}, not 0")
+    if cycle.entries[k - 1] != ring.zero:
+        raise NotApplicableError(f"entry {k} is {cycle.entries[k - 1]}, not 0")
     m = cycle.m
     mod = list(cycle.entries)
     mod[k - 2] = mod[k - 2] + u
@@ -267,8 +265,6 @@ def scale_alternating(cycle: Cycle, t) -> Cycle:
         raise SingularError("scale factor must be nonzero")
     if cycle.m % 2 != 0:
         raise NotApplicableError("alternating scaling needs even length")
-    out = []
-    for k in range(1, cycle.m + 1):
-        c = cycle.entry(k)
-        out.append(t * c if k % 2 == 1 else _div(ring, c, t))
+    # positions 1, 3, ... are the indices 0, 2, ... of `entries`
+    out = [t * c if i % 2 == 0 else _div(ring, c, t) for i, c in enumerate(cycle.entries)]
     return Cycle._computed(ring, tuple(out))

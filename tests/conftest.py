@@ -9,6 +9,9 @@ example friezes.  It is computed once per session.
 The compiled kernel is the installed quiddity._speedups when it imports;
 otherwise the project's own setup.py builds it once per session into a
 temporary directory, so the twin-kernel tests need no prior build step.
+
+Every test runs under a time limit: a test still running after
+TEST_TIME_LIMIT seconds fails with TimeoutError, and the suite goes on.
 """
 
 import importlib
@@ -17,6 +20,7 @@ import os
 import random
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -27,6 +31,29 @@ import pytest
 from quiddity import enumeration
 from quiddity.cycles import Cycle
 from quiddity.rings import Z
+
+# seconds; the slowest test takes about 2 s
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Raise TimeoutError in a test that runs past TEST_TIME_LIMIT seconds.
+
+    SIGALRM interrupts the test in the main thread; the previous handler is
+    restored afterwards.  Forked worker processes do not inherit the alarm.
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"the test ran past its {TEST_TIME_LIMIT} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # quiddities of the displayed example arrays, keyed by fixture name
 EXAMPLE_QUIDDITIES = {

@@ -185,6 +185,14 @@ def test_transform_inapplicable_rule_is_mathematical_no(runner):
     assert result.exit_code == 2
 
 
+def test_transform_errors_print_elements_as_the_cli_does(runner):
+    result = runner.invoke(main, [
+        "transform", "--rule", "contract-uv", "--at", "2",
+        "--cycle", '{"ring": "Zzeta5", "entries": [[1], [2], [3], [4]]}'])
+    assert result.exit_code == 2
+    assert result.output == "error: -2 / 5 is not exact in Zzeta5\n"
+
+
 def test_bound_discrete(runner):
     result = runner.invoke(main, ["bound", "--ring", "Zi", "--height", "2"])
     assert result.exit_code == 0
@@ -417,6 +425,13 @@ def test_unit_family_listing(runner):
     assert result.output == (
         "t=1 cycle=(3, 1, 2, 3, 1, 2)\n"
         "t=2 cycle=(4, 1, 2, 2, 2, 1)\n")
+
+
+@pytest.mark.parametrize("ring, height", [("Zzeta10", 3), ("Zzeta14", 5)])
+def test_unit_family_has_count_members_over_cyclotomic_rings(runner, ring, height):
+    result = runner.invoke(main, ["unit-family", "--ring", ring, "--height", str(height)])
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == 5
 
 
 def test_unit_family_json(runner):

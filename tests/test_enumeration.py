@@ -32,7 +32,7 @@ from quiddity.enumeration import (
 from quiddity.errors import NotRepresentableError, UnsupportedRingError, UsageError
 from quiddity.frieze import frieze_from_cycle, is_nonzero
 from quiddity.labelling import cc_quiddity, enumerate_triangulations
-from quiddity.rings import Cyclotomic, Q, Z, Zi, Zzeta6, elements_norm_at_most
+from quiddity.rings import Cyclotomic, Q, Qi, Z, Zi, Zzeta6, elements_norm_at_most
 
 
 def naive_nonzero(ring, n):
@@ -587,6 +587,13 @@ def test_unit_family_over_fifth_cyclotomic():
         assert cyc.m == 6
         assert cyc.entry(5) == t
         assert cyc.entry(5) * cyc.entry(6) == ring.from_int(2)
+
+
+def test_unit_family_over_gaussian_rationals_is_pinned():
+    members = [(str(t), [str(c) for c in cyc.entries]) for t, cyc in unit_family(Qi, 2, 3)]
+    assert members == [("-i", ["1-i", "1", "1+2i", "-i", "2i"]),
+                       ("i", ["1+i", "1", "1-2i", "i", "-2i"]),
+                       ("1", ["2", "1", "3", "1", "2"])]
 
 
 def test_search_guards():

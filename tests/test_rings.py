@@ -116,6 +116,8 @@ def test_divisors_of_two():
     assert EisensteinInt(1, 1) not in divisors_of_two(Zzeta6, 99)
     assert divisors_of_two(Z, 2) == [-1, 1]
     assert divisors_of_two(Z, 0) == []
+    with pytest.raises(UsageError, match="must be an integer"):
+        divisors_of_two(Q, 2.5)
 
 
 def test_divisors_of_two_field_stream_is_deterministic():
@@ -135,6 +137,48 @@ def test_cyclotomic_five_units_divide_two():
         q = ring.exact_div(two, t)
         assert q is not None
         assert t * q == two
+
+
+# The first 24 divisors of 2 from each infinite stream, as printed.  Q(i)
+# and the even d = 12 reach branches (the imaginary numerators, the skip of
+# a repeated +-zeta^a) that no other test reaches.
+PINNED_DIVISORS = {
+    "Q": ["-1", "1", "-1/2", "1/2", "-2", "2", "-1/3", "1/3", "-2/3", "2/3", "-3/2",
+          "3/2", "-3", "3", "-1/4", "1/4", "-3/4", "3/4", "-4/3", "4/3", "-4", "4",
+          "-1/5", "1/5"],
+    "Qi": ["-1", "-i", "i", "1", "-1-i", "-1+i", "1-i", "1+i", "-1/2", "-1/2i",
+           "1/2i", "1/2", "-1/2-1/2i", "-1/2+1/2i", "1/2-1/2i", "1/2+1/2i",
+           "-1-1/2i", "-1+1/2i", "-1/2-i", "-1/2+i", "1/2-i", "1/2+i", "1-1/2i",
+           "1+1/2i"],
+    "Zzeta5": ["1", "-1", "z", "-z", "z^2", "-z^2", "z^3", "-z^3", "-1-z-z^2-z^3",
+               "1+z+z^2+z^3", "1+z", "-1-z", "z+z^2", "-z-z^2", "z^2+z^3", "-z^2-z^3",
+               "-1-z-z^2", "1+z+z^2", "-z-z^2-z^3", "z+z^2+z^3", "1+2z+z^2",
+               "-1-2z-z^2", "z+2z^2+z^3", "-z-2z^2-z^3"],
+    "Zzeta7": ["1", "-1", "z", "-z", "z^2", "-z^2", "z^3", "-z^3", "z^4", "-z^4",
+               "z^5", "-z^5", "-1-z-z^2-z^3-z^4-z^5", "1+z+z^2+z^3+z^4+z^5", "1+z",
+               "-1-z", "z+z^2", "-z-z^2", "z^2+z^3", "-z^2-z^3", "z^3+z^4", "-z^3-z^4",
+               "z^4+z^5", "-z^4-z^5"],
+    "Zzeta12": ["1", "-1", "z", "-z", "z^2", "-z^2", "z^3", "-z^3", "-1+z^2", "1-z^2",
+                "-z+z^3", "z-z^3", "1+z", "-1-z", "z+z^2", "-z-z^2", "z^2+z^3",
+                "-z^2-z^3", "-1+z^2+z^3", "1-z^2-z^3", "-1-z+z^2+z^3", "1+z-z^2-z^3",
+                "-1-z+z^3", "1+z-z^3"],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(PINNED_DIVISORS))
+def test_divisor_streams_are_pinned(tag):
+    got = divisors_of_two(ring_from_tag(tag), 24)
+    assert [str(t) for t in got] == PINNED_DIVISORS[tag]
+
+
+@pytest.mark.parametrize("d", [8, 10, 14, 16, 18])
+def test_cyclotomic_divisor_streams_do_not_run_dry(d):
+    # +-zeta^a (1+zeta)^k holds only finitely many divisors of 2 for these d
+    ring = Cyclotomic(d)
+    ts = divisors_of_two(ring, 60)
+    assert len(set(ts)) == 60
+    two = ring.from_int(2)
+    assert all(t * ring.exact_div(two, t) == two for t in ts)
 
 
 def test_sort_key_is_a_total_order():

@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from quiddity.cycles import Cycle, Mat2, eta, full_product, is_quiddity
+from quiddity.cycles import (
+    Cycle,
+    Mat2,
+    eta,
+    full_product,
+    is_quiddity,
+    product_interval,
+    rotate,
+)
 from quiddity.errors import (
     NotApplicableError,
     NotRepresentableError,
@@ -312,6 +320,25 @@ def test_applicability_errors():
         expand_one(Cycle(Z, (4,)), 1)
     with pytest.raises(NotApplicableError):
         contract_uv(Cycle(Z, (1, 2, 3)), 2)
+
+
+HEXAGON = Cycle(Z, (1, 4, 1, 2, 2, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: c.entry("1"),
+    lambda c: rotate(c, "1"),
+    lambda c: rotate(c, 1.5),
+    lambda c: product_interval(c, "1", 2),
+    lambda c: contract_one(c, "1"),
+    lambda c: contract_one(c, 1.0),
+    lambda c: expand_one(c, 2.0),
+    lambda c: shift_zero(c, 2.0, 1),
+], ids=["entry", "rotate-str", "rotate-float", "product_interval", "contract_one-str",
+        "contract_one-float", "expand_one", "shift_zero"])
+def test_a_position_must_be_an_int(call):
+    with pytest.raises(UsageError, match="must be an integer"):
+        call(HEXAGON)
 
 
 def test_singular_errors():
