@@ -78,7 +78,7 @@ class Cycle:
         # from a list, not a generator: tuple(generator) resizes the tuple it
         # grows, which strands tuples of other sizes in the interpreter's
         # free lists until a full garbage collection
-        checked = tuple([ring.check_element(e) for e in entries])
+        checked = tuple(_checked(ring, entries))
         if not checked:
             raise UsageError("a cycle needs at least one entry")
         object.__setattr__(self, "ring", ring)
@@ -191,4 +191,17 @@ def continuant(ring: Ring, entries) -> object:
 
     This is exactly the top-left entry of eta(c_1) ... eta(c_k).
     """
-    return _eta_product([ring.check_element(c) for c in entries], ring.one, ring.zero)[0]
+    return _eta_product(_checked(ring, entries), ring.one, ring.zero)[0]
+
+
+def _checked(ring: Ring, entries) -> list:
+    """[ring.check_element(e) for e in entries]; `UsageError` when
+    `entries` cannot be iterated."""
+    try:
+        return [ring.check_element(e) for e in entries]
+    except TypeError:
+        try:
+            iter(entries)
+        except TypeError:
+            raise UsageError(f"entries are a sequence of ring elements, got {entries!r}") from None
+        raise

@@ -351,6 +351,8 @@ def cycle_from_labelling(lab: Labelling) -> Cycle:
 
 def cc_quiddity(tri: Triangulation) -> Cycle:
     """Per-vertex triangle counts: the all-ones labelling's quiddity cycle."""
+    if not isinstance(tri, Triangulation):
+        raise UsageError(f"cc_quiddity needs a Triangulation, got {tri!r}")
     cycle = Cycle(Z, Labelling(tri, dict.fromkeys(tri.triangles, 1)).vertex_sums())
     if not is_quiddity(cycle):
         raise RuntimeError(f"triangle counts {cycle} are not a quiddity cycle")

@@ -786,16 +786,25 @@ def ball_rows(t: int, limit: int, real: bool):
 
 
 def _ball(ring: Ring, bound_sq):
+    """(floor(bound_sq), the rows of the ball of norm at most bound_sq); a
+    negative bound gives the empty ball."""
     # norms are integers, and Z is the b = 0 row
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
-    return ball_rows(ring.t, math.floor(bound_sq), ring is Z)
+    if not isinstance(bound_sq, bool):
+        try:
+            limit = math.floor(bound_sq)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            return limit, ball_rows(ring.t, limit, ring is Z)
+    raise UsageError(f"a norm bound is a finite real number, got {bound_sq!r}")
 
 
 def elements_norm_at_most(ring: Ring, bound_sq) -> list:
     """All nonzero x with norm_sq(x) <= bound_sq, sorted by the total order."""
     out = [a if ring is Z else ring.element(a, b)
-           for b, lo, hi in _ball(ring, bound_sq) for a in range(lo, hi + 1) if a or b]
+           for b, lo, hi in _ball(ring, bound_sq)[1] for a in range(lo, hi + 1) if a or b]
     out.sort(key=ring.sort_key)
     return out
 
@@ -810,8 +819,8 @@ def count_norm_at_most(ring: Ring, bound_sq) -> int:
 
     Raises `UsageError` when the ball has more than `_MAX_BALL_ROWS` rows:
     2 * isqrt(4 * bound_sq // (4 - t^2)) + 1 of them, or 1 over Z."""
-    ball = _ball(ring, bound_sq)
-    rows = 1 if ring is Z else 2 * isqrt(4 * math.floor(bound_sq) // (4 - ring.t ** 2)) + 1
+    limit, ball = _ball(ring, bound_sq)
+    rows = 1 if ring is Z else 2 * isqrt(max(0, 4 * limit // (4 - ring.t ** 2))) + 1
     if rows > _MAX_BALL_ROWS:
         raise UsageError(f"the ball of norm at most B_sq={bound_sq} has {rows} rows, "
                          f"more than the {_MAX_BALL_ROWS} that are counted one by one")

@@ -243,7 +243,11 @@ def conjugate_diag(ring: Ring, window, z):
 
     This is a standalone window identity, not a cycle operation.
     """
-    a, u, b = (ring.check_element(x) for x in window)
+    try:
+        a, u, b = window
+    except (TypeError, ValueError):
+        raise UsageError(f"the window holds three entries (a, u, b), got {window!r}") from None
+    a, u, b = ring.check_element(a), ring.check_element(u), ring.check_element(b)
     ring.check_element(z)
     if u == ring.zero or z == ring.zero:
         raise SingularError("u and z must be nonzero")

@@ -193,16 +193,21 @@ def test_window_render_is_a_staircase():
     assert len(text.splitlines()) == 2
 
 
+def window_cell(window: FriezeWindow, r: int, col: int):
+    """The entry of row r at column col, or None where the row has none."""
+    off = window.offsets[r]
+    if off <= col < off + len(window.rows[r]):
+        return window.rows[r][col - off]
+    return None
+
+
 def reference_verify(window: FriezeWindow) -> VerifyReport:
     """`verify` written cell by cell: every column of the rows' joint span,
     every block gathered entry by entry and skipped when an entry is
     missing, every determinant expanded in full."""
 
     def cell(r, col):
-        off = window.offsets[r]
-        if off <= col < off + len(window.rows[r]):
-            return window.rows[r][col - off]
-        return None
+        return window_cell(window, r, col)
 
     ring = window.ring
     failures = []
@@ -255,13 +260,14 @@ def random_element(rng, ring):
     return ring.from_int(rng.randint(-2, 2)) + ring.from_int(rng.randint(-1, 1)) * GENERATORS[ring]
 
 
-def glued_quiddity(rng, ring, m):
+def glued_quiddity(rng, ring, m, zero_squares=False):
     """A quiddity cycle of length m over `ring`: blocks glued onto the 2-gon.
 
     A triangle s = +-1 on edge (p, p+1) turns sums (a, b) into
     (a+s, s, b+s); a square labelled x turns them into (a, x, 0, b-x) for
-    any ring element x.  Each -1 triangle and each square flips the sign of
-    the eta product, and the last triangle makes the flips even.
+    any ring element x, x = 0 with `zero_squares`.  Each -1 triangle and
+    each square flips the sign of the eta product, and the last triangle
+    makes the flips even.
     """
     sums = [ring.zero, ring.zero]
     flips = 0
@@ -269,7 +275,7 @@ def glued_quiddity(rng, ring, m):
         p = rng.randrange(len(sums))
         q = (p + 1) % len(sums)
         if len(sums) + 2 < m and rng.random() < 0.4:
-            x = random_element(rng, ring)
+            x = ring.zero if zero_squares else random_element(rng, ring)
             sums[q] = sums[q] - x
             sums[p + 1:p + 1] = [x, ring.zero]
             flips += 1
@@ -288,11 +294,30 @@ def glued_quiddity(rng, ring, m):
     return cycle
 
 
+def unit_minor_zero_centres(window: FriezeWindow) -> int:
+    """The 3x3 blocks whose four adjacent 2x2 minors are 1 and whose centre
+    is 0: Desnanot-Jacobi leaves their determinant open, so `verify` must
+    expand them."""
+    one, zero = window.ring.one, window.ring.zero
+    lo = min(window.offsets, default=0)
+    hi = max((off + len(row) for off, row in zip(window.offsets, window.rows)), default=0)
+    count = 0
+    for r in range(len(window.rows) - 2):
+        for c in range(lo, hi):
+            sub = [[window_cell(window, r + dr, c + dc) for dc in range(3)] for dr in range(3)]
+            if any(x is None for row in sub for x in row) or sub[1][1] != zero:
+                continue
+            count += all(sub[i][j] * sub[i + 1][j + 1] - sub[i][j + 1] * sub[i + 1][j] == one
+                         for i in (0, 1) for j in (0, 1))
+    return count
+
+
 def test_verify_matches_reference_on_corrupted_friezes():
     rng = random.Random(1512)
-    for k in range(240):
+    zero_centres = 0
+    for k in range(360):
         ring = list(GENERATORS)[k % len(GENERATORS)]
-        cycle = glued_quiddity(rng, ring, rng.randint(2, 8))
+        cycle = glued_quiddity(rng, ring, rng.randint(2, 9), zero_squares=k % 3 == 0)
         window = frieze_from_cycle(cycle).window(rng.randint(-2, 3), rng.randint(1, cycle.m + 3))
         rows = [list(row) for row in window.rows]
         for _ in range(rng.randint(0, 2)):
@@ -300,6 +325,9 @@ def test_verify_matches_reference_on_corrupted_friezes():
             rows[r][rng.randrange(len(rows[r]))] = random_element(rng, ring)
         corrupted = FriezeWindow(ring, tuple(map(tuple, rows)), window.offsets)
         assert verify(corrupted) == reference_verify(corrupted)
+        zero_centres += unit_minor_zero_centres(corrupted)
+    # the blocks the Desnanot-Jacobi shortcut must not skip are reached
+    assert zero_centres >= 1
 
 
 @pytest.mark.parametrize("ring", list(GENERATORS), ids=lambda r: r.tag)
@@ -322,3 +350,34 @@ def test_row_closure_is_the_quiddity_test(ring):
                 with pytest.raises(InvalidCycleError, match="not a quiddity cycle"):
                     frieze_from_cycle(cycle)
     assert outcomes == {True, False}
+
+
+def reference_rows(cycle):
+    """Every row of the period by its own continuant recurrence, with no
+    symmetry: row i holds K(c_i .. c_{i+k-2}) for k = 0 .. m."""
+    ring, m = cycle.ring, cycle.m
+    rows = []
+    for i in range(m):
+        row = [ring.zero, ring.one]
+        for k in range(m - 1):
+            row.append(row[-1] * cycle.entries[(i + k) % m] - row[-2])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("ring", list(GENERATORS), ids=lambda r: r.tag)
+def test_frieze_matches_a_continuant_per_row(ring):
+    rng = random.Random(1514)
+    for m in range(2, 31):
+        for zero_squares in (False, True):
+            cycle = glued_quiddity(rng, ring, m, zero_squares)
+            assert frieze_from_cycle(cycle).rows == reference_rows(cycle)
+            entries = list(cycle.entries)
+            k = rng.randrange(m)
+            entries[k] = entries[k] + random_element(rng, ring)
+            spoilt = Cycle(ring, entries)
+            if is_quiddity(spoilt):
+                assert frieze_from_cycle(spoilt).rows == reference_rows(spoilt)
+            else:
+                with pytest.raises(InvalidCycleError, match="not a quiddity cycle"):
+                    frieze_from_cycle(spoilt)
