@@ -720,15 +720,24 @@ def _general_cyclotomic(d: int) -> CyclotomicRing:
     return CyclotomicRing(d)
 
 
+# The largest cyclotomic index served.  Exact division costs about phi(d)^3
+# (0.7 s for one at d = 199), and building Phi_d divides x^d - 1 by Phi_e
+# for every e dividing d.
+_MAX_CYCLOTOMIC_INDEX = 200
+
+
 def Cyclotomic(d: int) -> Ring:
     """The ring Z[zeta_d], normalizing the five special d to their classics.
 
     d in {1, 2} gives Z, d in {3, 6} gives the Eisenstein integers and d = 4
-    gives the Gaussian integers; everything else is a coefficient-vector ring
-    with arithmetic and exact division only.
+    gives the Gaussian integers; everything else up to the cap of
+    `_MAX_CYCLOTOMIC_INDEX` is a coefficient-vector ring with arithmetic and
+    exact division only.
     """
     if _check_int(d, "the cyclotomic index") < 1:
         raise UsageError(f"bad cyclotomic index {d}")
+    if d > _MAX_CYCLOTOMIC_INDEX:
+        raise UsageError(f"cyclotomic index {d} is above the cap of {_MAX_CYCLOTOMIC_INDEX}")
     if d in (1, 2):
         return Z
     if d in (3, 6):
@@ -754,6 +763,10 @@ def ring_from_tag(tag: str) -> Ring:
         return Qi
     d = tag[len("Zzeta"):]
     if tag.startswith("Zzeta") and d.isascii() and d.isdigit() and d[0] != "0":
+        # refused before int(), which has a digit limit of its own
+        if len(d) > len(str(_MAX_CYCLOTOMIC_INDEX)):
+            raise UsageError(f"cyclotomic index of {len(d)} digits is above the cap "
+                             f"of {_MAX_CYCLOTOMIC_INDEX}")
         return Cyclotomic(int(d))
     raise UsageError(f"unknown ring tag {tag!r}")
 

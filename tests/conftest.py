@@ -1,5 +1,5 @@
-"""Shared fixtures: a corpus of integer quiddity cycles, seeded random cycles, and
-the compiled kernel.
+"""Shared fixtures: a corpus of integer quiddity cycles, seeded random cycles, the
+compiled kernel, and the table of enumeration cells.
 
 The corpus combines every enumerated cycle of length at most 7 with two
 hand-picked infinite families specialized to small parameters, the four
@@ -10,12 +10,16 @@ The compiled kernel is the installed quiddity._speedups when it imports;
 otherwise the project's own setup.py builds it once per session into a
 temporary directory, so the twin-kernel tests need no prior build step.
 
+`CELLS` holds the rows of `tests/cells.json`, one per (ring, height) cell
+the suite enumerates (README, "Tests"), and `ROW[tag, n]` is one of them.
+
 Every test runs under a time limit: a test still running after
 TEST_TIME_LIMIT seconds fails with TimeoutError, and the suite goes on.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 import random
 import shlex
@@ -30,9 +34,9 @@ import pytest
 
 from quiddity import enumeration
 from quiddity.cycles import Cycle
-from quiddity.rings import Z
+from quiddity.rings import Z, Zi, Zzeta6
 
-# seconds; the slowest test takes about 2 s
+# seconds; the slowest test takes about 4 s
 TEST_TIME_LIMIT = 120
 
 
@@ -53,6 +57,17 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+RINGS = {ring.tag: ring for ring in (Z, Zi, Zzeta6)}
+CELLS = json.loads((Path(__file__).with_name("cells.json")).read_text())
+ROW = {(row["ring"], row["height"]): row for row in CELLS}
+
+
+def cells_checked_by(algorithm: str) -> list:
+    """(ring, n) of every row that `algorithm` confirms, in table order."""
+    return [(RINGS[row["ring"]], row["height"]) for row in CELLS
+            if algorithm in row["checked_by"]]
 
 
 # quiddities of the displayed example arrays, keyed by fixture name

@@ -14,8 +14,8 @@ from importlib import resources
 
 import json
 
+from conftest import ROW
 from quiddity import transforms
-from quiddity.bounds import candidate_entries
 from quiddity.cycles import Cycle, Mat2, eta, full_product, is_quiddity
 from quiddity.clusters import check_ptolemy, find_zero_free_cluster
 from quiddity.enumeration import (
@@ -49,35 +49,27 @@ def _verdict(number: int, name: str, failures: list):
 
 def test_criterion_01_gaussian_and_eisenstein_tables():
     failures = []
-    expected = {
-        (Zi, 1): (12, 6), (Zi, 2): (55, 7), (Zi, 3): (668, 81), (Zi, 4): (4368, 323),
-        (Zzeta6, 1): (12, 6), (Zzeta6, 2): (75, 10), (Zzeta6, 3): (1062, 127),
-        (Zzeta6, 4): (8526, 628),
-    }
     t0 = time.monotonic()
-    for ring in (Zi, Zzeta6):
-        for n in (1, 2, 3):
-            result = count_nonzero(ring, n, jobs=1)
-            if (result.total, result.orbit_count) != expected[(ring, n)]:
-                failures.append((ring.tag, n, result.total, result.orbit_count))
+    results = [count_nonzero(ring, n, jobs=1) for ring in (Zi, Zzeta6) for n in (1, 2, 3)]
     small_elapsed = time.monotonic() - t0
     if small_elapsed >= 60:
         failures.append(("small cells too slow", small_elapsed))
     t0 = time.monotonic()
     workers = min(8, os.cpu_count() or 1)
-    for ring in (Zi, Zzeta6):
-        result = count_nonzero(ring, 4, jobs=workers)
-        if (result.total, result.orbit_count) != expected[(ring, 4)]:
-            failures.append((ring.tag, 4, result.total, result.orbit_count))
+    results += [count_nonzero(ring, 4, jobs=workers) for ring in (Zi, Zzeta6)]
     if time.monotonic() - t0 >= 45 * 60:
         failures.append(("height-4 cells too slow",))
+    for r in results:
+        row = ROW[r.ring.tag, r.n]
+        if (r.total, r.orbit_count) != (row["total"], row["orbits"]):
+            failures.append((r.ring.tag, r.n, r.total, r.orbit_count))
     _verdict(1, "gaussian and eisenstein count tables", failures)
 
 
 def test_criterion_02_integer_table():
     failures = []
-    for n, want in ((1, 4), (2, 5), (3, 28)):
-        total = count_nonzero(Z, n).total
+    for n in (1, 2, 3):
+        total, want = count_nonzero(Z, n).total, ROW["Z", n]["total"]
         if total != want:
             failures.append((n, total, want))
     _verdict(2, "integer count table", failures)

@@ -29,8 +29,8 @@ from quiddity.rings import (
 from quiddity.transforms import conjugate_diag
 
 RINGS = ("Z", "Zi", "Zzeta6", "Q", "Qi", "Zzeta5")
-BAD_TAGS = ("Moonstone", "zi", "Zzeta0", "Zzeta1", "Zzeta05", "Zzeta-5", "Zzeta 5", "", 5, None,
-            ["Z"])
+BAD_TAGS = ("Moonstone", "zi", "Zzeta0", "Zzeta1", "Zzeta05", "Zzeta-5", "Zzeta 5", "Zzeta201", "",
+            5, None, ["Z"])
 JUNK = ("", "{", "[]", "null", "true", "5", '"Z"', "{}", '{"ring": "Z"}',
         '{"entries": [1, 2]}', '{"ring": "Z", "entries": []}',
         '{"ring": "Z", "entries": [true, 1]}', '{"ring": "Z", "entries": 5}',

@@ -1,11 +1,15 @@
 """Search engine: count tables, symmetry structure, kernels, unit families.
 
-The slow acceptance-table cells (height 4) live in test_acceptance; here the
-engine is cross-checked against a naive product scan on the smallest cells
-and its structural invariants are tested on the rest.
+Every cell of `tests/cells.json` is counted here on each kernel its row
+lists, and its total, orbit count and output hash are compared with the
+row.  Each independent algorithm a row names (a naive product scan, the
+search over every cycle, or the Conway-Coxeter triangle counts) is rerun
+on the cell, and its cycles must give the same row.  The structural
+invariants of the search are tested on small cells.
 """
 
 import gc
+import hashlib
 import inspect
 import itertools
 import random
@@ -15,6 +19,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import CELLS, RINGS, ROW, cells_checked_by
 
 from quiddity import _kernel, enumeration
 from quiddity.bounds import candidate_entries, quiddity_bound
@@ -31,24 +36,67 @@ from quiddity.enumeration import (
 )
 from quiddity.errors import NotRepresentableError, UnsupportedRingError, UsageError
 from quiddity.frieze import frieze_from_cycle, is_nonzero
+from quiddity.jsonio import dumps, result_to_json
 from quiddity.labelling import cc_quiddity, enumerate_triangulations
-from quiddity.rings import Cyclotomic, Q, Qi, Z, Zi, Zzeta6, elements_norm_at_most
+from quiddity.rings import Cyclotomic, Q, Qi, Z, Zi, Zzeta6
 
 
 def naive_nonzero(ring, n):
     """Filter every tuple over the candidate pool by the two definitions."""
-    out = []
-    for tup in itertools.product(candidate_entries(ring, n), repeat=n + 3):
-        c = Cycle(ring, tup)
-        if is_quiddity(c) and is_nonzero(frieze_from_cycle(c)):
-            out.append(c.entries)
-    return sorted(out, key=lambda e: tuple(ring.sort_key(x) for x in e))
+    cycles = (Cycle(ring, t) for t in itertools.product(candidate_entries(ring, n), repeat=n + 3))
+    return [c.entries for c in cycles if is_quiddity(c) and is_nonzero(frieze_from_cycle(c))]
 
 
-@pytest.mark.parametrize("ring,n", [(Z, 1), (Z, 2), (Zi, 1)])
+def search_on(kind, request, monkeypatch):
+    """Run the enumeration on the kernel named `kind` for this test."""
+    kernel = _kernel if kind == "pure" else request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(enumeration, "_default", kernel)
+    assert active_kernel() == kind
+
+
+def assert_matches_row(result):
+    """The total, orbit count and output hash are those of the cell's row."""
+    row = ROW[result.ring.tag, result.n]
+    digest = hashlib.sha256(dumps(result_to_json(result)).encode()).hexdigest()
+    assert (result.total, result.orbit_count, digest) == (row["total"], row["orbits"], row["sha256"])
+
+
+def confirm_row(ring, n, cycles):
+    """Check the entry tuples `cycles` that a second algorithm found, every
+    rotation and reflection included, against the search and against the
+    cell's row; return them as an enumeration result."""
+    def order(found):
+        return sorted(found, key=lambda e: tuple(ring.sort_key(x) for x in e))
+
+    assert [c.entries for c in enumerate_nonzero(ring, n)] == order(cycles)
+    canon = order({canonical_form(Cycle(ring, e)).entries for e in cycles})
+    result = EnumerationResult(ring, n, len(cycles), len(canon), tuple(Cycle(ring, e) for e in canon))
+    assert_matches_row(result)
+    return result
+
+
+def test_cell_table_has_one_sorted_row_per_cell():
+    keys = [(row["ring"], row["height"]) for row in CELLS]
+    assert keys == sorted(set(keys))
+    for row in CELLS:
+        assert row["ring"] in RINGS and row["height"] >= 1
+        assert row["kernels"] and set(row["kernels"]) <= {"pure", "compiled"}
+        assert set(row["checked_by"]) <= {"brute force", "full grid", "Conway-Coxeter"}
+
+
+@pytest.mark.parametrize("row,kind", [
+    pytest.param(row, kind, id=f"{row['ring']}:{row['height']}-{kind}")
+    for row in CELLS for kind in row["kernels"]])
+def test_cell_matches_table(row, kind, request, monkeypatch):
+    # the hash covers every representative, so two kernels that match it
+    # return the same canonical cycles and expand them to the same list
+    search_on(kind, request, monkeypatch)
+    assert_matches_row(count_nonzero(RINGS[row["ring"]], row["height"]))
+
+
+@pytest.mark.parametrize("ring,n", cells_checked_by("brute force"))
 def test_engine_matches_naive_scan(ring, n):
-    got = [c.entries for c in enumerate_nonzero(ring, n)]
-    assert got == naive_nonzero(ring, n)
+    confirm_row(ring, n, naive_nonzero(ring, n))
 
 
 def full_search(ring, n):
@@ -63,76 +111,16 @@ def full_search(ring, n):
     else:
         prefixes = [(ring.to_pair(x), ring.to_pair(y)) for x in elems for y in elems
                     if x * y != ring.one]
-    out = []
-    for prefix in prefixes:
-        for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs):
-            out.append(tuple(element[p] for p in tup))
-    return sorted(out, key=lambda e: tuple(ring.sort_key(x) for x in e))
+    return [tuple(element[p] for p in tup) for prefix in prefixes
+            for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs)]
 
 
-FULL_SEARCH_CELLS = [(Z, n) for n in range(1, 6)] + [(Zi, n) for n in (1, 2, 3)] \
-    + [(Zzeta6, n) for n in (1, 2, 3)]
-
-
-@pytest.mark.parametrize("ring,n", FULL_SEARCH_CELLS)
+@pytest.mark.parametrize("ring,n", cells_checked_by("full grid"))
 def test_canonical_search_matches_full_search(ring, n):
-    reference = full_search(ring, n)
-    assert [c.entries for c in enumerate_nonzero(ring, n)] == reference
-    canon = {canonical_form(Cycle(ring, e)).entries for e in reference}
+    result = confirm_row(ring, n, full_search(ring, n))
     # the task cut rests on this: a canonical cycle starts with an entry of
     # norm below 4 (two such entries exist in every quiddity cycle)
-    assert all(ring.norm_sq(e[0]) < 4 for e in canon)
-    result = count_nonzero(ring, n)
-    assert result.total == len(reference)
-    assert [r.entries for r in result.representatives] == \
-        sorted(canon, key=lambda e: tuple(ring.sort_key(x) for x in e))
-
-
-SMALL_TABLE = [
-    (Z, 1, 4, 2),
-    (Z, 2, 5, 1),
-    (Z, 3, 28, 6),
-    (Zi, 1, 12, 6),
-    (Zi, 2, 55, 7),
-    (Zzeta6, 1, 12, 6),
-    (Zzeta6, 2, 75, 10),
-]
-
-
-@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE)
-def test_count_table_small_cells(ring, n, total, orbits):
-    result = count_nonzero(ring, n)
-    assert (result.total, result.orbit_count) == (total, orbits)
-
-
-# the `enumerate` benchmark workload's largest cells
-BENCHMARK_CELLS = [
-    (Z, 5, 264, 24),
-    (Zi, 3, 668, 81),
-    (Zzeta6, 3, 1062, 127),
-]
-
-# the largest cells the pure kernel finishes in about a second
-LARGE_CELLS = [
-    (Z, 6, 429, 27),
-    (Zi, 4, 4368, 323),
-    (Zzeta6, 4, 8526, 628),
-]
-
-
-@pytest.mark.parametrize("ring,n,total,orbits", SMALL_TABLE + BENCHMARK_CELLS + LARGE_CELLS)
-def test_kernels_agree(ring, n, total, orbits, compiled_kernel, monkeypatch):
-    runs = []
-    for kernel in (_kernel, compiled_kernel):
-        monkeypatch.setattr(enumeration, "_default", kernel)
-        assert active_kernel() == kernel.KERNEL_KIND
-        runs.append((enumerate_nonzero(ring, n), count_nonzero(ring, n)))
-    (pure, pure_count), (fast, fast_count) = runs
-    assert [c.entries for c in pure] == [c.entries for c in fast]
-    assert len(pure) == pure_count.total == fast_count.total == total
-    assert pure_count.orbit_count == orbits
-    assert [r.entries for r in pure_count.representatives] == \
-        [r.entries for r in fast_count.representatives]
+    assert all(ring.norm_sq(r.entries[0]) < 4 for r in result.representatives)
 
 
 @pytest.fixture(params=["pure", "compiled"])
@@ -189,19 +177,6 @@ def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
         except OverflowError:
             outcomes.add("search overflow" if inside else "overflow")
     assert outcomes == {"equal", "overflow", "search overflow"}
-
-
-# Height 5 on the compiled kernel.  Both counts were cross-checked against
-# the search over every cycle when that search was still run on them.
-@pytest.mark.parametrize("ring,n,total,orbits", [
-    (Zi, 5, 50016, 3320),
-    (Zzeta6, 5, 113496, 7434),
-])
-def test_height_five_cells_on_compiled_kernel(ring, n, total, orbits, compiled_kernel,
-                                              monkeypatch):
-    monkeypatch.setattr(enumeration, "_default", compiled_kernel)
-    result = count_nonzero(ring, n)
-    assert (result.total, result.orbit_count) == (total, orbits)
 
 
 def _mul(t, x, y):
@@ -406,13 +381,6 @@ def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
         enumerate_nonzero(Z, 17)
 
 
-def test_height_three_deep_cells():
-    assert count_nonzero(Zi, 3).total == 668
-    assert count_nonzero(Zzeta6, 3).total == 1062
-    assert count_nonzero(Zi, 3).orbit_count == 81
-    assert count_nonzero(Zzeta6, 3).orbit_count == 127
-
-
 def test_worker_count_does_not_change_output():
     lone = enumerate_nonzero(Zi, 2, jobs=1)
     team = enumerate_nonzero(Zi, 2, jobs=4)
@@ -427,30 +395,22 @@ def test_output_is_sorted_and_duplicate_free():
         assert len(set(keys)) == len(keys)
 
 
-# (height, cycles, orbits)
-Z_CELLS = [(1, 4, 2), (2, 5, 1), (3, 28, 6), (4, 42, 4), (5, 264, 24), (6, 429, 27),
-           (7, 2860, 164)]
-
-
-@pytest.mark.parametrize("n,count,orbits",
-                         [pytest.param(*cell, id=f"{cell[0]}-{cell[1]}") for cell in Z_CELLS])
-def test_z_cells_are_the_conway_coxeter_cycles(n, count, orbits, request, monkeypatch):
+@pytest.mark.parametrize("row", [
+    pytest.param(row, id=f"{row['height']}-{row['total']}")
+    for row in CELLS if "Conway-Coxeter" in row["checked_by"]])
+def test_z_cells_are_the_conway_coxeter_cycles(row, request, monkeypatch):
     # The paper's model generalises Conway-Coxeter theory; that the nonzero
     # integer friezes of height n are exactly the triangle-count cycles of
     # the triangulated (n+3)-gon, together with their negatives when n+3 is
-    # even, is an observed identity, checked here for n = 1..7.  Height 7
-    # runs on the compiled kernel.
-    if n == 7:
-        monkeypatch.setattr(enumeration, "_default", request.getfixturevalue("compiled_kernel"))
+    # even, is an observed identity, checked here on every row that names
+    # it.  A row run on the compiled kernel alone is checked there.
+    search_on(row["kernels"][0], request, monkeypatch)
+    n = row["height"]
     m = n + 3
     cc = {cc_quiddity(tri).entries for tri in enumerate_triangulations(m)}
     if m % 2 == 0:
         cc |= {tuple(-c for c in entries) for entries in cc}
-    order = sorted(cc, key=lambda entries: tuple(Z.sort_key(c) for c in entries))
-    assert [c.entries for c in enumerate_nonzero(Z, n)] == order
-    assert len(order) == count
-    classes = {frozenset(v[s:] + v[:s] for v in (e, e[::-1]) for s in range(m)) for e in cc}
-    assert count_nonzero(Z, n).orbit_count == len(classes) == orbits
+    confirm_row(Z, n, cc)
 
 
 def test_dihedral_closure():
@@ -468,19 +428,13 @@ def test_orbits_partition_the_set():
         result = count_nonzero(ring, n)
         found = {c.entries for c in enumerate_nonzero(ring, n)}
         m = n + 3
-        seen = set()
-        covered = 0
-        for rep in result.representatives:
-            ent = rep.entries
-            rev = tuple(reversed(ent))
-            orbit = {ent[s:] + ent[:s] for s in range(m)}
-            orbit |= {rev[s:] + rev[:s] for s in range(m)}
-            assert orbit <= found
-            assert not (orbit & seen)
-            assert (2 * m) % len(orbit) == 0
-            seen |= orbit
-            covered += len(orbit)
-        assert covered == result.total == len(found)
+        orbits = [{v[s:] + v[:s] for v in (r.entries, r.entries[::-1]) for s in range(m)}
+                  for r in result.representatives]
+        # the orbits cover the set, and their sizes add up to its size only
+        # when no two of them meet
+        assert set().union(*orbits) == found
+        assert sum(map(len, orbits)) == result.total == len(found)
+        assert all((2 * m) % len(orbit) == 0 for orbit in orbits)
 
 
 def test_canonical_form_is_orbit_invariant():
@@ -504,27 +458,6 @@ def test_representatives_are_canonical():
 def test_result_validates_counts():
     with pytest.raises(UsageError):
         EnumerationResult(Z, 1, 1, 2, (Cycle(Z, (1, 2, 1, 2)),))
-
-
-def test_length_two_and_three_classification():
-    # brute force over a pool well beyond the entry bound: the only short
-    # quiddity cycles over any of the discrete rings are (0,0) and (1,1,1)
-    for ring in (Z, Zi, Zzeta6):
-        pool = [ring.zero] + elements_norm_at_most(ring, 9)
-        pairs = [t for t in itertools.product(pool, repeat=2)
-                 if is_quiddity(Cycle(ring, t))]
-        assert pairs == [(ring.zero, ring.zero)]
-        triples = [t for t in itertools.product(pool, repeat=3)
-                   if is_quiddity(Cycle(ring, t))]
-        assert triples == [(ring.one, ring.one, ring.one)]
-
-
-def test_length_four_classification_over_z():
-    pool = range(-3, 4)
-    found = sorted(t for t in itertools.product(pool, repeat=4)
-                   if is_quiddity(Cycle(Z, t)))
-    assert found == [(-2, -1, -2, -1), (-1, -2, -1, -2),
-                     (1, 2, 1, 2), (2, 1, 2, 1)]
 
 
 def test_unit_family_cycle_shapes():

@@ -123,7 +123,7 @@ def test_result_roundtrip():
     text = roundtrip_text(result_to_json(result), result_from_json,
                           result_to_json)
     back = result_from_json(json.loads(text))
-    assert (back.ring, back.n, back.total) == (Zi, 1, 12)
+    assert (back.ring, back.n, back.total) == (Zi, 1, result.total)
     assert [c.entries for c in back.representatives] == \
         [c.entries for c in result.representatives]
 

@@ -3,6 +3,7 @@ combinatorial reduction engine."""
 
 import copy
 import enum
+import hashlib
 import itertools
 import pickle
 import random
@@ -402,6 +403,25 @@ def reduce_labelling_fully(lab: Labelling):
             return steps
         assert step.after.m < lab.m
         lab = step.after
+
+
+def test_seeded_polygon_outputs_are_pinned(glued_cycle):
+    # one hash over every labelling step and one over every reduction step
+    # of 1,320 seeded cycles pin the output of both engines
+    chains, reductions = hashlib.sha256(), hashlib.sha256()
+    for seed, m, kind in itertools.product(range(40), (4, 5, 6, 7, 8, 9, 12, 20, 35, 50, 65),
+                                           ("cc", "mixed", "zeros")):
+        cycle = Cycle(Z, glued_cycle(random.Random(1000 * seed + m), m, kind))
+        for step in reduce_labelling_fully(labelling_from_cycle(cycle)):
+            after = step.after
+            chains.update(repr((step.case_tag, step.indices, sorted(after.labels.items()),
+                                sorted(after.triangulation.diagonals))).encode())
+        for s in reduce_to_base(cycle).steps:
+            reductions.update(repr((s.case_tag, s.indices, s.after.entries, s.eps_before,
+                                    s.eps_after)).encode())
+    assert (chains.hexdigest(), reductions.hexdigest()) == (
+        "748dbf27cc3ef93e593b5b0187f20adcda462e667eb06eeb1fe329ecf4d78a45",
+        "144d3bf38a883ae3d6dbe10c54fd8573239ac1cdbcc94b24626b983c7cb91c88")
 
 
 def test_labelling_reduction_terminates_on_corpus(z_corpus):

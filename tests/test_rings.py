@@ -1,6 +1,7 @@
 """Exact arithmetic in the supported subrings of C."""
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -196,12 +197,14 @@ def test_ring_from_tag():
     assert ring_from_tag("Zzeta3") is Zzeta6
     assert ring_from_tag("Zzeta4") is Zi
     assert ring_from_tag("Zzeta5").tag == "Zzeta5"
+    assert ring_from_tag("Zzeta200").phi == 80  # the largest index served
     with pytest.raises(UsageError):
         ring_from_tag("Zfoo")
 
 
 @pytest.mark.parametrize("tag", [5, None, ["Z"], b"Z", "Zzeta 5", "Zzeta1_0", "Zzeta+5",
-                                 "Zzeta-5", "Zzeta05", "Zzeta0", "Zzeta", "Zzeta\u0665"])
+                                 "Zzeta-5", "Zzeta05", "Zzeta0", "Zzeta", "Zzeta\u0665",
+                                 "Zzeta201"])
 def test_ring_from_tag_refuses_tags_no_writer_emits(tag):
     with pytest.raises(UsageError):
         ring_from_tag(tag)
@@ -211,6 +214,20 @@ def test_ring_from_tag_refuses_tags_no_writer_emits(tag):
 def test_cyclotomic_needs_an_int(d):
     with pytest.raises(UsageError, match="must be an integer"):
         Cyclotomic(d)
+
+
+@pytest.mark.parametrize("tag", ["Zzeta" + "1" * 5000, "Zzeta10000000000", "Zzeta55440"],
+                         ids=["5000-digits", "1e10", "55440"])
+def test_tag_above_the_cyclotomic_cap_exits_2(child_python, tag):
+    # uncapped: past int()'s digit limit, an 80 GB list, minutes of Phi_d
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from quiddity.cli import main\n"
+            "main(sys.argv[1:])\n")
+    cycle = json.dumps({"ring": tag, "entries": [[1]]})
+    proc = child_python("-c", code, "verify-cycle", cycle, timeout=30)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr[-500:]
+    assert "above the cap of 200" in proc.stderr
 
 
 @pytest.mark.parametrize("ring", [Z, Q, Zi, Zzeta6, Qi, Cyclotomic(5)], ids=lambda r: r.tag)
