@@ -1,10 +1,9 @@
 """Pure-Python search kernel for nonzero-frieze cycle enumeration.
 
-Elements of the three discrete rings are integer pairs (a, b) meaning
-a + b*omega with omega^2 = t*omega - 1: t = 0 for Z[i] and for Z (whose
-pairs have b = 0), t = 1 for Z[w].  The encoding and its arithmetic are
-stated once, in `quiddity.rings` (`pair_mul`, `pair_norm`, `pair_div`);
-this module only searches.
+Ring elements are integer pairs (a, b) meaning a + b*omega with omega^2 =
+t*omega - 1: t = 0 for Z[i] and for Z (whose pairs have b = 0), t = 1 for
+Z[w].  The encoding and its arithmetic are stated once, in `quiddity.rings`
+(`pair_mul`, `pair_norm`, `pair_div`); this module only searches.
 
 The search walks cycle positions 1..m-3 depth first over a candidate list,
 keeping the running eta-matrix product.  Extending by c sends the product
@@ -24,16 +23,20 @@ The last free position is solved, not scanned.  There c gives u = P11*c +
 P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11 whatever c is:
 every surviving c comes from a factor pair (a, u) of x with both norms
 within the limit, as c = (u - P12)/P11.  The pairs come from the ball of
-norms up to the limit (`rings.ball_rows`), walked grouped by norm as the
-compiled kernel does and memoised per x for the tasks that share (t, n);
-the ball holds only b = 0 elements when every prefix entry and candidate
-has b = 0, since Z is closed under the product.  The solved c that are
+norms up to the limit (`rings.ball_rows`), walked grouped by norm; the
+ball holds only b = 0 elements when every prefix entry and candidate has
+b = 0, since Z is closed under the product.  The solved c that are
 candidates, taken once per occurrence in the candidate list and in its
 order, go through the same step as a scanned one.
 
-`quiddity._speedups` is the compiled twin of this module; both expose the
-same `search_from_prefix` and must return identical lists, except that the
-twin raises OverflowError where its int64 arithmetic would overflow.
+`quiddity._speedups` is the compiled twin of this module: the same
+`search_from_prefix`, the same lists, except that the twin raises
+OverflowError where its int64 arithmetic would overflow.  `_Search` mirrors
+the twin's `search` struct and its methods are the C functions of the same
+names, with three differences that measured faster here: C's `step` is
+inline in `extend`'s loop (a call per node cost 5-20%), the factor pairs,
+memoised per x, and the candidate positions are cached across tasks
+(building them per task doubled the time), and `_Search` has `__slots__`.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ from itertools import chain
 from quiddity.rings import ball_rows, pair_conj, pair_div, pair_mul, pair_norm
 
 KERNEL_KIND = "pure"
-
 MAX_DEPTH = 16
-
 ONE = (1, 0)
 
 
@@ -108,12 +109,80 @@ _factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
 
 @lru_cache(maxsize=1)
 def _positions(candidates):
-    """Each candidate's indices, every one of a duplicate's; one candidate
-    list at a time, shared by the tasks of one suffix."""
+    """Each candidate's indices, all of a duplicate's; one list at a time."""
     where = {}
     for i, cand in enumerate(candidates):
         where.setdefault(cand, []).append(i)
     return where
+
+
+class _Search:
+    """One task's search state; `e` holds the cycle being built."""
+
+    __slots__ = ("t", "m", "free", "npre", "limit", "pre", "cand", "e", "results",
+                 "pairs", "where")
+
+    def __init__(self, t, n, prefix, candidates):
+        self.t, self.m, self.free, self.npre, self.limit = t, n + 3, n, len(prefix), (n + 1) ** 2
+        self.pre, self.cand, self.e, self.results = prefix, candidates, [None] * (n + 3), []
+        if self.npre < n:
+            real = not any(b for _, b in chain(prefix, candidates))
+            self.pairs = _factor_pairs(t, self.limit, real)
+            self.where = _positions(tuple(candidates))
+
+    def solve_last(self, p11, p12):
+        # the candidates c whose u = p11*c + p12 has a ball cofactor a with
+        # a*u = 1 + p11, in candidate order; c = (u - p12) * conj(p11) / d
+        # with d = norm(p11) must divide exactly
+        us = self.pairs.cofactors((p11[0] + 1, p11[1]))
+        if not us:
+            return ()
+        t, where = self.t, self.where
+        d, conj = pair_norm(t, p11), pair_conj(t, p11)
+        hits = []
+        for ua, ub in us:
+            ca, cb = pair_mul(t, (ua - p12[0], ub - p12[1]), conj)
+            if not (ca % d or cb % d):
+                hits += where.get((ca // d, cb // d), ())
+        hits.sort()
+        return [self.cand[i] for i in hits]
+
+    def solve_tail(self, u, p12, p21):
+        # `extend` checked u against the norm limit when it placed it
+        t, limit, e, free = self.t, self.limit, self.e, self.free
+        a = pair_div(t, (1 - p12[0], -p12[1]), u)
+        if a is None or a == (0, 0) or pair_norm(t, a) > limit:
+            return
+        b = pair_div(t, (1 + p21[0], p21[1]), u)
+        if b is None or b == (0, 0) or pair_norm(t, b) > limit:
+            return
+        if (pair_mul(t, e[free - 1], a) == ONE or pair_mul(t, a, u) == ONE
+                or pair_mul(t, u, b) == ONE or pair_mul(t, b, e[0]) == ONE):
+            return
+        e[free:] = a, u, b
+        if _windows_nonzero(t, e, self.m):
+            self.results.append(tuple(e))
+
+    def extend(self, depth, p11, p12, p21, p22):
+        if depth == self.free:
+            return self.solve_tail(p11, p12, p21)
+        t, e = self.t, self.e
+        # c * prev == 1 exactly when c is prev's inverse (None if it has none)
+        inverse = pair_div(t, ONE, e[depth - 1]) if depth else None
+        last = depth + 1 == self.free  # then q11 is the forced entry u
+        choices = (self.pre[depth:depth + 1] if depth < self.npre
+                   else self.solve_last(p11, p12) if last else self.cand)
+        for cand in choices:
+            if cand == inverse:
+                continue
+            ta, tb = pair_mul(t, p11, cand)
+            q11 = (ta + p12[0], tb + p12[1])
+            if q11 == (0, 0) or (last and pair_norm(t, q11) > self.limit):
+                continue
+            ta, tb = pair_mul(t, p21, cand)
+            q21 = (ta + p22[0], tb + p22[1])
+            e[depth] = cand
+            self.extend(depth + 1, q11, (-p11[0], -p11[1]), q21, (-p21[0], -p21[1]))
 
 
 def search_from_prefix(t, n, prefix, candidates):
@@ -128,78 +197,9 @@ def search_from_prefix(t, n, prefix, candidates):
     """
     if t not in (0, 1):
         raise ValueError(f"t must be 0 or 1, got {t!r}")
-    m = n + 3
-    free = m - 3
-    npre = len(prefix)
-    if not (1 <= npre <= free <= MAX_DEPTH):
+    if not (1 <= len(prefix) <= n <= MAX_DEPTH):
         raise ValueError("bad prefix length or height")
-    limit = (n + 1) ** 2
-    if not all(0 < pair_norm(t, c) <= limit for c in prefix):
-        return []
-    if npre < free:
-        real = not any(b for _, b in chain(prefix, candidates))
-        pairs, where = _factor_pairs(t, limit, real), _positions(tuple(candidates))
-
-    results = []
-
-    def solved(p11, p12):
-        # the candidates c whose u = p11*c + p12 has a ball cofactor a with
-        # a*u = 1 + p11, in candidate order; c = (u - p12) * conj(p11) / d
-        # with d = norm(p11) must divide exactly
-        us = pairs.cofactors((p11[0] + 1, p11[1]))
-        if not us:
-            return ()
-        d, conj = pair_norm(t, p11), pair_conj(t, p11)
-        hits = []
-        for ua, ub in us:
-            ca, cb = pair_mul(t, (ua - p12[0], ub - p12[1]), conj)
-            if not (ca % d or cb % d):
-                hits += where.get((ca // d, cb // d), ())
-        hits.sort()
-        return [candidates[i] for i in hits]
-
-    def solve_tail(u, p12, p21, entries):
-        # `extend` checked u against the norm limit when it placed it
-        a = pair_div(t, (1 - p12[0], -p12[1]), u)
-        if a is None or a == (0, 0) or pair_norm(t, a) > limit:
-            return
-        b = pair_div(t, (1 + p21[0], p21[1]), u)
-        if b is None or b == (0, 0) or pair_norm(t, b) > limit:
-            return
-        if (pair_mul(t, entries[-1], a) == ONE or pair_mul(t, a, u) == ONE
-                or pair_mul(t, u, b) == ONE or pair_mul(t, b, entries[0]) == ONE):
-            return
-        cycle = entries + (a, u, b)
-        if _windows_nonzero(t, cycle, m):
-            results.append(cycle)
-
-    def extend(depth, p11, p12, p21, p22, entries):
-        if depth == free:
-            solve_tail(p11, p12, p21, entries)
-            return
-        last = depth + 1 == free  # then q11 is the forced entry u
-        if depth < npre:
-            choices = prefix[depth:depth + 1]
-        elif last:
-            choices = solved(p11, p12)
-        else:
-            choices = candidates
-        # c * prev == 1 exactly when c is prev's inverse (None if it has none)
-        inverse = pair_div(t, ONE, entries[-1]) if entries else None
-        for cand in choices:
-            if cand == inverse:
-                continue
-            ta, tb = pair_mul(t, p11, cand)
-            q11 = (ta + p12[0], tb + p12[1])
-            if q11 == (0, 0) or (last and pair_norm(t, q11) > limit):
-                continue
-            ta, tb = pair_mul(t, p21, cand)
-            q21 = (ta + p22[0], tb + p22[1])
-            extend(depth + 1, q11, (-p11[0], -p11[1]), q21,
-                   (-p21[0], -p21[1]), entries + (cand,))
-
-    try:
-        extend(0, ONE, (0, 0), (0, 0), ONE, ())
-    finally:
-        del extend  # it holds itself through its closure cell
-    return results
+    search = _Search(t, n, prefix, candidates)
+    if all(0 < pair_norm(t, c) <= search.limit for c in prefix):
+        search.extend(0, ONE, (0, 0), (0, 0), ONE)
+    return search.results

@@ -1,30 +1,17 @@
 /* Compiled twin of quiddity._kernel: same contract, same search, same output.
 
-   Ring elements are pairs of int64 (a, b) meaning a + b*omega with
-   omega^2 = t*omega - 1, t = 0 or 1; the encoding and its formulas are
-   stated once, in quiddity/rings.py, and mul, norm and divide below compute
-   exactly those.  The search walks positions 1..m-3 depth first over the
-   candidate list, keeping the running eta-matrix product, and forces the
-   last three entries; see quiddity/_kernel.py for the derivation.  Every
-   entry has norm at most the limit (n + 1)^2, and each prefix entry is the
-   one choice at its position.
+   The search and the solve of its last free position are derived once, in
+   quiddity/_kernel.py, whose _Search class mirrors the `search` struct
+   below, with methods named after its functions; the ring encoding and
+   its formulas are stated in quiddity/rings.py, and mul, norm and divide
+   below compute exactly those.
 
-   The last free position is solved from the factor pairs of x = 1 + p11,
-   as in the pure kernel: the forced entries a and u there satisfy a*u = x
-   whatever c is, and c = (u - p12)/p11.  The ball of norms up to the limit
-   (only its b = 0 row when every entry given is real) is kept sorted by
-   norm, largest first, and each node tries only the norms d with d | N(x)
-   and N(x)/d <= limit.  The solved c are looked up among the candidates
-   sorted by value, every position of a duplicate is kept, and the hits go
-   through the same step as a scanned candidate, in candidate order.  At
-   the depth cap the ball holds at most 1044 elements.
-
-   Every int64 product, sum, difference and negation is checked, and the
-   integer square root is exact integer code.  An overflow raises
-   OverflowError instead of returning a wrong list, and the caller reruns
-   that input on the pure kernel, whose integers do not overflow.  The
-   candidates live in a heap array sized from the input, so any number of
-   them is accepted. */
+   Ring elements are pairs of int64.  Every int64 product, sum, difference
+   and negation is checked, and the integer square root is exact integer
+   code.  An overflow raises OverflowError instead of returning a wrong
+   list, and the caller reruns that input on the pure kernel, whose
+   integers do not overflow.  The candidates live in a heap array sized
+   from the input, so any number of them is accepted. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

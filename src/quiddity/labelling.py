@@ -210,32 +210,32 @@ def _triangulation(m: int, under: dict) -> Triangulation:
                        triangles=tuple(sorted(walk)), _dual=(walk, parent))
 
 
+def _diagonal_sets(a: int, b: int) -> list:
+    """All diagonal sets triangulating the sub-polygon a..b, ordered by the
+    apex c of the triangle over (a, b), then by those of a..c, then by
+    those of c..b."""
+    if b - a < 2:
+        return [frozenset()]
+    out = []
+    for c in range(a + 1, b):
+        sides = frozenset(d for d in ((a, c), (c, b)) if d[1] - d[0] >= 2)
+        for ls in _diagonal_sets(a, c):
+            for rs in _diagonal_sets(c, b):
+                out.append(sides | ls | rs)
+    return out
+
+
 def enumerate_triangulations(m: int) -> list:
     """All triangulations of the m-gon in a fixed recursive order.
 
     The count is the Catalan number C(m-2): 1, 1, 2, 5, 14, ... for
-    m = 2, 3, 4, 5, 6, ...  The triangulations of the sub-polygon a..b come
-    ordered by the apex c of the triangle over (a, b), then by those of
-    a..c, then by those of c..b.  This is a reference enumeration for tests
-    and small m: the whole list is built on every call, and nothing in the
-    library relies on it.
+    m = 2, 3, 4, 5, 6, ...  The order is that of `_diagonal_sets`.  This
+    is a reference enumeration for tests and small m: the whole list is
+    built on every call, and nothing in the library relies on it.
     """
     if _check_int(m, "the vertex count") < 2:
         raise UsageError("polygon needs at least 2 vertices")
-
-    def fill(a: int, b: int) -> list:
-        # all diagonal sets triangulating the sub-polygon a..b
-        if b - a < 2:
-            return [frozenset()]
-        out = []
-        for c in range(a + 1, b):
-            sides = frozenset(d for d in ((a, c), (c, b)) if d[1] - d[0] >= 2)
-            for ls in fill(a, c):
-                for rs in fill(c, b):
-                    out.append(sides | ls | rs)
-        return out
-
-    return [Triangulation(m, d) for d in fill(1, m)]
+    return [Triangulation(m, d) for d in _diagonal_sets(1, m)]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from quiddity.bounds import candidate_entries
 from quiddity.cli import _RULES, main
 from quiddity.cycles import Cycle, continuant
 from quiddity.errors import UsageError
@@ -25,11 +26,12 @@ from quiddity.rings import (
     Zzeta6,
     count_norm_at_most,
     elements_norm_at_most,
+    ring_from_tag,
 )
 from quiddity.transforms import conjugate_diag
 
 RINGS = ("Z", "Zi", "Zzeta6", "Q", "Qi", "Zzeta5")
-BAD_TAGS = ("Moonstone", "zi", "Zzeta0", "Zzeta1", "Zzeta05", "Zzeta-5", "Zzeta 5", "Zzeta201", "",
+BAD_TAGS = ("Moonstone", "zi", "Zzeta0", "Zzeta", "Zzeta05", "Zzeta-5", "Zzeta 5", "Zzeta201", "",
             5, None, ["Z"])
 JUNK = ("", "{", "[]", "null", "true", "5", '"Z"', "{}", '{"ring": "Z"}',
         '{"entries": [1, 2]}', '{"ring": "Z", "entries": []}',
@@ -163,6 +165,13 @@ def invocation(rng, runner, glued_cycle):
             "--height", height, "--count", pick(rng, ("1", "2", "3"), ("0", "-1", "x")), *fmt]
 
 
+@pytest.mark.parametrize("tag", BAD_TAGS, ids=repr)
+def test_every_bad_tag_is_refused(tag):
+    # so that the fuzz's bad-tag draws hold no good tag
+    with pytest.raises(UsageError):
+        ring_from_tag(tag)
+
+
 def test_every_verb_exits_0_1_or_2_on_fuzzed_input(glued_cycle):
     rng = random.Random(2609)
     runner = CliRunner()
@@ -195,6 +204,9 @@ USAGE_ERRORS = {
     "bool ball bound": lambda: count_norm_at_most(Zi, True),
     "string ball bound, elements": lambda: elements_norm_at_most(Z, "x"),
     "nan ball bound": lambda: elements_norm_at_most(Zi, float("nan")),
+    # the balls of 314,221,672 and 200,000,000 elements, refused unbuilt
+    "candidates past the element cap": lambda: candidate_entries(Zi, 10 ** 4),
+    "one-row ball past the element cap": lambda: elements_norm_at_most(Z, 10 ** 16),
     "cycle of an int": lambda: Cycle(Z, 5),
     "cycle of None": lambda: Cycle(Zi, None),
     "continuant of an int": lambda: continuant(Z, 5),

@@ -101,11 +101,3 @@ def test_find_two_small_separated_guards():
         find_two_small_separated(Cycle(Z, (1, 1, 1)))
     with pytest.raises(NotApplicableError):
         find_two_small_separated(Cycle(Z, (2, 2, 2, 2)))
-
-
-def test_enumerated_entries_respect_bound():
-    # every entry of every enumerated cycle obeys the height bound
-    for ring, n in ((Z, 4), (Zi, 2), (Zzeta6, 2)):
-        limit = (n + 1) ** 2
-        for cycle in enumerate_nonzero(ring, n):
-            assert all(norm_sq(ring, x) <= limit for x in cycle.entries)

@@ -301,7 +301,8 @@ def test_kernels_share_one_signature(compiled_kernel):
 def test_pure_kernel_leaves_no_reference_cycle():
     # each task's search state is freed by reference counting alone: a task
     # with cycles, one with none, one whose prefix fills every free position
-    # and one whose prefix is pruned at once
+    # and one whose prefix is pruned at once; so is the recursion that lists
+    # triangulations
     pairs = [Zi.to_pair(x) for x in candidate_entries(Zi, 3)]
     tasks = [[(1, 0)], [(3, 0), (3, 0)], [(1, 0), (2, 0), (3, 0)], [(9, 0)]]
     gc.collect()
@@ -310,6 +311,8 @@ def test_pure_kernel_leaves_no_reference_cycle():
         for prefix in tasks:
             _kernel.search_from_prefix(Zi.t, 3, prefix, pairs)
             assert gc.collect() == 0, prefix
+        enumerate_triangulations(6)
+        assert gc.collect() == 0, "enumerate_triangulations"
     finally:
         gc.enable()
 

@@ -11,7 +11,9 @@ read when some module of the package loads it as a name or as an attribute
 (`rings._printable`).  A name in a module's `__all__` counts as read when
 some other module of the package loads it in the same way, or when README
 names it in an inline code span (`quiddity.rings.Qi`); an import alone, such
-as a re-export in `__init__.py`, does not read it.
+as a re-export in `__init__.py`, does not read it.  No function nested in
+a function loads its own name: such a closure holds itself through its
+cell, a reference cycle that only the cycle collector frees.
 """
 
 import ast
@@ -163,3 +165,44 @@ UNREAD_PUBLIC = unread_public_names(
 @pytest.mark.parametrize("module", sorted(UNREAD_PUBLIC))
 def test_no_unread_public_names(module):
     assert UNREAD_PUBLIC[module] == []
+
+
+def _functions_in_functions(node, path: str, nested: bool):
+    """(dotted path, node) of each function defined inside a function at or
+    below `node`; `nested` tells whether `node` is inside one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if nested:
+                yield f"{path}.{child.name}", child
+            yield from _functions_in_functions(child, f"{path}.{child.name}", True)
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions_in_functions(child, f"{path}.{child.name}", nested)
+        else:
+            yield from _functions_in_functions(child, path, nested)
+
+
+def self_referencing_closures(source: str, module: str) -> list:
+    """The dotted path of each nested function that loads its own name."""
+    return [path for path, fn in _functions_in_functions(ast.parse(source), module, False)
+            if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == fn.name
+                   for n in ast.walk(fn))]
+
+
+def test_the_scan_sees_a_self_referencing_closure():
+    source = ("def outer():\n"
+              "    def walk(k):\n        return walk(k - 1) if k else 0\n"
+              "    def leaf():\n        return outer()\n"
+              "    return walk(3) + leaf()\n"
+              "def top(k):\n    return top(k - 1) if k else 0\n"
+              "class C:\n    def method(self):\n"
+              "        if self:\n            def inner():\n                return inner\n"
+              "            return inner\n")
+    # `top` calls itself at module level and `leaf` calls its enclosing
+    # function, neither through its own cell
+    assert self_referencing_closures(source, "m") == ["m.outer.walk", "m.C.method.inner"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_self_referencing_closures(path):
+    module = path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+    assert self_referencing_closures(path.read_text(), module) == []

@@ -400,3 +400,12 @@ def test_count_norm_at_most_refuses_a_ball_past_the_row_cap(ring):
             assert not too_many
         outcomes.add(too_many)
     assert outcomes == {True, False}
+
+
+def test_elements_norm_at_most_refuses_a_ball_past_the_element_cap():
+    # Z's ball of norm at most k^2 holds the 2k elements +-1..+-k, one row
+    half = rings._MAX_BALL_ELEMENTS // 2
+    assert len(elements_norm_at_most(Z, half ** 2)) == 2 * half
+    with pytest.raises(UsageError, match=f"B_sq={(half + 1) ** 2} "):
+        elements_norm_at_most(Z, (half + 1) ** 2)
+    assert count_norm_at_most(Z, (half + 1) ** 2) == 2 * half + 2
