@@ -48,9 +48,20 @@ def _guard(fn):
 
 def _load_json(text: str, what: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # malformed, or an int past the digit limit
         raise UsageError(f"bad {what} JSON: {exc}") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key, which `json.loads`
+    would silently resolve to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f"a JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _cycle_from_arg(text: str) -> Cycle:

@@ -5,6 +5,9 @@ Every writer produces plain dicts whose json.dumps form is deterministic
 emit -> read -> emit is the identity on the serialized text.  Ring elements
 travel in the per-ring scalar encoding (int for Z, [re, im] for the
 quadratic rings, strings for rationals, coefficient lists for cyclotomics).
+The one exception is a rational: the writer emits "p/q", and the reader
+also takes an int or any literal that `rings._rational_from_json` reads,
+such as "1e3".
 """
 
 from __future__ import annotations
@@ -87,9 +90,11 @@ def labelling_from_json(data) -> Labelling:
     for key, val in labels.items():
         try:
             corners = tuple(int(part) for part in key.split(","))
-        except ValueError:
+        except (AttributeError, ValueError):  # a key that is no string, or no ints
             raise UsageError(f"bad triangle key {key!r}") from None
-        if len(corners) != 3:
+        # only the writer's form: three increasing ints, comma-separated
+        if (len(corners) != 3 or ",".join(map(str, corners)) != key
+                or not corners[0] < corners[1] < corners[2]):
             raise UsageError(f"bad triangle key {key!r}")
         parsed[corners] = val
     return Labelling(tri, parsed)

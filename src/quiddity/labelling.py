@@ -35,8 +35,10 @@ a `Labelling` through one builder, `_from_triangles`.  A sorted triangle
 triangles map each side to its apex, and one walk from the side (1, m)
 over that map checks that they tile the polygon and records the
 triangles, the dual tree and the diagonals (the walked sides that are not
-polygon edges).  `Triangulation(m, diagonals)` runs the same walk on the
-map it reads off its diagonals.
+polygon edges).  A `Triangulation` stores only m and its diagonals: its
+triangles and dual tree come from the same walk over the map it reads off
+its diagonals, made when first read, unless its builder has walked
+already and passes the walk in.
 
 The dual graph of a triangulation is a tree.  The walk records it, each
 triangle with its parent, and the square pairing of (i) is read off that
@@ -52,14 +54,13 @@ A `Labelling` cannot change: its labels are a read-only view of the dict
 that was checked.  So it owns the facts of its admissibility, its square
 partition and its numbers of negative and zero labels, as the cached
 `_facts`, computed on first read.  A reduction step derives its result's
-labels, triangles, diagonals and facts from its input's, at the cost of
-the step, so a chain of steps checks each labelling in full at most once;
-the result walks its triangles only when `square_partition` reads the walk.
+labels, diagonals and facts from its input's, at the cost of the step, so
+a chain of steps checks each labelling in full at most once and walks no
+triangulation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,22 +97,20 @@ __all__ = [
 class Triangulation:
     """A triangulation of a convex m-gon, stored as its diagonal set.
 
-    Diagonals are sorted vertex pairs (i, j) with i < j.  Both ways of
-    building one share one walk, `_walk_sides`: it starts at the side
-    (1, m) and cuts each sub-polygon a..b along its triangle (a, c, b), read
-    from a map of each side (a, b) to the apex c of the triangle under it.
-    The walk records the sorted triangle list and the dual tree.  This
-    constructor takes that map from the diagonals: the apex over (a, b) is
-    the neighbour of a just below b (`_apexes_from_diagonals`).  The walk
-    then validates the m - 3 chords: it finishes only by cutting the polygon
-    along m - 3 of them, all of the set, so none can cross.  `_triangulation`
-    takes the map from elsewhere instead: from labelled triangles
-    (`_from_triangles`) or from the apexes of the zero-free cluster search
-    (`quiddity.clusters`).  Both keep the walk as `_dual`; a labelling
-    reduction step derives its triangulation's diagonals and sorted
-    triangles from its input's, and that triangulation walks its triangles
-    when `_dual` is first read.  The 2-gon has no
-    triangles at all; that degenerate case is allowed.
+    Diagonals are sorted vertex pairs (i, j) with i < j, and `m` and
+    `diagonals` are all it stores.  Its triangles and dual tree come from
+    one walk, `_walk_sides`, kept as `_dual` and made when first read: it
+    starts at the side (1, m) and cuts each sub-polygon a..b along its
+    triangle (a, c, b), read from a map of each side (a, b) to the apex c
+    of the triangle under it.  The map comes from the diagonals: the apex
+    over (a, b) is the neighbour of a just below b
+    (`_apexes_from_diagonals`).  This constructor walks at once, as the
+    walk validates the m - 3 chords: it finishes only by cutting the
+    polygon along m - 3 of them, all of the set, so none can cross.
+    `_triangulation` walks a map from elsewhere, from labelled triangles
+    (`_from_triangles`) or the cluster search (`quiddity.clusters`), and
+    passes its walk in.  The 2-gon has no triangles at all; that
+    degenerate case is allowed.
     """
 
     m: int
@@ -136,16 +135,19 @@ class Triangulation:
                 raise UsageError(f"({i}, {j}) is not a chord of the {m}-gon")
         if len(diags) != max(m - 3, 0):
             raise UsageError(f"a triangulated {m}-gon has {max(m - 3, 0)} diagonals")
-        walk, parent, _ = _walk_sides(m, _apexes_from_diagonals(m, diags))
-        object.__setattr__(self, "triangles", tuple(sorted(walk)))
-        object.__setattr__(self, "_dual", (walk, parent))
+        self._dual  # the walk raises on crossing chords
 
     @cached_property
     def _dual(self) -> tuple:
         """The triangles in walk order from the side (1, m) and each one's
         parent: the dual tree."""
-        walk, parent, _ = _walk_sides(self.m, {(a, b): c for a, c, b in self.triangles})
+        walk, parent, _ = _walk_sides(self.m, _apexes_from_diagonals(self.m, self.diagonals))
         return walk, parent
+
+    @cached_property
+    def triangles(self) -> tuple:
+        """The triangles, each a sorted vertex triple, in sorted order."""
+        return tuple(sorted(self._dual[0]))
 
 
 def _apexes_from_diagonals(m: int, diagonals: frozenset) -> dict:
@@ -206,8 +208,7 @@ def _triangulation(m: int, under: dict) -> Triangulation:
     a side -> apex map, built from that one walk: its sides of length at
     least 2 are the diagonals, and the walk is kept as `_dual`."""
     walk, parent, diagonals = _walk_sides(m, under)
-    return _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals),
-                       triangles=tuple(sorted(walk)), _dual=(walk, parent))
+    return _prechecked(Triangulation, m=m, diagonals=frozenset(diagonals), _dual=(walk, parent))
 
 
 def _diagonal_sets(a: int, b: int) -> list:
@@ -257,6 +258,10 @@ class Labelling:
                 key = None
             if key not in tris:
                 raise InvalidLabellingError(f"{t!r} is not a triangle of the triangulation")
+            if any(type(c) is not int for c in key):
+                raise InvalidLabellingError(f"the corners of {t!r} are not all integers")
+            if key in keyed:
+                raise InvalidLabellingError(f"{t!r} labels the triangle {key} a second time")
             keyed[key] = v
         if set(keyed) != tris:
             raise InvalidLabellingError("labels must cover exactly the triangles")
@@ -385,7 +390,7 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
         if type(x) is not int:
             raise InvalidLabellingError(f"labels must be integers, got {x!r}")
     tri = _triangulation(m, under)
-    if len(under) != len(tri.triangles):
+    if len(under) != len(tri._dual[0]):
         raise UsageError(f"{len(under)} triangles do not tile the {m}-gon")
     return _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(dict(labels)))
 
@@ -589,16 +594,16 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     for a labelling built by hand, and known already for one that
     `labelling_from_cycle` or a step returned.  `after` is derived from the
     input: the surviving vertices are renumbered once, in order, so each
-    triple, the sorted triangles and the sorted partition stay sorted; its
-    diagonals are the input's less those that the removed triangles
-    border.  Its square partition is the input's less the removed squares
-    and its label counts are the input's less the removed labels, negated
-    with the labels in cases 2 and 3.  The checks are local and raise, also
-    under `python -O`: each removed block is an ear labelled as its case
-    says or a partition pair at a window, the m' - 2 triangles and m' - 3
+    triple and the sorted partition stay sorted; its diagonals are the
+    input's less those that the removed triangles border.  Its square
+    partition is the input's less the removed squares and its label counts
+    are the input's less the removed labels, negated with the labels in
+    cases 2 and 3.  The checks are local and raise, also under
+    `python -O`: each removed block is an ear labelled as its case says or
+    a partition pair at a window, the m' - 2 labelled triangles and m' - 3
     diagonals of an m'-gon are left, and condition (ii) holds from the
-    counts.  `after` has its `_facts` set; its triangulation walks its
-    triangles when its `_dual` is first read.
+    counts.  `after` has its `_facts` set; like every `Triangulation`, its
+    triangulation stores only its size and diagonals.
     """
     if not is_admissible(lab):
         raise InvalidLabellingError("labelling is not admissible")
@@ -650,13 +655,11 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     # removed vertex lies in removed triangles only, and a kept chord whose
     # ends become neighbours is the outer side of a removed block.
     kept_labels = labels.copy()
-    kept_triangles = list(lab.triangulation.triangles)
     kept_diagonals = set(lab.triangulation.diagonals)
     for t in gone:
         x = kept_labels.pop(t)
         negative -= x < 0
         zero -= x == 0
-        del kept_triangles[bisect_left(kept_triangles, t)]
         a, c, b = t
         kept_diagonals.difference_update(((a, c), (c, b), (a, b)))
     # new[v]: the number of surviving vertex v; None for a removed one
@@ -670,16 +673,15 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
 
     sign = -1 if case in _NEGATES else 1
     after_labels = {(new[a], new[c], new[b]): sign * x for (a, c, b), x in kept_labels.items()}
-    triangles = tuple([(new[a], new[c], new[b]) for a, c, b in kept_triangles])
     diagonals = frozenset([(new[i], new[j]) for i, j in kept_diagonals])
     pairs = [((new[a], new[c], new[b]), (new[d], new[e], new[f]))
              for (a, c, b), (d, e, f) in partition if (a, c, b) not in gone]
     if sign < 0:
         negative = size - 2 - zero - negative
-    if (len(triangles) != size - 2 or len(diagonals) != max(size - 3, 0)
+    if (len(after_labels) != size - 2 or len(diagonals) != max(size - 3, 0)
             or not _sign_holds(negative, zero)):
         raise RuntimeError(f"case TC{case} at {indices} left an inadmissible labelling")
-    tri = _prechecked(Triangulation, m=size, diagonals=diagonals, triangles=triangles)
+    tri = _prechecked(Triangulation, m=size, diagonals=diagonals)
     after = _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(after_labels),
                         _facts=(pairs, negative, zero))
     return LabellingStep(f"TC{case}", indices, lab, after)

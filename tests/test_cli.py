@@ -292,6 +292,17 @@ def test_label_to_cycle_rejects_malformed_diagonals(runner, diagonals):
     assert "a diagonal is a pair of integer vertices" in result.output
 
 
+@pytest.mark.parametrize("verb, text", [
+    ("verify-cycle", '{"ring": "Z", "entries": [5], "entries": [1, 1, 1]}'),
+    ("verify-frieze", '{"ring": "Z", "rows": [[1, 1]], "rows": [[1]]}'),
+    ("label-to-cycle", '{"m": 3, "diagonals": [], "labels": {"1,2,3": 5, "1,2,3": 1}}'),
+])
+def test_a_repeated_json_key_exits_2(runner, verb, text):
+    result = runner.invoke(main, [verb, text])
+    assert result.exit_code == 2
+    assert "repeats the key" in result.output
+
+
 def test_label_to_cycle_inadmissible(runner):
     lab = {"m": 4, "diagonals": [[1, 3]], "labels": {"1,2,3": 5, "1,3,4": -5}}
     result = runner.invoke(main, ["label-to-cycle", json.dumps(lab)])

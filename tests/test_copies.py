@@ -83,6 +83,15 @@ def test_a_copied_result_equals_the_original(name, how):
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_stepped_labelling_copied_before_its_walk_reads_its_triangles(how):
+    after = reduce_labelling_step(labelling_from_cycle(MIXED)).after
+    assert "triangles" not in vars(after.triangulation)
+    again = COPIES[how](after)
+    tri = Triangulation(after.m, after.triangulation.diagonals)
+    assert again.triangulation.triangles == tri.triangles == after.triangulation.triangles
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
 def test_a_copied_integer_cycle_reduces(how):
     cycle = COPIES[how](MIXED)
     assert cycle.ring is Z

@@ -111,6 +111,14 @@ def test_labelling_json_errors():
         lambda d: d.update(labels=[1]),
         lambda d: d.update(labels={"1,2": 1}),
         lambda d: d.update(labels={"a,b,c": 1}),
+        # one triangle named twice, and keys that are not the writer's form
+        lambda d: d.update(labels={"1,2,3": 5, "2,1,3": 1}),
+        lambda d: d.update(labels={" 1,2,3": 1}),
+        lambda d: d.update(labels={"+1,2,3": 1}),
+        lambda d: d.update(labels={"1,2,0_3": 1}),
+        lambda d: d.update(labels={"\uff11,\uff12,\uff13": 1}),
+        lambda d: d.update(labels={"3,2,1": 1}),
+        lambda d: d.update(labels={5: 1}),
     ):
         data = json.loads(dumps(good))
         mutate(data)

@@ -12,6 +12,7 @@ import pytest
 
 from quiddity import labelling
 from quiddity.bounds import _first_separated_pair
+from quiddity.clusters import find_zero_free_cluster
 from quiddity.cycles import Cycle, is_quiddity
 from quiddity.errors import (
     InvalidCycleError,
@@ -106,17 +107,33 @@ def test_triangle_derivation_of_a_large_fan():
 
 
 def test_from_triangles_rebuilds_every_small_labelling():
-    # both builds run one walk; they must record the same triangulation
+    # every build stores only m and the diagonals; its triangles and dual
+    # tree are those that Triangulation(m, diagonals) walks
+    def walks_its_diagonals(built):
+        reference = Triangulation(built.m, built.diagonals)
+        assert built.triangles == reference.triangles
+        assert built._dual == reference._dual
+
     rng = random.Random(9)
     for m in range(2, 10):
         for tri in enumerate_triangulations(m):
             lab = Labelling(tri, {t: rng.randint(-3, 3) for t in tri.triangles})
             again = _from_triangles(m, lab.labels)
-            built = again.triangulation
-            assert built.diagonals == tri.diagonals
-            assert built.triangles == tri.triangles
-            assert built._dual == tri._dual
+            assert again.triangulation.diagonals == tri.diagonals
             assert again.labels == lab.labels
+            walks_its_diagonals(tri)
+            walks_its_diagonals(again.triangulation)
+            # +-1 labels with an even number of -1 are admissible
+            signs = {t: rng.choice((1, -1)) for t in tri.triangles}
+            if list(signs.values()).count(-1) % 2:
+                signs[tri.triangles[0]] *= -1
+            signed = Labelling(tri, signs)
+            if m >= 4:
+                cycle = cycle_from_labelling(signed)
+                walks_its_diagonals(find_zero_free_cluster(cycle).triangulation)
+            while signed.m >= 4:
+                signed = reduce_labelling_step(signed).after
+                walks_its_diagonals(signed.triangulation)
 
 
 MALFORMED_TRIANGLES = {
@@ -210,6 +227,12 @@ def test_labelling_validation():
         Labelling(tri, {(1, 2, 3): 1, (1, 3, 4): 1, (2, 3, 4): 1})
     with pytest.raises(InvalidLabellingError):
         Labelling(tri, {(1, 2, 3): 1, (1, 3, 4): True})
+    # one triangle named twice, and corners that equal ints but are not ints
+    for labels, reason in (({(1, 2, 3): 1, (3, 2, 1): -1}, "a second time"),
+                           ({(1, 2, 3.0): 1}, "not all integers"),
+                           ({(True, 2, 3): 1}, "not all integers")):
+        with pytest.raises(InvalidLabellingError, match=reason):
+            Labelling(Triangulation(3, []), labels)
 
 
 def test_labelling_argument_types():
@@ -608,12 +631,12 @@ def test_labelling_steps_match_a_reference_step(glued_cycle):
             while lab.m >= 4:
                 step = reduce_labelling_step(lab)
                 after = step.after
+                built = after.triangulation
+                assert "_dual" not in vars(built) and "triangles" not in vars(built)
                 assert (step.case_tag, step.indices, after) == reference_step(lab)
                 rebuilt = _from_triangles(after.m, after.labels).triangulation
-                built = after.triangulation
                 assert built.triangles == rebuilt.triangles
                 assert built.diagonals == rebuilt.diagonals
-                assert "_dual" not in vars(built)
                 assert built._dual == rebuilt._dual
                 assert_carries_its_facts(after)
                 tags.add(step.case_tag)
