@@ -126,13 +126,13 @@ def identity(ring: Ring) -> Mat2:
 def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
     """Left-to-right product eta(c_i) eta(c_{i+1}) ... eta(c_j).
 
-    Indices are cyclic; j is lifted by multiples of m until j >= i - 1, and
-    j = i - 1 gives the empty product (the identity).
+    Indices are cyclic; j is lifted by the least multiple of m that makes
+    j >= i - 1, and j = i - 1 gives the empty product (the identity).
     """
     i, j = _check_int(i, "a cycle position"), _check_int(j, "a cycle position")
     m = cycle.m
-    while j < i - 1:
-        j += m
+    if j < i - 1:
+        j -= (j - i + 1) // m * m
     ring, entries = cycle.ring, cycle.entries
     return Mat2(*_eta_product([entries[k % m] for k in range(i - 1, j)], ring.one, ring.zero))
 
@@ -166,8 +166,9 @@ def is_epsilon_cycle(cycle: Cycle, eps: int) -> bool:
     """True iff the full product is eps times the identity, eps in {+1, -1}."""
     if eps not in (1, -1):
         raise UsageError(f"eps must be +1 or -1, got {eps!r}")
-    target = identity(cycle.ring)
-    return full_product(cycle) == (target if eps == 1 else -target)
+    one, zero = cycle.ring.one, cycle.ring.zero
+    e = one if eps == 1 else -one
+    return _eta_product(cycle.entries, one, zero) == (e, zero, zero, e)
 
 
 def rotate(cycle: Cycle, s: int = 1) -> Cycle:

@@ -77,20 +77,20 @@ __all__ = [
 ]
 
 
-def _fmt_complex(a, b, unit: str) -> str:
-    """Render a + b*unit compactly: '0', '2', 'i', '1-2i', ..."""
-    if b == 0:
-        return str(a)
-    if b == 1:
-        bs = unit
-    elif b == -1:
-        bs = "-" + unit
-    else:
-        bs = f"{b}{unit}"
-    if a == 0:
-        return bs
-    sign = "+" if b > 0 else ""
-    return f"{a}{sign}{bs}"
+def _fmt_poly(coeffs, unit: str) -> str:
+    """Render the sum of c_k * unit^k compactly: '0', '2', 'i', '1-2i',
+    '-z+3z^2', ...; a + b*unit is the coefficients (a, b)."""
+    out = ""
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            term = str(c)
+        else:
+            power = unit if k == 1 else f"{unit}^{k}"
+            term = power if c == 1 else "-" + power if c == -1 else f"{c}{power}"
+        out += term if not out or term.startswith("-") else "+" + term
+    return out or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ class _PairInt:
         return f"{type(self).__name__}({self._a}, {self._b})"
 
     def __str__(self) -> str:
-        return _fmt_complex(self._a, self._b, self.unit)
+        return _fmt_poly((self._a, self._b), self.unit)
 
 
 class GaussianInt(_PairInt):
@@ -234,10 +234,6 @@ class GaussianRational:
         self._a = re.numerator * (d // q)
         self._b = im.numerator * (d // s)
         self._d = d
-
-    @classmethod
-    def from_int(cls, n: int) -> "GaussianRational":
-        return cls(n, 0)
 
     @property
     def re(self) -> Fraction:
@@ -300,7 +296,7 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        return _fmt_complex(self.re, self.im, "i")
+        return _fmt_poly((self.re, self.im), "i")
 
 
 _new = object.__new__
@@ -395,26 +391,7 @@ class CycloElement:
         return f"CycloElement(d={self.ring.d}, {list(self.coeffs)})"
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c}{z}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return _fmt_poly(self.coeffs, "z")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +403,6 @@ class Ring:
 
     tag: str = "?"
     is_discrete: bool = False
-    is_field: bool = False
     t: int | None = None  # omega^2 = t*omega - 1 for rings with a pair encoding
 
     def __repr__(self) -> str:
@@ -490,7 +466,6 @@ class IntegerRing(Ring):
 
 class RationalField(Ring):
     tag = "Q"
-    is_field = True
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -499,12 +474,10 @@ class RationalField(Ring):
         return Fraction(n)
 
     def check_element(self, x):
-        if isinstance(x, bool):
-            raise UsageError(f"not an element of Q: {x!r}")
-        if isinstance(x, int):
-            return Fraction(x)
         if isinstance(x, Fraction):
             return x
+        if isinstance(x, int) and not isinstance(x, bool):
+            return Fraction(x)
         raise UsageError(f"not an element of Q: {x!r}")
 
     def norm_sq(self, x: Fraction) -> Fraction:
@@ -607,7 +580,6 @@ class PairIntegerRing(Ring):
 
 class GaussianRationalField(Ring):
     tag = "Qi"
-    is_field = True
 
     zero = GaussianRational(0, 0)
     one = GaussianRational(1, 0)
@@ -618,9 +590,7 @@ class GaussianRationalField(Ring):
     def check_element(self, x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, bool):
-            raise UsageError(f"not an element of Q(i): {x!r}")
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return GaussianRational(x, 0)
         raise UsageError(f"not an element of Q(i): {x!r}")
 
@@ -653,18 +623,14 @@ class CyclotomicRing(Ring):
     the sigma_k(y), and no rational arithmetic is involved.
     """
 
-    is_field = False
-    is_discrete = False
-
     def __init__(self, d: int):
         self.d = d
         self.tag = f"Zzeta{d}"
-        poly = _cyclotomic_poly(d)
-        self.phi = len(poly) - 1
-        self._poly = poly
+        self._poly = _cyclotomic_poly(d)
+        self.phi = len(self._poly) - 1
         self.zero = CycloElement(self, [0])
         self.one = CycloElement(self, [1])
-        self.zeta = CycloElement(self, [0, 1] if self.phi > 1 else [-poly[0]])
+        self.zeta = CycloElement(self, [0, 1])
 
     def _reduce(self, coeffs: list) -> list:
         """Reduce an integer coefficient list modulo the minimal polynomial."""

@@ -80,21 +80,16 @@ def _div(ring: Ring, x, y):
 
 def _insert(cycle: Cycle, k: int, value, delta) -> Cycle:
     # insert `value` in the gap between positions k and k+1, adding `delta`
-    # to both gap neighbors; k = m wraps, basing the result at original 1
-    ring = cycle.ring
-    if cycle.m < 2:
+    # to both gap neighbors; k = m wraps, appending `value` after c_m
+    m = cycle.m
+    if m < 2:
         raise NotApplicableError("need two distinct gap neighbors")
     k = _norm_k(cycle, k)
     mod = list(cycle.entries)
-    if k == cycle.m:
-        mod[0] = mod[0] + delta
-        mod[-1] = mod[-1] + delta
-        out = mod + [value]
-    else:
-        mod[k - 1] = mod[k - 1] + delta
-        mod[k] = mod[k] + delta
-        out = mod[:k] + [value] + mod[k:]
-    return Cycle._computed(ring, tuple(out))
+    mod[k - 1] = mod[k - 1] + delta
+    mod[k % m] = mod[k % m] + delta
+    mod.insert(k, value)
+    return Cycle._computed(cycle.ring, tuple(mod))
 
 
 def _contract_unit(cycle: Cycle, k: int, s: int) -> SignedCycle:

@@ -19,7 +19,7 @@ from quiddity.cli import _RULES, main
 from quiddity.cycles import Cycle, continuant
 from quiddity.errors import UsageError
 from quiddity.frieze import FriezeWindow, frieze_from_cycle
-from quiddity.labelling import cc_quiddity
+from quiddity.labelling import cc_quiddity, enumerate_triangulations
 from quiddity.rings import (
     Z,
     Zi,
@@ -200,6 +200,9 @@ USAGE_ERRORS = {
     "window rows not a sequence": lambda: FriezeWindow(Z, 5, (1,)),
     "negative window row count": _empty_window_rows,
     "cc_quiddity of a tuple": lambda: cc_quiddity((1, 2)),
+    # 208,012 triangulations, and a count past any memory, refused unbuilt
+    "triangulations of a 14-gon": lambda: enumerate_triangulations(14),
+    "triangulations of a 2000-gon": lambda: enumerate_triangulations(2000),
     "string ball bound": lambda: count_norm_at_most(Z, "3"),
     "bool ball bound": lambda: count_norm_at_most(Zi, True),
     "string ball bound, elements": lambda: elements_norm_at_most(Z, "x"),

@@ -123,6 +123,21 @@ def test_product_interval_cyclic_indexing():
     assert product_interval(c, 5, 7) == \
         eta(Z, 2) * eta(Z, 2) * eta(Z, 1)
     assert full_product(c) == -identity(Z)
+    # a j far below i is lifted in one step, not m at a time
+    three = Cycle(Z, (1, 1, 1))
+    assert product_interval(three, 1, -10 ** 15) == product_interval(three, 1, 2)
+    rng = random.Random("product_interval lift")
+    for _ in range(500):
+        m = rng.randint(1, 6)
+        c = Cycle(Z, [rng.randint(-3, 3) for _ in range(m)])
+        i, j = rng.randint(-15, 15), rng.randint(-40, 15)
+        lifted = j
+        while lifted < i - 1:
+            lifted += m
+        ref = identity(Z)
+        for k in range(i, lifted + 1):
+            ref = ref * eta(Z, c.entry(k))
+        assert product_interval(c, i, j) == ref
 
 
 _ZETA5 = Cyclotomic(5)

@@ -39,6 +39,7 @@ def test_gaussian_basics():
     assert GaussianInt(1, 2) * GaussianInt(3, -1) == GaussianInt(5, 5)
     assert GaussianInt(3, -4).norm() == 25
     assert GaussianInt(2, 5).conjugate() == GaussianInt(2, -5)
+    assert [str(GaussianInt(*p)) for p in ((0, 0), (0, 1), (1, -1))] == ["0", "i", "1-i"]
 
 
 def test_eisenstein_unit_relation():
@@ -48,6 +49,7 @@ def test_eisenstein_unit_relation():
     assert w * w * w == EisensteinInt(-1, 0)
     assert (w * w * w) * (w * w * w) == EisensteinInt(1, 0)
     assert w.norm() == 1
+    assert [str(EisensteinInt(*p)) for p in ((0, -1), (2, 3))] == ["-w", "2+3w"]
 
 
 @pytest.mark.parametrize("ring,make", [

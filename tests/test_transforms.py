@@ -66,10 +66,14 @@ def test_expand_one_product(ring, sampler):
     rng = random.Random(101)
     for _ in range(500):
         c = rand_cycle(ring, sampler, rng, rng.randint(2, 6))
-        out = expand_one(c, rng.randint(1, c.m - 1))
+        k = rng.randint(-c.m, 2 * c.m)
+        out = expand_one(c, k)
         assert out.sign == 1
         assert out.cycle.m == c.m + 1
-        assert full_product(out.cycle) == full_product(c)
+        # k = 0 (mod m) appends the 1 after c_m; turning c_m to the front of
+        # both cycles brings the window together
+        turn = 1 if k % c.m == 0 else 0
+        assert full_product(rotate(out.cycle, 2 * turn)) == full_product(rotate(c, turn))
 
 
 @pytest.mark.parametrize("ring,sampler", SAMPLERS)
@@ -78,9 +82,12 @@ def test_expand_minus_one_product(ring, sampler):
     minus = -ring.one
     for _ in range(500):
         c = rand_cycle(ring, sampler, rng, rng.randint(2, 6))
-        out = expand_minus_one(c, rng.randint(1, c.m - 1))
+        k = rng.randint(-c.m, 2 * c.m)
+        out = expand_minus_one(c, k)
         assert out.sign == -1
-        assert full_product(out.cycle) == scaled(full_product(c), minus)
+        turn = 1 if k % c.m == 0 else 0  # as in test_expand_one_product
+        assert full_product(rotate(out.cycle, 2 * turn)) == \
+            scaled(full_product(rotate(c, turn)), minus)
 
 
 @pytest.mark.parametrize("ring,sampler", SAMPLERS)
