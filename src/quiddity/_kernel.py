@@ -11,8 +11,15 @@ keeping the running eta-matrix product.  Extending by c sends the product
 top-left entry is a first-row frieze entry; any zero there, or any adjacent
 product equal to 1, prunes the branch.  At depth m-3 the last three entries
 are forced: position m-1 must be u = P11 and the outer two are (1 - P12)/u
-and (1 + P21)/u, which must divide exactly and stay inside the candidate
-norm bound.  Survivors get a full cyclic window check before being emitted.
+and (1 + P21)/u, which must divide exactly, stay inside the candidate norm
+bound and be candidates themselves.
+
+Only canonical cycles are kept, as in orderly generation: an entry ranks
+by its first position in the candidate list, and a cycle survives when no
+rotation or reflection of its ranks compares smaller.  It comes back as
+its ranks with its orbit size, 2m over the number of rotations and
+reflections that leave it unchanged.  The full cyclic window check runs
+only on the canonical survivors.
 
 Every entry has norm at most the limit (n + 1)^2, the square of the entry
 bound n + 1 over a ring whose nonzero norms are at least 1
@@ -37,6 +44,9 @@ names, with three differences that measured faster here: C's `step` is
 inline in `extend`'s loop (a call per node cost 5-20%), the factor pairs,
 memoised per x, and the candidate positions are cached across tasks
 (building them per task doubled the time), and `_Search` has `__slots__`.
+A prefix entry that is not a candidate ends a task here before it starts;
+C finds it when it ranks the entries at the tail, so the twin may raise
+OverflowError on such a task where this kernel returns [].
 """
 
 from __future__ import annotations
@@ -109,26 +119,45 @@ _factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
 
 @lru_cache(maxsize=1)
 def _positions(candidates):
-    """Each candidate's indices, all of a duplicate's; one list at a time."""
+    """Each candidate's indices, all of a duplicate's, and its rank, the
+    first of them; one list at a time."""
     where = {}
     for i, cand in enumerate(candidates):
         where.setdefault(cand, []).append(i)
-    return where
+    return where, {cand: ix[0] for cand, ix in where.items()}
+
+
+def _orbit_size(key):
+    # 2m over the number of rotations and reflections of `key` equal to it,
+    # or 0 when one of them is smaller; only images that start with key[0]
+    # can tie with it, and none can start lower
+    m, first = len(key), key[0]
+    if min(key) < first:
+        return 0
+    fixed = 0
+    for twice in (key + key, key[::-1] * 2):
+        for s in range(m):
+            if twice[s] == first:
+                image = twice[s:s + m]
+                if image < key:
+                    return 0
+                fixed += image == key
+    return 2 * m // fixed
 
 
 class _Search:
     """One task's search state; `e` holds the cycle being built."""
 
     __slots__ = ("t", "m", "free", "npre", "limit", "pre", "cand", "e", "results",
-                 "pairs", "where")
+                 "pairs", "where", "rank")
 
     def __init__(self, t, n, prefix, candidates):
         self.t, self.m, self.free, self.npre, self.limit = t, n + 3, n, len(prefix), (n + 1) ** 2
         self.pre, self.cand, self.e, self.results = prefix, candidates, [None] * (n + 3), []
+        self.where, self.rank = _positions(tuple(candidates))
         if self.npre < n:
             real = not any(b for _, b in chain(prefix, candidates))
             self.pairs = _factor_pairs(t, self.limit, real)
-            self.where = _positions(tuple(candidates))
 
     def solve_last(self, p11, p12):
         # the candidates c whose u = p11*c + p12 has a ball cofactor a with
@@ -149,19 +178,23 @@ class _Search:
 
     def solve_tail(self, u, p12, p21):
         # `extend` checked u against the norm limit when it placed it
-        t, limit, e, free = self.t, self.limit, self.e, self.free
+        t, limit, e, free, rank = self.t, self.limit, self.e, self.free, self.rank
+        if u not in rank:
+            return
         a = pair_div(t, (1 - p12[0], -p12[1]), u)
-        if a is None or a == (0, 0) or pair_norm(t, a) > limit:
+        if a is None or a not in rank or a == (0, 0) or pair_norm(t, a) > limit:
             return
         b = pair_div(t, (1 + p21[0], p21[1]), u)
-        if b is None or b == (0, 0) or pair_norm(t, b) > limit:
+        if b is None or b not in rank or b == (0, 0) or pair_norm(t, b) > limit:
             return
         if (pair_mul(t, e[free - 1], a) == ONE or pair_mul(t, a, u) == ONE
                 or pair_mul(t, u, b) == ONE or pair_mul(t, b, e[0]) == ONE):
             return
         e[free:] = a, u, b
-        if _windows_nonzero(t, e, self.m):
-            self.results.append(tuple(e))
+        key = tuple([rank[x] for x in e])
+        size = _orbit_size(key)
+        if size and _windows_nonzero(t, e, self.m):
+            self.results.append((key, size))
 
     def extend(self, depth, p11, p12, p21, p22):
         if depth == self.free:
@@ -186,20 +219,25 @@ class _Search:
 
 
 def search_from_prefix(t, n, prefix, candidates):
-    """All cycles completing `prefix`, as tuples of element pairs.
+    """The canonical cycles completing `prefix`, each as (ranks, orbit size).
 
     t: 0 or 1, the ring's omega^2 = t*omega - 1 (0 for Z);
     n: the height, so cycles have n + 3 entries of norm at most (n + 1)^2;
     prefix: the first search entries (at least one), already chosen;
     candidates: allowed entries in search order.
-    Entries are (a, b) tuples.  Results follow the candidate order, so
-    disjoint prefixes partition the full search deterministically.
+    Entries are (a, b) tuples, and every entry of a cycle, prefix and
+    forced entries included, must be a candidate.  An entry's rank is its
+    first position in `candidates`; a cycle is kept when its tuple of ranks
+    is the least of its 2m rotations and reflections, and its orbit size
+    is 2m over the number of them equal to it.  Results follow the
+    candidate order, once per occurrence of a repeated candidate, so
+    disjoint prefixes partition the search deterministically.
     """
     if t not in (0, 1):
         raise ValueError(f"t must be 0 or 1, got {t!r}")
     if not (1 <= len(prefix) <= n <= MAX_DEPTH):
         raise ValueError("bad prefix length or height")
     search = _Search(t, n, prefix, candidates)
-    if all(0 < pair_norm(t, c) <= search.limit for c in prefix):
+    if all(0 < pair_norm(t, c) <= search.limit and c in search.rank for c in prefix):
         search.extend(0, ONE, (0, 0), (0, 0), ONE)
     return search.results

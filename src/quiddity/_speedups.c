@@ -1,10 +1,14 @@
 /* Compiled twin of quiddity._kernel: same contract, same search, same output.
 
-   The search and the solve of its last free position are derived once, in
-   quiddity/_kernel.py, whose _Search class mirrors the `search` struct
-   below, with methods named after its functions; the ring encoding and
-   its formulas are stated in quiddity/rings.py, and mul, norm and divide
-   below compute exactly those.
+   The search, the solve of its last free position and the canonical test
+   of each completed cycle are derived once, in quiddity/_kernel.py, whose
+   _Search class mirrors the `search` struct below, with methods named
+   after its functions; the ring encoding and its formulas are stated in
+   quiddity/rings.py, and mul, norm and divide below compute exactly those.
+   At the tail every entry is ranked by its first position among the
+   candidates, found by binary search over the candidates sorted by value;
+   an entry that is no candidate, or a rotation or reflection of the ranks
+   that compares smaller, rejects the cycle before its window check.
 
    Ring elements are pairs of int64.  Every int64 product, sum, difference
    and negation is checked, and the integer square root is exact integer
@@ -50,11 +54,12 @@ typedef struct {
     int64_t limit;
     const elem *pre, *cand;  /* the prefix entries and the candidates */
     elem e[MAXM];            /* the cycle being built */
+    Py_ssize_t rank[MAXM];   /* the first position of each entry of e */
     PyObject *results;
+    ranked *byval;           /* the candidates by value, then position */
     /* The solve of the last free position. */
     Py_ssize_t nball;
     ball_elem *ball;         /* by norm, largest first */
-    ranked *byval;           /* the candidates by value, then position */
     Py_ssize_t *hits;        /* positions of the solved candidates */
 } search;
 
@@ -261,6 +266,22 @@ fill_ball(const search *s, int real, ball_elem *ball)
     return n;
 }
 
+/* Sort the candidates by value for the ranks.  0 on success, -1 on error. */
+static int
+prepare_ranks(search *s)
+{
+    Py_ssize_t i;
+    s->byval = PyMem_New(ranked, s->ncand);
+    if (s->byval == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < s->ncand; i++)
+        s->byval[i] = (ranked){s->cand[i], i};
+    qsort(s->byval, s->ncand, sizeof *s->byval, by_value);
+    return 0;
+}
+
 /* Set up the solve of the last free position.  0 on success, -1 on error. */
 static int
 prepare_solve(search *s)
@@ -271,9 +292,8 @@ prepare_solve(search *s)
         real &= s->pre[i].b == 0;
     s->nball = fill_ball(s, real, NULL);
     s->ball = PyMem_New(ball_elem, s->nball);
-    s->byval = PyMem_New(ranked, s->ncand);
     s->hits = PyMem_New(Py_ssize_t, s->ncand);
-    if (s->ball == NULL || s->byval == NULL || s->hits == NULL) {
+    if (s->ball == NULL || s->hits == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -282,16 +302,12 @@ prepare_solve(search *s)
     for (i = s->nball - 1; i >= 0; i--)
         s->ball[i].next = i + 1 < s->nball && s->ball[i + 1].norm == s->ball[i].norm
                           ? s->ball[i + 1].next : i + 1;
-    for (i = 0; i < s->ncand; i++)
-        s->byval[i] = (ranked){s->cand[i], i};
-    qsort(s->byval, s->ncand, sizeof *s->byval, by_value);
     return 0;
 }
 
-/* Append to s->hits, from nhit on, every position of c in the candidates;
-   the new count. */
+/* The index in byval of c's first occurrence, or of where it would go. */
 static Py_ssize_t
-add_hits(const search *s, elem c, Py_ssize_t nhit)
+first_of(const search *s, elem c)
 {
     Py_ssize_t lo = 0, hi = s->ncand, mid;
     ranked key = {c, -1};
@@ -302,8 +318,32 @@ add_hits(const search *s, elem c, Py_ssize_t nhit)
         else
             hi = mid;
     }
-    for (; lo < s->ncand && s->byval[lo].c.a == c.a && s->byval[lo].c.b == c.b; lo++)
-        s->hits[nhit++] = s->byval[lo].pos;
+    return lo;
+}
+
+/* 1 if byval[i] exists and holds c, 0 if not. */
+static int
+found_at(const search *s, Py_ssize_t i, elem c)
+{
+    return i < s->ncand && s->byval[i].c.a == c.a && s->byval[i].c.b == c.b;
+}
+
+/* The first position of c in the candidates, or -1 if c is none of them. */
+static Py_ssize_t
+rank_of(const search *s, elem c)
+{
+    Py_ssize_t i = first_of(s, c);
+    return found_at(s, i, c) ? s->byval[i].pos : -1;
+}
+
+/* Append to s->hits, from nhit on, every position of c in the candidates;
+   the new count. */
+static Py_ssize_t
+add_hits(const search *s, elem c, Py_ssize_t nhit)
+{
+    Py_ssize_t i;
+    for (i = first_of(s, c); found_at(s, i, c); i++)
+        s->hits[nhit++] = s->byval[i].pos;
     return nhit;
 }
 
@@ -346,23 +386,53 @@ solve_last(search *s, const mat *p)
     return nhit;
 }
 
+/* The ranks read from `start` in direction `dir` (1 or -1, a rotation or
+   a reflection) against the ranks themselves: <0, 0 or >0. */
 static int
-emit(search *s)
+compare_image(const search *s, int start, int dir)
+{
+    int k, j = start, m = s->m;
+    for (k = 0; k < m; k++, j = (j + dir + m) % m)
+        if (s->rank[j] != s->rank[k])
+            return s->rank[j] < s->rank[k] ? -1 : 1;
+    return 0;
+}
+
+/* 2m over the number of rotations and reflections of the ranks equal to
+   them, or 0 when one of them is smaller. */
+static int
+orbit_size(const search *s)
+{
+    int start, dir, r, fixed = 0;
+    for (start = 0; start < s->m; start++)
+        for (dir = -1; dir <= 1; dir += 2) {
+            if ((r = compare_image(s, start, dir)) < 0)
+                return 0;
+            fixed += r == 0;
+        }
+    return 2 * s->m / fixed;
+}
+
+/* Append (ranks, orbit size) to the results. */
+static int
+emit(search *s, int size)
 {
     int i, rc;
-    PyObject *cycle = PyTuple_New(s->m);
-    if (cycle == NULL)
+    PyObject *item, *ranks = PyTuple_New(s->m);
+    if (ranks == NULL)
         return -1;
     for (i = 0; i < s->m; i++) {
-        PyObject *pair = Py_BuildValue("(LL)", (long long)s->e[i].a, (long long)s->e[i].b);
-        if (pair == NULL) {
-            Py_DECREF(cycle);
+        PyObject *rank = PyLong_FromSsize_t(s->rank[i]);
+        if (rank == NULL) {
+            Py_DECREF(ranks);
             return -1;
         }
-        PyTuple_SET_ITEM(cycle, i, pair);
+        PyTuple_SET_ITEM(ranks, i, rank);
     }
-    rc = PyList_Append(s->results, cycle);
-    Py_DECREF(cycle);
+    if ((item = Py_BuildValue("(Ni)", ranks, size)) == NULL)
+        return -1;
+    rc = PyList_Append(s->results, item);
+    Py_DECREF(item);
     return rc;
 }
 
@@ -388,36 +458,49 @@ step(search *s, int depth, const mat *p, elem c, mat *q)
 }
 
 /* The last three entries are forced: u = p11 at position m-1, and
-   (1 - p12)/u and (1 + p21)/u on either side of it.  `step` checked u
-   against the norm limit when it placed it. */
+   (1 - p12)/u and (1 + p21)/u on either side of it.  Each must be a
+   candidate; `step` checked u against the norm limit when it placed it.
+   The prefix entries are ranked here too, so a prefix entry that is no
+   candidate rejects every cycle. */
 static int
 solve_tail(search *s, const mat *p)
 {
-    int t = s->t, r;
+    int t = s->t, r, i, size, f = s->free;
     elem u = p->p11, a, b, num;
+    if ((s->rank[f + 1] = rank_of(s, u)) < 0)
+        return 0;
     if (sub(one, p->p12, &num) < 0)
         return -1;
     if ((r = divide(t, num, u, &a)) <= 0)
         return r;
     if ((r = out_of_range(s, a)) != 0)
         return r < 0 ? -1 : 0;
+    if ((s->rank[f] = rank_of(s, a)) < 0)
+        return 0;
     if (add(one, p->p21, &num) < 0)
         return -1;
     if ((r = divide(t, num, u, &b)) <= 0)
         return r;
     if ((r = out_of_range(s, b)) != 0)
         return r < 0 ? -1 : 0;
-    if ((r = product_is_one(t, s->e[s->free - 1], a)) != 0
+    if ((s->rank[f + 2] = rank_of(s, b)) < 0)
+        return 0;
+    if ((r = product_is_one(t, s->e[f - 1], a)) != 0
         || (r = product_is_one(t, a, u)) != 0
         || (r = product_is_one(t, u, b)) != 0
         || (r = product_is_one(t, b, s->e[0])) != 0)
         return r < 0 ? -1 : 0;
-    s->e[s->free] = a;
-    s->e[s->free + 1] = u;
-    s->e[s->free + 2] = b;
+    s->e[f] = a;
+    s->e[f + 1] = u;
+    s->e[f + 2] = b;
+    for (i = 0; i < f; i++)
+        if ((s->rank[i] = rank_of(s, s->e[i])) < 0)
+            return 0;
+    if ((size = orbit_size(s)) == 0)
+        return 0;
     if ((r = windows_nonzero(s)) <= 0)
         return r;
-    return emit(s);
+    return emit(s, size);
 }
 
 /* Positions below npre take their prefix entry, so the prefix goes
@@ -474,7 +557,7 @@ to_elem(PyObject *pair, elem *out)
 
 PyDoc_STRVAR(search_from_prefix_doc,
 "search_from_prefix(t, n, prefix, candidates)\n--\n\n"
-"All cycles completing `prefix`, as tuples of element pairs.\n\n"
+"The canonical cycles completing `prefix`, each as (ranks, orbit size).\n\n"
 "Same contract and output as the pure kernel's search_from_prefix; raises\n"
 "OverflowError where int64 arithmetic would overflow.");
 
@@ -524,6 +607,8 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     for (i = 0; i < npre && r == 0; i++)
         r = out_of_range(&s, pool[i]);
+    if (r == 0)
+        r = prepare_ranks(&s);
     if (r == 0 && npre < n)
         r = prepare_solve(&s);
     if (r == 0)

@@ -127,14 +127,27 @@ def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
     """Left-to-right product eta(c_i) eta(c_{i+1}) ... eta(c_j).
 
     Indices are cyclic; j is lifted by the least multiple of m that makes
-    j >= i - 1, and j = i - 1 gives the empty product (the identity).
+    j >= i - 1, and j = i - 1 gives the empty product (the identity).  Of
+    the j - i + 1 = q*m + r factors, q whole periods from c_i make the
+    period's product to the power q, taken by repeated squaring, so a large
+    j costs O(log j) products; the last r entries follow it.
     """
     i, j = _check_int(i, "a cycle position"), _check_int(j, "a cycle position")
     m = cycle.m
-    if j < i - 1:
-        j -= (j - i + 1) // m * m
-    ring, entries = cycle.ring, cycle.entries
-    return Mat2(*_eta_product([entries[k % m] for k in range(i - 1, j)], ring.one, ring.zero))
+    q, r = divmod(j - i + 1, m)
+    if q <= 1:  # one period at most; a negative q lifts j to i - 1 + r
+        ring, entries = cycle.ring, cycle.entries
+        count = m + r if q == 1 else r
+        return Mat2(*_eta_product([entries[k % m] for k in range(i - 1, i - 1 + count)],
+                                  ring.one, ring.zero))
+    power, out = product_interval(cycle, i, i - 1 + m), product_interval(cycle, i, i - 1 + r)
+    while True:
+        if q & 1:
+            out = power * out
+        q >>= 1
+        if not q:
+            return out
+        power = power * power
 
 
 def _eta_product(entries, one, zero) -> tuple:

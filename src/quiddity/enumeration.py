@@ -9,12 +9,13 @@ dihedral symmetry that rotates and reflects cycles splits the solutions
 into orbits, and only the canonical cycle of each orbit (its least
 rotation or reflection) is searched for: the first entry is fixed to the
 cycle's least one, which has norm below 4, and later entries range only
-over candidates at least as large.  This module prepares the candidate
-set, splits that search into independent prefix tasks, keeps the
-canonical survivors, and expands each orbit when every cycle is asked
-for.  It also builds the one-parameter family of cycles indexed by
-divisors of 2, which exists over every ring where 2 has infinitely many
-divisors.
+over candidates at least as large.  The kernel tests each completion for
+that least form itself and returns the survivors with their orbit sizes.
+This module prepares the candidate set, splits the search into
+independent prefix tasks, merges their canonical cycles, and expands each
+orbit when every cycle is asked for.  It also builds the one-parameter
+family of cycles indexed by divisors of 2, which exists over every ring
+where 2 has infinitely many divisors.
 """
 
 from __future__ import annotations
@@ -95,15 +96,17 @@ def _orbit(key: tuple) -> set:
 
 
 def _search_orbits(ring: Ring, n: int, jobs: int = 1):
-    """The candidate entries and the canonical cycle of every orbit.
+    """The candidate entries and, for every orbit, its canonical cycle with
+    the orbit's size.
 
     Cycles come back as tuples of indices into the candidate list, which
     holds every possible entry in the ring's total order, so comparing
-    index tuples compares cycles.  The kernel forces the last three entries
-    without restricting them to the task's candidates, so a survivor is kept
-    exactly when it equals the least of its rotations and reflections.  The
-    result is sorted and independent of the number of workers, and no more
-    workers start than there are prefix tasks; `jobs` must be at least 1.
+    index tuples compares cycles.  A task starting at index i searches the
+    suffix from i, and the kernel returns only the cycles whose entries all
+    lie in it and that are the least of their rotations and reflections,
+    with positions in the suffix; adding i gives the indices.  The result
+    is sorted and independent of the number of workers, and no more workers
+    start than there are prefix tasks; `jobs` must be at least 1.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -115,22 +118,16 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    argl = [(ring.t, n, prefix, pairs[i:])
-            for prefix, i in _canonical_tasks(ring, n, elems, pairs)]
+    tasks = _canonical_tasks(ring, n, elems, pairs)
+    argl = [(ring.t, n, prefix, pairs[i:]) for prefix, i in tasks]
     workers = min(jobs, len(argl))
     if workers <= 1:
         chunks = map(_run_task, argl)
     else:
         with get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_run_task, argl, chunksize=max(1, len(argl) // (8 * workers)))
-    rank = {p: k for k, p in enumerate(pairs)}
-    canonical = []
-    for chunk in chunks:
-        for tup in chunk:
-            key = tuple(rank[p] for p in tup)
-            if key == min(_orbit(key)):
-                canonical.append(key)
-    canonical.sort()
+    canonical = sorted((tuple([i + k for k in key]), size)
+                       for (_, i), chunk in zip(tasks, chunks) for key, size in chunk)
     return elems, canonical
 
 
@@ -144,7 +141,7 @@ def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1) -> list:
     exactly.
     """
     elems, canonical = _search_orbits(ring, n, jobs=jobs)
-    keys = sorted(v for key in canonical for v in _orbit(key))
+    keys = sorted(v for key, _ in canonical for v in _orbit(key))
     return [Cycle(ring, [elems[k] for k in key]) for key in keys]
 
 
@@ -183,12 +180,13 @@ def count_nonzero(ring: Ring, n: int, jobs: int = 1) -> EnumerationResult:
     """Totals, orbits and representatives under the dihedral symmetry.
 
     The representatives are the canonical cycles the search finds, one per
-    orbit, sorted; the total adds up the orbit sizes (the distinct rotations
-    and reflections of each), so no cycle outside them is ever built.
+    orbit, sorted; the total adds up the orbit sizes the kernel reports
+    with them (the distinct rotations and reflections of each), so no cycle
+    outside them is ever built.
     """
     elems, canonical = _search_orbits(ring, n, jobs=jobs)
-    total = sum(len(_orbit(key)) for key in canonical)
-    reps = tuple([Cycle(ring, [elems[k] for k in key]) for key in canonical])
+    total = sum(size for _, size in canonical)
+    reps = tuple([Cycle(ring, [elems[k] for k in key]) for key, _ in canonical])
     return EnumerationResult(ring, n, total, len(reps), reps)
 
 

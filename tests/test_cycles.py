@@ -126,18 +126,35 @@ def test_product_interval_cyclic_indexing():
     # a j far below i is lifted in one step, not m at a time
     three = Cycle(Z, (1, 1, 1))
     assert product_interval(three, 1, -10 ** 15) == product_interval(three, 1, 2)
+    # and a j far above i takes whole periods by squaring: (1, 1, 1) has
+    # period product -1, so 10**15 = 3q + r entries give (-1)^q times r
+    assert full_product(three) == -identity(Z)
+    q, r = divmod(10 ** 15, 3)
+    rest = product_interval(three, 1, r)
+    assert product_interval(three, 1, 10 ** 15) == (-rest if q % 2 else rest)
+
+    def loop_reference(c, i, j):
+        lifted = j
+        while lifted < i - 1:
+            lifted += c.m
+        ref = identity(Z)
+        for k in range(i, lifted + 1):
+            ref = ref * eta(Z, c.entry(k))
+        return ref
+
     rng = random.Random("product_interval lift")
     for _ in range(500):
         m = rng.randint(1, 6)
         c = Cycle(Z, [rng.randint(-3, 3) for _ in range(m)])
         i, j = rng.randint(-15, 15), rng.randint(-40, 15)
-        lifted = j
-        while lifted < i - 1:
-            lifted += m
-        ref = identity(Z)
-        for k in range(i, lifted + 1):
-            ref = ref * eta(Z, c.entry(k))
-        assert product_interval(c, i, j) == ref
+        assert product_interval(c, i, j) == loop_reference(c, i, j)
+    rng = random.Random("product_interval periods")
+    for _ in range(500):
+        m = rng.randint(1, 6)
+        c = Cycle(Z, [rng.randint(-3, 3) for _ in range(m)])
+        i = rng.randint(-15, 15)
+        j = rng.randint(i - 1, i - 1 + 5 * m)
+        assert product_interval(c, i, j) == loop_reference(c, i, j)
 
 
 _ZETA5 = Cyclotomic(5)

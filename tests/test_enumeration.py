@@ -99,20 +99,33 @@ def test_engine_matches_naive_scan(ring, n):
     confirm_row(ring, n, naive_nonzero(ring, n))
 
 
+def dihedral_images(key):
+    """The 2m rotations and reflections of a tuple, repeats included."""
+    return [v[s:] + v[:s] for v in (key, key[::-1]) for s in range(len(key))]
+
+
 def full_search(ring, n):
     """Every cycle, rotations and reflections included, from the full grid
     of prefixes: every (c1, c2) with c1*c2 != 1 (single entries at height
-    1), each run through the pure kernel with all candidates."""
+    1), each run through the pure kernel with all candidates in a seeded
+    shuffled order.  The kernel keeps the least cycle of each orbit in that
+    order, not in the ring's, and finds it from the one prefix it starts
+    with; each orbit is expanded here and must have the size reported."""
     elems = candidate_entries(ring, n)
-    pairs = [ring.to_pair(x) for x in elems]
-    element = dict(zip(pairs, elems))
+    shuffled = random.Random(f"full grid {ring.tag}:{n}").sample(elems, len(elems))
+    pairs = [ring.to_pair(x) for x in shuffled]
     if n == 1:
         prefixes = [(c,) for c in pairs]
     else:
-        prefixes = [(ring.to_pair(x), ring.to_pair(y)) for x in elems for y in elems
+        prefixes = [(ring.to_pair(x), ring.to_pair(y)) for x in shuffled for y in shuffled
                     if x * y != ring.one]
-    return [tuple(element[p] for p in tup) for prefix in prefixes
-            for tup in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs)]
+    cycles = []
+    for prefix in prefixes:
+        for key, size in _kernel.search_from_prefix(ring.t, n, list(prefix), pairs):
+            orbit = set(dihedral_images(key))
+            assert size == len(orbit), key
+            cycles += [tuple(shuffled[k] for k in v) for v in orbit]
+    return cycles
 
 
 @pytest.mark.parametrize("ring,n", cells_checked_by("full grid"))
@@ -199,8 +212,14 @@ def _div(t, x, y):
 def scan_search(t, n, prefix, candidates):
     """The kernel contract computed by scanning: every candidate is tried at
     every free position, in order, and the last three entries are forced.
-    Its arithmetic is its own, so it shares no code with either kernel."""
+    A cycle of candidates is ranked by first positions and kept, with the
+    number of its distinct images, when no rotation or reflection of the
+    ranks is smaller.  Its arithmetic and its ranking are its own, so it
+    shares no code with either kernel."""
     m, limit = n + 3, (n + 1) ** 2
+    rank = {}
+    for i, c in enumerate(candidates):
+        rank.setdefault(c, i)
     out = []
 
     def windows_nonzero(cycle):
@@ -221,10 +240,15 @@ def scan_search(t, n, prefix, candidates):
             if a is None or b is None:
                 return
             cycle = entries + (a, u, b)
-            if (all(x != (0, 0) and _norm(t, x) <= limit for x in (a, u, b))
+            if not (all(x != (0, 0) and _norm(t, x) <= limit for x in (a, u, b))
+                    and all(x in rank for x in cycle)
                     and all(_mul(t, cycle[i - 1], cycle[i]) != (1, 0) for i in range(m))
                     and windows_nonzero(cycle)):
-                out.append(cycle)
+                return
+            key = tuple(rank[x] for x in cycle)
+            images = dihedral_images(key)
+            if key == min(images):
+                out.append((key, len(set(images))))
             return
         choices = candidates if len(entries) >= len(prefix) else [prefix[len(entries)]]
         for c in choices:
@@ -272,24 +296,36 @@ def test_last_position_solve_matches_the_scan(kernel):
 
 def test_kernels_agree_on_deep_prefixes(compiled_kernel):
     # Zi:6 has more candidates (148) than the old compiled kernel's fixed
-    # arrays held (128).  The prefixes come from every rotation of the unit
-    # family's cycles, so each one completes to at least one cycle.
+    # arrays held (128).  The prefixes are the first four to six entries of
+    # the canonical rotation of each unit-family cycle, so each one
+    # completes to at least that cycle.
     n = 6
     pairs = [Zi.to_pair(x) for x in candidate_entries(Zi, n)]
     assert len(pairs) > 128
-    prefixes = []
-    for _t, cyc in unit_family(Zi, n, 10):
-        entries = [Zi.to_pair(x) for x in cyc.entries]
-        for s in range(len(entries)):
-            prefixes.append(tuple((entries[s:] + entries[:s])[:5]))
-    prefixes += [p[:4] for p in prefixes[:9]]
+    canon = sorted({tuple(Zi.to_pair(x) for x in canonical_form(cyc).entries)
+                    for _t, cyc in unit_family(Zi, n, 10)})
+    for cycle in canon:
+        key = tuple(pairs.index(x) for x in cycle)
+        for k in (4, 5, 6):
+            pure = _kernel.search_from_prefix(Zi.t, n, list(cycle[:k]), pairs)
+            fast = compiled_kernel.search_from_prefix(Zi.t, n, list(cycle[:k]), pairs)
+            assert fast == pure, cycle[:k]
+            assert key in [found for found, _size in pure], cycle[:k]
+    assert len(canon) == 10
+
+
+@pytest.mark.parametrize("ring,n", [(Z, 5), (Zi, 3), (Zzeta6, 3)])
+def test_kernels_agree_on_every_task(compiled_kernel, ring, n):
+    # the same (ranks, orbit size) list from both kernels on every prefix
+    # task of the cell, and one result per orbit over all of them
+    elems = candidate_entries(ring, n)
+    pairs = [ring.to_pair(x) for x in elems]
     found = 0
-    for prefix in prefixes:
-        pure = _kernel.search_from_prefix(Zi.t, n, list(prefix), pairs)
-        fast = compiled_kernel.search_from_prefix(Zi.t, n, list(prefix), pairs)
-        assert fast == pure, prefix
+    for prefix, i in enumeration._canonical_tasks(ring, n, elems, pairs):
+        pure = _kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:])
+        assert compiled_kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:]) == pure
         found += len(pure)
-    assert len(prefixes) == 99 and found > len(prefixes)
+    assert found == ROW[ring.tag, n]["orbits"]
 
 
 def test_kernels_share_one_signature(compiled_kernel):
