@@ -42,8 +42,9 @@ OverflowError where its int64 arithmetic would overflow.  `_Search` mirrors
 the twin's `search` struct and its methods are the C functions of the same
 names, with three differences that measured faster here: C's `step` is
 inline in `extend`'s loop (a call per node cost 5-20%), the factor pairs,
-memoised per x, and the candidate positions are cached across tasks
-(building them per task doubled the time), and `_Search` has `__slots__`.
+memoised per x, are cached across the tasks of a cell, and `_Search` has
+`__slots__`.  The candidate positions are built per task, as C's
+`prepare_ranks` builds `byval`.
 A prefix entry that is not a candidate ends a task here before it starts;
 C finds it when it ranks the entries at the tail, so the twin may raise
 OverflowError on such a task where this kernel returns [].
@@ -117,10 +118,9 @@ class _FactorPairs:
 _factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
 
 
-@lru_cache(maxsize=1)
 def _positions(candidates):
     """Each candidate's indices, all of a duplicate's, and its rank, the
-    first of them; one list at a time."""
+    first of them."""
     where = {}
     for i, cand in enumerate(candidates):
         where.setdefault(cand, []).append(i)
@@ -154,7 +154,7 @@ class _Search:
     def __init__(self, t, n, prefix, candidates):
         self.t, self.m, self.free, self.npre, self.limit = t, n + 3, n, len(prefix), (n + 1) ** 2
         self.pre, self.cand, self.e, self.results = prefix, candidates, [None] * (n + 3), []
-        self.where, self.rank = _positions(tuple(candidates))
+        self.where, self.rank = _positions(candidates)
         if self.npre < n:
             real = not any(b for _, b in chain(prefix, candidates))
             self.pairs = _factor_pairs(t, self.limit, real)

@@ -11,11 +11,11 @@ rotation or reflection) is searched for: the first entry is fixed to the
 cycle's least one, which has norm below 4, and later entries range only
 over candidates at least as large.  The kernel tests each completion for
 that least form itself and returns the survivors with their orbit sizes.
-This module prepares the candidate set, splits the search into
-independent prefix tasks, merges their canonical cycles, and expands each
-orbit when every cycle is asked for.  It also builds the one-parameter
-family of cycles indexed by divisors of 2, which exists over every ring
-where 2 has infinitely many divisors.
+This module prepares the candidate set, splits the search into one
+independent task per first entry, merges their canonical cycles, and
+expands each orbit when every cycle is asked for.  It also builds the
+one-parameter family of cycles indexed by divisors of 2, which exists over
+every ring where 2 has infinitely many divisors.
 """
 
 from __future__ import annotations
@@ -54,30 +54,23 @@ def active_kernel() -> str:
     return _default.KERNEL_KIND
 
 
-def _canonical_tasks(ring: Ring, n: int, elems: list, pairs: list) -> list:
-    """Search prefixes as kernel pairs, each with the index its candidates
-    start from.
+def _canonical_tasks(ring: Ring, elems: list, pairs: list) -> list:
+    """Search tasks, one per first entry: a one-entry prefix as a kernel
+    pair, with the index its candidates start from.
 
     A canonical cycle starts with its least entry, which has norm below 4
     (`bounds.find_two_small`: every quiddity cycle has two such entries),
     and no later entry is smaller.  So the first entry c1 = elems[i] ranges
     over the candidates of norm below 4, which lead the norm-first order,
-    and every later choice is made from the suffix elems[i:].  Height 1 has
-    a single free position, so prefixes are single entries; from height 2
-    on the second entry is fixed too, dropping pairs with product 1 since
-    no quiddity cycle can contain one.
+    and every later choice, the second entry included, is made by the
+    kernel from the suffix elems[i:].  The kernel skips a second entry with
+    c1 * c2 = 1, as it skips every neighbour's inverse.
     """
     tasks = []
     for i, c1 in enumerate(elems):
         if ring.norm_sq(c1) >= 4:
             break
-        if n == 1:
-            tasks.append(((pairs[i],), i))
-            continue
-        # c1 * c2 == 1 only for c2 = 1/c1, a unit and so a candidate if it exists
-        inverse = ring.exact_div(ring.one, c1)
-        skip = None if inverse is None else elems.index(inverse)
-        tasks.extend(((pairs[i], pairs[j]), i) for j in range(i, len(elems)) if j != skip)
+        tasks.append(((pairs[i],), i))
     return tasks
 
 
@@ -106,7 +99,8 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     lie in it and that are the least of their rotations and reflections,
     with positions in the suffix; adding i gives the indices.  The result
     is sorted and independent of the number of workers, and no more workers
-    start than there are prefix tasks; `jobs` must be at least 1.
+    start than there are tasks, one per first entry; `jobs` must be at
+    least 1.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -118,14 +112,14 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    tasks = _canonical_tasks(ring, n, elems, pairs)
+    tasks = _canonical_tasks(ring, elems, pairs)
     argl = [(ring.t, n, prefix, pairs[i:]) for prefix, i in tasks]
     workers = min(jobs, len(argl))
     if workers <= 1:
         chunks = map(_run_task, argl)
     else:
         with get_context("fork").Pool(workers) as pool:
-            chunks = pool.map(_run_task, argl, chunksize=max(1, len(argl) // (8 * workers)))
+            chunks = pool.map(_run_task, argl, chunksize=1)
     canonical = sorted((tuple([i + k for k in key]), size)
                        for (_, i), chunk in zip(tasks, chunks) for key, size in chunk)
     return elems, canonical

@@ -321,11 +321,39 @@ def test_kernels_agree_on_every_task(compiled_kernel, ring, n):
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
     found = 0
-    for prefix, i in enumeration._canonical_tasks(ring, n, elems, pairs):
+    for prefix, i in enumeration._canonical_tasks(ring, elems, pairs):
         pure = _kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:])
         assert compiled_kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:]) == pure
         found += len(pure)
     assert found == ROW[ring.tag, n]["orbits"]
+
+
+@pytest.mark.parametrize("ring,n", [(Z, 1), (Z, 5), (Zi, 3), (Zzeta6, 3)])
+def test_first_entry_task_is_its_pair_split(kernel, ring, n):
+    # a first-entry task returns its two-entry prefixes' lists joined in
+    # suffix order, leaving out c2 with c1 * c2 = 1, which the kernel's
+    # inverse test at depth 1 skips; height 1 has no second free position
+    elems = candidate_entries(ring, n)
+    pairs = [ring.to_pair(x) for x in elems]
+    found = 0
+    for (c1,), i in enumeration._canonical_tasks(ring, elems, pairs):
+        whole = kernel.search_from_prefix(ring.t, n, [c1], pairs[i:])
+        found += len(whole)
+        if n > 1:
+            split = [key for j in range(i, len(elems)) if elems[i] * elems[j] != ring.one
+                     for key in kernel.search_from_prefix(ring.t, n, [c1, pairs[j]], pairs[i:])]
+            assert whole == split, c1
+    assert found == ROW[ring.tag, n]["orbits"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring,count", [(Z, 2), (Zi, 8), (Zzeta6, 12)])
+def test_one_task_per_small_first_entry(ring, count, n):
+    elems = candidate_entries(ring, n)
+    pairs = [ring.to_pair(x) for x in elems]
+    small = [i for i, x in enumerate(elems) if ring.norm_sq(x) < 4]
+    assert enumeration._canonical_tasks(ring, elems, pairs) == [((pairs[i],), i) for i in small]
+    assert small == list(range(count))
 
 
 def test_kernels_share_one_signature(compiled_kernel):
@@ -402,7 +430,7 @@ def test_jobs_never_exceed_tasks(ring, n, monkeypatch):
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method: SimpleNamespace(Pool=SerialPool))
     elems = candidate_entries(ring, n)
-    tasks = len(enumeration._canonical_tasks(ring, n, elems, [ring.to_pair(x) for x in elems]))
+    tasks = len(enumeration._canonical_tasks(ring, elems, [ring.to_pair(x) for x in elems]))
     serial = enumerate_nonzero(ring, n, jobs=1)
     assert sizes == []
     assert enumerate_nonzero(ring, n, jobs=2) == serial
