@@ -26,25 +26,45 @@ bound n + 1 over a ring whose nonzero norms are at least 1
 (`bounds.quiddity_bound`).  The prefix entries are placed by the same step
 as the searched ones, each as the one choice at its position.
 
-The last free position is solved, not scanned.  There c gives u = P11*c +
-P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11 whatever c is:
-every surviving c comes from a factor pair (a, u) of x with both norms
-within the limit, as c = (u - P12)/P11.  The pairs come from the ball of
-norms up to the limit (`rings.ball_rows`), walked grouped by norm; the
-ball holds only b = 0 elements when every prefix entry and candidate has
-b = 0, since Z is closed under the product.  The solved c that are
-candidates, taken once per occurrence in the candidate list and in its
-order, go through the same step as a scanned one.
+The last two free positions are solved, not scanned.  At the last one c
+gives u = P11*c + P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11
+whatever c is: every surviving c comes from a factor pair (a, u) of x with
+both norms within the limit, as c = (u - P12)/P11.  The pairs come from
+the ball of norms up to the limit (`rings.ball_rows`), walked grouped by
+norm; the ball holds only b = 0 elements when every prefix entry and
+candidate has b = 0, since Z is closed under the product.  With D =
+N(P11), c = (u - P12)*conj(P11)/D is exact exactly when u*conj(P11) and
+P12*conj(P11) agree mod D in both coordinates.  So from the second query
+of a P11 on, its cofactors are indexed by that residue and the solve
+touches only the u that give an exact c; the first query scans them, as
+an index used once costs more than the scan it saves.
+
+At the last free position but one, c makes the next P11 equal to q = P11*c
++ P12, and the solve above finds a pair only when x = 1 + q has N(x) <=
+limit^2, as x = a*u.  Since conj(P11)*x = D*c - W with W = -(1 + P12) *
+conj(P11), and N(conj(P11)*x) = D*N(x), the c that can complete are the
+lattice points of the ellipse N(D*c - W) <= limit^2 * D, centre W/D and
+norm radius limit^2/D (`rings._disc_rows`).  It is smaller than the ball
+exactly when D > limit; then its points are looked up among the
+candidates, and otherwise every candidate is tried.
+
+Either way the chosen c that are candidates, taken once per occurrence in
+the candidate list and in its order, go through the same step as a
+scanned one.
 
 `quiddity._speedups` is the compiled twin of this module: the same
 `search_from_prefix`, the same lists, except that the twin raises
 OverflowError where its int64 arithmetic would overflow.  `_Search` mirrors
 the twin's `search` struct and its methods are the C functions of the same
-names, with three differences that measured faster here: C's `step` is
-inline in `extend`'s loop (a call per node cost 5-20%), the factor pairs,
-memoised per x, are cached across the tasks of a cell, and `_Search` has
-`__slots__`.  The candidate positions are built per task, as C's
-`prepare_ranks` builds `byval`.
+names, with four differences that measured faster here:
+- C's `step` is inline in `extend`'s loop (a call per node cost 5-20%);
+- the factor pairs, memoised per x, are cached across the tasks of a cell
+  (`enumeration` frees them when its tasks are done), where C walks its
+  ball on every call;
+- a P11's cofactors are indexed by residue from its second query on;
+- `_Search` has `__slots__`.
+The candidate positions are built per task, as C's `prepare_ranks` builds
+`byval`.
 A prefix entry that is not a candidate ends a task here before it starts;
 C finds it when it ranks the entries at the tail, so the twin may raise
 OverflowError on such a task where this kernel returns [].
@@ -55,7 +75,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 
-from quiddity.rings import ball_rows, pair_conj, pair_div, pair_mul, pair_norm
+from quiddity.rings import _disc_rows, ball_rows, pair_conj, pair_div, pair_mul, pair_norm
 
 KERNEL_KIND = "pure"
 MAX_DEPTH = 16
@@ -84,6 +104,9 @@ class _FactorPairs:
     d with d | N(x) are tried, and the walk stops once N(a) = N(x)/d, which
     grows as d falls, passes the limit.  Each x's answer is memoised; the
     x with none, x = 0 and N(x) > limit^2, are answered without a walk.
+    From the second query of x on, its cofactors are also indexed by the
+    residue of u*conj(p11) mod N(p11), p11 = x - 1 (`congruent`); the index
+    holds the memo's u tuples.
     """
 
     def __init__(self, t, limit, real):
@@ -92,9 +115,9 @@ class _FactorPairs:
             for a in range(lo, hi + 1):
                 if a or b:
                     groups.setdefault(pair_norm(t, (a, b)), []).append((a, b))
-        self.t, self.limit = t, limit
+        self.t, self.limit, self.real = t, limit, real
         self.groups = sorted(((d, tuple(us)) for d, us in groups.items()), reverse=True)
-        self.memo = {}
+        self.memo, self.index = {}, {}
 
     def cofactors(self, x):
         us = self.memo.get(x)
@@ -112,6 +135,25 @@ class _FactorPairs:
                 found += [u for u in group if pair_div(self.t, x, u) is not None]
         us = self.memo[x] = tuple(found)
         return us
+
+    def congruent(self, p11, p12):
+        """The cofactors u of x = 1 + p11 that may give an exact c = (u -
+        p12)/p11: all of them on x's first query, as an index used once
+        costs more than the scan it saves, and from the second query on
+        only the u with u*conj(p11) = p12*conj(p11) mod N(p11)."""
+        x = (p11[0] + 1, p11[1])
+        index = self.index.get(x)
+        if index is None and x not in self.memo:
+            return self.cofactors(x)
+        t = self.t
+        d, conj = pair_norm(t, p11), pair_conj(t, p11)
+        if index is None:
+            index = self.index[x] = {}
+            for u in self.memo[x]:
+                ua, ub = pair_mul(t, u, conj)
+                index.setdefault((ua % d, ub % d), []).append(u)
+        ra, rb = pair_mul(t, p12, conj)
+        return index.get((ra % d, rb % d), ())
 
 
 # one ball at a time: every task of an enumeration shares (t, limit, real)
@@ -159,11 +201,23 @@ class _Search:
             real = not any(b for _, b in chain(prefix, candidates))
             self.pairs = _factor_pairs(t, self.limit, real)
 
+    def solve_near(self, p11, p12):
+        # the candidates c whose x = 1 + p11*c + p12 has norm within limit^2,
+        # the only ones whose last position can be solved, in candidate order
+        t, where, d = self.t, self.where, pair_norm(self.t, p11)
+        w = pair_mul(t, (-1 - p12[0], -p12[1]), pair_conj(t, p11))
+        hits = []
+        for y, lo, hi in _disc_rows(t, w, d, self.limit * self.limit * d, self.pairs.real):
+            for x in range(lo, hi + 1):
+                hits += where.get((x, y), ())
+        hits.sort()
+        return [self.cand[i] for i in hits]
+
     def solve_last(self, p11, p12):
         # the candidates c whose u = p11*c + p12 has a ball cofactor a with
         # a*u = 1 + p11, in candidate order; c = (u - p12) * conj(p11) / d
         # with d = norm(p11) must divide exactly
-        us = self.pairs.cofactors((p11[0] + 1, p11[1]))
+        us = self.pairs.congruent(p11, p12)
         if not us:
             return ()
         t, where = self.t, self.where
@@ -200,11 +254,19 @@ class _Search:
         if depth == self.free:
             return self.solve_tail(p11, p12, p21)
         t, e = self.t, self.e
+        last = depth + 1 == self.free  # then q11 is the forced entry u
+        if depth < self.npre:
+            choices = self.pre[depth:depth + 1]
+        elif last:
+            choices = self.solve_last(p11, p12)
+        elif depth + 2 == self.free and pair_norm(t, p11) > self.limit:
+            choices = self.solve_near(p11, p12)
+        else:
+            choices = self.cand
+        if not choices:
+            return
         # c * prev == 1 exactly when c is prev's inverse (None if it has none)
         inverse = pair_div(t, ONE, e[depth - 1]) if depth else None
-        last = depth + 1 == self.free  # then q11 is the forced entry u
-        choices = (self.pre[depth:depth + 1] if depth < self.npre
-                   else self.solve_last(p11, p12) if last else self.cand)
         for cand in choices:
             if cand == inverse:
                 continue

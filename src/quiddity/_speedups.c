@@ -1,21 +1,29 @@
 /* Compiled twin of quiddity._kernel: same contract, same search, same output.
 
-   The search, the solve of its last free position and the canonical test
-   of each completed cycle are derived once, in quiddity/_kernel.py, whose
-   _Search class mirrors the `search` struct below, with methods named
-   after its functions; the ring encoding and its formulas are stated in
-   quiddity/rings.py, and mul, norm and divide below compute exactly those.
-   At the tail every entry is ranked by its first position among the
-   candidates, found by binary search over the candidates sorted by value;
-   an entry that is no candidate, or a rotation or reflection of the ranks
-   that compares smaller, rejects the cycle before its window check.
+   The search, the solve of its last two free positions and the canonical
+   test of each completed cycle are derived once, in quiddity/_kernel.py,
+   whose _Search class mirrors the `search` struct below, with methods
+   named after its functions; the ring encoding and its formulas are
+   stated in quiddity/rings.py, and mul, norm and divide below compute
+   exactly those.  The last free position is solved from the factor pairs
+   of x = 1 + p11 in the ball, walked on every call (the pure kernel
+   memoises them and indexes them by residue).  The one before it, when
+   norm(p11) exceeds the limit, takes the candidates among the lattice
+   points of an ellipse, walked row by row as quiddity.rings._disc_rows
+   walks them; the ball is the same walk with centre 0.  At the tail every
+   entry is ranked by its first position among the candidates, found by
+   binary search over the candidates sorted by value; an entry that is no
+   candidate, or a rotation or reflection of the ranks that compares
+   smaller, rejects the cycle before its window check.
 
    Ring elements are pairs of int64.  Every int64 product, sum, difference
    and negation is checked, and the integer square root is exact integer
    code.  An overflow raises OverflowError instead of returning a wrong
    list, and the caller reruns that input on the pure kernel, whose
-   integers do not overflow.  The candidates live in a heap array sized
-   from the input, so any number of them is accepted. */
+   integers do not overflow: the ellipse's bound 4 limit^2 norm(p11)
+   leaves int64 once norm(p11) passes about 2^63 / (4 limit^2).  The
+   candidates live in a heap array sized from the input, so any number of
+   them is accepted. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -49,7 +57,7 @@ typedef struct {
 } ranked;
 
 typedef struct {
-    int t, m, free, npre;
+    int t, m, free, npre, real;
     Py_ssize_t ncand;
     int64_t limit;
     const elem *pre, *cand;  /* the prefix entries and the candidates */
@@ -57,10 +65,11 @@ typedef struct {
     Py_ssize_t rank[MAXM];   /* the first position of each entry of e */
     PyObject *results;
     ranked *byval;           /* the candidates by value, then position */
-    /* The solve of the last free position. */
+    /* The solve of the last two free positions. */
     Py_ssize_t nball;
     ball_elem *ball;         /* by norm, largest first */
-    Py_ssize_t *hits;        /* positions of the solved candidates */
+    Py_ssize_t *hits;        /* positions of the solved candidates, last position */
+    Py_ssize_t *near;        /* and at the one before it */
 } search;
 
 /* Arithmetic: 0 on success, -1 with OverflowError set. */
@@ -114,21 +123,29 @@ norm(int t, elem x)
     return n;
 }
 
-/* Exact quotient x / y = x * conj(y) / norm(y) with conj(y) = (y.a + t y.b)
-   - y.b omega: 1 and *r set, 0 if y does not divide x, -1 on error. */
+/* conj(y) = (y.a + t y.b) - y.b omega. */
+static int
+conjugate(int t, elem y, elem *r)
+{
+    int64_t tb;
+    if (__builtin_mul_overflow(y.b, t, &tb) || __builtin_add_overflow(y.a, tb, &r->a)
+        || __builtin_sub_overflow((int64_t)0, y.b, &r->b))
+        return overflow();
+    return 0;
+}
+
+/* Exact quotient x / y = x * conj(y) / norm(y): 1 and *r set, 0 if y does
+   not divide x, -1 on error. */
 static int
 divide(int t, elem x, elem y, elem *r)
 {
     elem conj, num;
-    int64_t n = norm(t, y), tb;
+    int64_t n = norm(t, y);
     if (n < 0)
         return -1;
     if (n == 0)
         return 0;
-    if (__builtin_mul_overflow(y.b, t, &tb) || __builtin_add_overflow(y.a, tb, &conj.a)
-        || __builtin_sub_overflow((int64_t)0, y.b, &conj.b))
-        return overflow();
-    if (mul(t, x, conj, &num) < 0)
+    if (conjugate(t, y, &conj) < 0 || mul(t, x, conj, &num) < 0)
         return -1;
     if (num.a % n != 0 || num.b % n != 0)
         return 0;
@@ -205,11 +222,70 @@ isqrt64(int64_t n)
     return (int64_t)r;
 }
 
-/* floor(n / 2) */
+/* floor(n / d) and ceil(n / d) for d > 0; C division truncates. */
 static int64_t
-half_floor(int64_t n)
+floor_div(int64_t n, int64_t d)
 {
-    return (n - (n & 1)) / 2;
+    return n / d - (n % d != 0 && n < 0);
+}
+
+static int64_t
+ceil_div(int64_t n, int64_t d)
+{
+    return n / d + (n % d != 0 && n > 0);
+}
+
+/* The rows of the pairs c = x + y omega with norm(d c - w) <= bound, for
+   d >= 1, as quiddity.rings._disc_rows: y runs from first to last, and
+   row y needs (4 - t^2) B^2 <= 4 bound with B = d y - w.b, so |B| <= top
+   = isqrt(4 bound / (4 - t^2)); then 2d x lies within 2 w.a - t B +- r
+   with r = isqrt(4 bound - (4 - t^2) B^2).  With `real` only row 0. */
+typedef struct {
+    int t;
+    elem w;
+    int64_t d, four, first, last;
+} disc;
+
+/* 0 on success, -1 on error. */
+static int
+disc_init(disc *r, int t, elem w, int64_t d, int64_t bound, int real)
+{
+    int64_t top;
+    *r = (disc){.t = t, .w = w, .d = d, .first = 1, .last = 0};
+    if (__builtin_mul_overflow(bound, 4, &r->four))
+        return overflow();
+    if (r->four < 0)
+        return 0;
+    top = isqrt64(r->four / (4 - t * t));
+    if (__builtin_sub_overflow(w.b, top, &r->first) || __builtin_add_overflow(w.b, top, &r->last)
+        || r->last == INT64_MAX)  /* so that y can step past last */
+        return overflow();
+    r->first = ceil_div(r->first, d);
+    r->last = floor_div(r->last, d);
+    if (real) {
+        r->first = r->first < 0 ? 0 : r->first;
+        r->last = r->last > 0 ? 0 : r->last;
+    }
+    return 0;
+}
+
+/* Row y: x from *lo to *hi, none when *lo > *hi.  0 on success, -1 on
+   error. */
+static int
+disc_row(const disc *r, int64_t y, int64_t *lo, int64_t *hi)
+{
+    int64_t b, sq, root, mid, tb, twice_d;
+    if (__builtin_mul_overflow(r->d, y, &b) || __builtin_sub_overflow(b, r->w.b, &b)
+        || __builtin_mul_overflow(b, b, &sq) || __builtin_mul_overflow(sq, 4 - r->t * r->t, &sq)
+        || __builtin_mul_overflow(b, r->t, &tb) || __builtin_mul_overflow(r->w.a, 2, &mid)
+        || __builtin_sub_overflow(mid, tb, &mid) || __builtin_mul_overflow(r->d, 2, &twice_d))
+        return overflow();
+    root = isqrt64(r->four - sq);  /* |b| <= top, so sq <= four */
+    if (__builtin_sub_overflow(mid, root, lo) || __builtin_add_overflow(mid, root, hi))
+        return overflow();
+    *lo = ceil_div(*lo, twice_d);
+    *hi = floor_div(*hi, twice_d);
+    return 0;
 }
 
 static int
@@ -237,31 +313,27 @@ by_position(const void *x, const void *y)
     return (p > q) - (p < q);
 }
 
-/* The nonzero elements of norm at most the limit, row by row as
-   quiddity.rings.ball_rows: 4 norm(a + b omega) = (2a + tb)^2 + (4 - t^2)
-   b^2, so row b holds the a with |2a + tb| <= isqrt(4 limit - (4 - t^2)
-   b^2).  With `real` only row b = 0.  Stored in ball unless it is NULL;
-   their number.  The limit is at most 17^2, so nothing here overflows. */
+/* The nonzero elements of norm at most the limit, the disc rows of centre
+   0 (with `real` only row 0), stored in ball unless it is NULL; their
+   number, or -1 on error. */
 static Py_ssize_t
-fill_ball(const search *s, int real, ball_elem *ball)
+fill_ball(const search *s, ball_elem *ball)
 {
-    int64_t b, row, r, a, t = s->t, four = 4 * s->limit;
+    int64_t y, lo, hi, a;
     Py_ssize_t n = 0;
-    for (b = 0; (4 - t * t) * b * b <= four; b++) {
-        r = isqrt64(four - (4 - t * t) * b * b);
-        for (row = b; row >= -b; row -= 2 * b) {
-            for (a = -half_floor(r + t * row); a <= half_floor(r - t * row); a++) {
-                if (a == 0 && row == 0)
-                    continue;
-                if (ball != NULL)
-                    ball[n] = (ball_elem){{a, row}, norm(t, (elem){a, row}), 0};
-                n++;
-            }
-            if (b == 0)
-                break;
+    disc r;
+    if (disc_init(&r, s->t, zero, 1, s->limit, s->real) < 0)
+        return -1;
+    for (y = r.first; y <= r.last; y++) {
+        if (disc_row(&r, y, &lo, &hi) < 0)
+            return -1;
+        for (a = lo; a <= hi; a++) {
+            if (a == 0 && y == 0)
+                continue;
+            if (ball != NULL)
+                ball[n] = (ball_elem){{a, y}, norm(s->t, (elem){a, y}), 0};
+            n++;
         }
-        if (real)
-            break;
     }
     return n;
 }
@@ -282,22 +354,25 @@ prepare_ranks(search *s)
     return 0;
 }
 
-/* Set up the solve of the last free position.  0 on success, -1 on error. */
+/* Set up the solve of the last two free positions.  0 on success, -1 on
+   error. */
 static int
 prepare_solve(search *s)
 {
     Py_ssize_t i, n = s->npre + s->ncand;
-    int real = 1;
+    s->real = 1;
     for (i = 0; i < n; i++)  /* the prefix entries, then the candidates */
-        real &= s->pre[i].b == 0;
-    s->nball = fill_ball(s, real, NULL);
+        s->real &= s->pre[i].b == 0;
+    if ((s->nball = fill_ball(s, NULL)) < 0)
+        return -1;
     s->ball = PyMem_New(ball_elem, s->nball);
     s->hits = PyMem_New(Py_ssize_t, s->ncand);
-    if (s->ball == NULL || s->hits == NULL) {
+    s->near = PyMem_New(Py_ssize_t, s->ncand);
+    if (s->ball == NULL || s->hits == NULL || s->near == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    fill_ball(s, real, s->ball);
+    fill_ball(s, s->ball);
     qsort(s->ball, s->nball, sizeof *s->ball, by_norm_descending);
     for (i = s->nball - 1; i >= 0; i--)
         s->ball[i].next = i + 1 < s->nball && s->ball[i + 1].norm == s->ball[i].norm
@@ -336,14 +411,44 @@ rank_of(const search *s, elem c)
     return found_at(s, i, c) ? s->byval[i].pos : -1;
 }
 
-/* Append to s->hits, from nhit on, every position of c in the candidates;
+/* Append to hits, from nhit on, every position of c in the candidates;
    the new count. */
 static Py_ssize_t
-add_hits(const search *s, elem c, Py_ssize_t nhit)
+add_hits(const search *s, Py_ssize_t *hits, elem c, Py_ssize_t nhit)
 {
     Py_ssize_t i;
     for (i = first_of(s, c); found_at(s, i, c); i++)
-        s->hits[nhit++] = s->byval[i].pos;
+        hits[nhit++] = s->byval[i].pos;
+    return nhit;
+}
+
+/* The positions, in order, of the candidates c for the last free position
+   but one whose x = 1 + p11 c + p12 has norm at most limit^2, the only c
+   whose last free position can be solved.  With d = norm(p11) and w =
+   -(1 + p12) conj(p11), conj(p11) x = d c - w, so these are the c with
+   norm(d c - w) <= limit^2 d, walked row by row.  Their count, or -1 on
+   error. */
+static Py_ssize_t
+solve_near(search *s, const mat *p, int64_t d)
+{
+    elem conj = zero, w;
+    int64_t bound, y, lo, hi, a;
+    Py_ssize_t nhit = 0;
+    disc r;
+    if (conjugate(s->t, p->p11, &conj) < 0 || add(one, p->p12, &w) < 0
+        || mul(s->t, w, conj, &w) < 0 || sub(zero, w, &w) < 0)
+        return -1;
+    if (__builtin_mul_overflow(s->limit * s->limit, d, &bound))
+        return overflow();
+    if (disc_init(&r, s->t, w, d, bound, s->real) < 0)
+        return -1;
+    for (y = r.first; y <= r.last; y++) {
+        if (disc_row(&r, y, &lo, &hi) < 0)
+            return -1;
+        for (a = lo; a <= hi; a++)
+            nhit = add_hits(s, s->near, (elem){a, y}, nhit);
+    }
+    qsort(s->near, nhit, sizeof *s->near, by_position);
     return nhit;
 }
 
@@ -379,7 +484,7 @@ solve_last(search *s, const mat *p)
             if (sub(s->ball[k].u, p->p12, &num) < 0 || (r = divide(s->t, num, p->p11, &c)) < 0)
                 return -1;
             if (r)
-                nhit = add_hits(s, c, nhit);
+                nhit = add_hits(s, s->hits, c, nhit);
         }
     }
     qsort(s->hits, nhit, sizeof *s->hits, by_position);
@@ -504,10 +609,12 @@ solve_tail(search *s, const mat *p)
 }
 
 /* Positions below npre take their prefix entry, so the prefix goes
-   through the same pruning as the search.  c * prev == 1 exactly when c is
-   the inverse of the previous entry, so that inverse, if there is one, is
-   found once per node and skipped.  The last free position takes only the
-   solved candidates. */
+   through the same pruning as the search.  The last free position takes
+   only the solved candidates, and so does the one before it when
+   norm(p11) exceeds the limit; otherwise its disc holds the whole ball.
+   c * prev == 1 exactly when c is the inverse of the previous entry, so
+   that inverse, if there is one, is found once per node with a choice
+   left, and skipped. */
 static int
 extend(search *s, int depth, const mat *p)
 {
@@ -516,16 +623,25 @@ extend(search *s, int depth, const mat *p)
     Py_ssize_t i, nchoice = depth < s->npre ? 1 : s->ncand;
     elem inv, c;
     mat q;
+    int64_t d;
     int r, has_inv = 0;
     if (depth == s->free)
         return solve_tail(s, p);
-    if (depth > 0 && (has_inv = divide(s->t, one, s->e[depth - 1], &inv)) < 0)
-        return -1;
     if (depth + 1 == s->free && depth >= s->npre) {
         if ((nchoice = solve_last(s, p)) < 0)
             return -1;
         order = s->hits;
+    } else if (depth + 2 == s->free && depth >= s->npre) {
+        if ((d = norm(s->t, p->p11)) < 0)
+            return -1;
+        if (d > s->limit) {
+            if ((nchoice = solve_near(s, p, d)) < 0)
+                return -1;
+            order = s->near;
+        }
     }
+    if (nchoice > 0 && depth > 0 && (has_inv = divide(s->t, one, s->e[depth - 1], &inv)) < 0)
+        return -1;
     for (i = 0; i < nchoice; i++) {
         c = choice[order != NULL ? order[i] : i];
         if (has_inv && c.a == inv.a && c.b == inv.b)
@@ -619,6 +735,7 @@ done:
     PyMem_Free(s.ball);
     PyMem_Free(s.byval);
     PyMem_Free(s.hits);
+    PyMem_Free(s.near);
     PyMem_Free(pool);
     Py_XDECREF(cands);
     Py_DECREF(prefix);

@@ -115,13 +115,17 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     tasks = _canonical_tasks(ring, elems, pairs)
     argl = [(ring.t, n, prefix, pairs[i:]) for prefix, i in tasks]
     workers = min(jobs, len(argl))
-    if workers <= 1:
-        chunks = map(_run_task, argl)
-    else:
-        with get_context("fork").Pool(workers) as pool:
-            chunks = pool.map(_run_task, argl, chunksize=1)
-    canonical = sorted((tuple([i + k for k in key]), size)
-                       for (_, i), chunk in zip(tasks, chunks) for key, size in chunk)
+    try:
+        if workers <= 1:
+            chunks = map(_run_task, argl)
+        else:
+            with get_context("fork").Pool(workers) as pool:
+                chunks = pool.map(_run_task, argl, chunksize=1)
+        canonical = sorted((tuple([i + k for k in key]), size)
+                           for (_, i), chunk in zip(tasks, chunks) for key, size in chunk)
+    finally:
+        # the pure kernel's ball and memo serve this enumeration's tasks only
+        _pure._factor_pairs.cache_clear()
     return elems, canonical
 
 

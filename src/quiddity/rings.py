@@ -746,22 +746,37 @@ def norm_sq(ring: Ring, x):
     return ring.norm_sq(ring.check_element(x))
 
 
-def ball_rows(t: int, limit: int, real: bool):
-    """The pairs with norm at most `limit`, zero included, row by row: row
-    b = 0 first, then rows b and -b for b = 1, 2, ...; with `real`, only
-    row b = 0.  Each row is (b, lo, hi), its a running from lo to hi.
+def _disc_rows(t: int, w: tuple, d: int, bound: int, real: bool):
+    """The pairs c = x + y*omega with norm(d*c - w) <= `bound`, for d >= 1,
+    row by row in rising y; with `real`, only row y = 0.  Each row is
+    (y, lo, hi), its x running from lo to hi (no x when lo > hi).
 
-    4 * norm(a + b*omega) = (2a + tb)^2 + (4 - t^2) b^2, so row b holds the
-    a with |2a + tb| <= isqrt(4 * limit - (4 - t^2) b^2).
+    Write d*c - w = A + B*omega, so A = d*x - w_a and B = d*y - w_b.  As
+    4 * norm(A + B*omega) = (2A + tB)^2 + (4 - t^2) B^2, a row needs
+    (4 - t^2) B^2 <= 4 * bound, and then 2d*x lies within 2w_a - tB +- r
+    with r = isqrt(4 * bound - (4 - t^2) B^2).  This is the ellipse of
+    centre w/d; the ball of norms up to a limit is w = 0, d = 1.
     """
-    b = 0
-    while (rest := 4 * limit - (4 - t * t) * b * b) >= 0:
-        r = isqrt(rest)
-        for row in (b, -b) if b else (0,):
-            yield row, -((r + t * row) // 2), (r - t * row) // 2
-        if real:
-            return
-        b += 1
+    four, s = 4 * bound, 4 - t * t
+    if four < 0:
+        return
+    top = isqrt(four // s)  # the largest |B|
+    wa, wb = w
+    first, last = -((top - wb) // d), (top + wb) // d
+    if real:
+        first, last = max(first, 0), min(last, 0)
+    for y in range(first, last + 1):
+        b = d * y - wb
+        r, mid = isqrt(four - s * b * b), 2 * wa - t * b
+        yield y, -((r - mid) // (2 * d)), (mid + r) // (2 * d)
+
+
+def ball_rows(t: int, limit: int, real: bool):
+    """The pairs with norm at most `limit`, zero included, row by row in
+    rising b; with `real`, only row b = 0.  Each row is (b, lo, hi), its a
+    running from lo to hi: the a with |2a + tb| <= isqrt(4 * limit - (4 -
+    t^2) b^2), the ellipse of `_disc_rows` centred at 0."""
+    return _disc_rows(t, (0, 0), 1, limit, real)
 
 
 # The count of lattice points in a disc has no closed form, so a ball is

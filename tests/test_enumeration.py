@@ -294,6 +294,118 @@ def test_last_position_solve_matches_the_scan(kernel):
     assert min(found.values()) > 0, found
 
 
+def _continuant(t, entries):
+    # the top-left entry of the product of the entries' eta-matrices
+    p11, p12 = (1, 0), (0, 0)
+    for c in entries:
+        a, b = _mul(t, p11, c)
+        p11, p12 = (a + p12[0], b + p12[1]), (-p11[0], -p11[1])
+    return p11
+
+
+def test_last_two_positions_solve_matches_the_scan(kernel):
+    # Two free positions are left.  Where the prefix's continuant p11 has
+    # norm above the limit, both kernels take the first of them from a disc
+    # lookup, and a second call of each draw repeats every query of the
+    # first, which the pure kernel answers from its residue index.  The
+    # prefixes are cut from rotations and reflections of the cells' cycles.
+    # Half the candidate lists start with the cycle's entries in the order
+    # it reads them, so the cycle is often canonical even where it carries
+    # an entry on the rim of the ball; the other half shuffle them in.
+    # Both add a part of the ball, entries outside it and duplicates,
+    # real-only over Z.
+    rnd = random.Random(23)
+    cells = []
+    for ring, n in ((Z, 5), (Z, 6), (Zi, 4), (Zzeta6, 4)):
+        pairs = [ring.to_pair(x) for x in candidate_entries(ring, n)]
+        images = [v for cyc in count_nonzero(ring, n).representatives
+                  for v in dihedral_images(tuple(ring.to_pair(x) for x in cyc.entries))]
+        cells.append((ring.t, n, pairs, images))
+    found = dict.fromkeys(["disc", "outside", "duplicate", "real"]
+                          + (["indexed"] if kernel is _kernel else []), 0)
+    for _ in range(150):
+        t, n, pairs, images = rnd.choice(cells)
+        cycle, limit = rnd.choice(images), (n + 1) ** 2
+        far = [(a + 2 * (n + 1), b) for a, b in rnd.sample(pairs, rnd.randint(0, 3))]
+        cands = rnd.sample(pairs, rnd.randint(0, len(pairs))) + far
+        cands += rnd.sample(cands, min(len(cands), rnd.randint(0, 3)))
+        if rnd.random() < 0.5:
+            cands = list(dict.fromkeys(cycle)) + cands
+        else:
+            cands += cycle
+            rnd.shuffle(cands)
+        prefix = list(cycle[:n - 2])
+        expected = scan_search(t, n, prefix, cands)
+        _kernel._factor_pairs.cache_clear()
+        for _ in range(2):
+            assert kernel.search_from_prefix(t, n, prefix, cands) == expected, \
+                (t, n, prefix, cands)
+        k, real = len(expected), not any(b for _, b in prefix + cands)
+        found["disc"] += k * (_norm(t, _continuant(t, prefix)) > limit)
+        found["outside"] += k * any(_norm(t, c) > limit for c in cands)
+        found["duplicate"] += k * (len(set(cands)) < len(cands))
+        found["real"] += k * real
+        if kernel is _kernel:
+            found["indexed"] += k * any(_kernel._factor_pairs(t, limit, real).index)
+    assert min(found.values()) > 0, found
+
+
+@pytest.mark.parametrize("ring,n", [(Z, 5), (Zi, 3), (Zzeta6, 3), (Zzeta6, 4)])
+def test_cycles_through_the_rim_of_the_ball(kernel, ring, n):
+    # Every cycle of the cell whose forced middle entry u lies on the rim of
+    # the ball (an element with a neighbour outside it), searched from its
+    # first n - 2 entries with ranks in the order the cycle reads them: it
+    # comes back exactly when it is canonical under those ranks.  Both
+    # kernels list the ball row by row, so a row cut short at either end,
+    # or a first or last row left out, loses such a cycle.
+    pairs = [ring.to_pair(x) for x in candidate_entries(ring, n)]
+    ball = set(pairs)
+    rim = {(a, b) for a, b in ball
+           if {(a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1)} - ball - {(0, 0)}}
+    cycles = [tuple(ring.to_pair(x) for x in cyc.entries) for cyc in enumerate_nonzero(ring, n)]
+    found = 0
+    for cycle in cycles:
+        if cycle[-2] not in rim:
+            continue
+        cands = list(dict.fromkeys(cycle)) + [p for p in pairs if p not in cycle]
+        key = tuple(cands.index(x) for x in cycle)
+        keys = [k for k, _ in kernel.search_from_prefix(ring.t, n, list(cycle[:n - 2]), cands)]
+        assert (key in keys) == (key == min(dihedral_images(key))), cycle
+        found += key in keys
+    assert found > 0
+
+
+def test_disc_query_keeps_the_candidates_that_can_complete():
+    # the pure kernel's query at the last free position but one returns, in
+    # candidate order, the candidates c with norm(1 + p11*c + p12) within
+    # limit^2, the only ones whose last free position has a factor pair
+    rnd = random.Random(31)
+    kept = dropped = 0
+    for _ in range(300):
+        t, n = rnd.choice((0, 1)), rnd.randint(3, 6)
+        limit, real = (n + 1) ** 2, rnd.random() < 0.3
+
+        def elem(big):
+            return rnd.randint(-big, big), 0 if real else rnd.randint(-big, big)
+
+        cands = [elem(n + 2) for _ in range(rnd.randint(1, 80))]
+        search = _kernel._Search(t, n, [cands[0]], cands)
+        p11 = elem(rnd.choice((9, 40, 300)))
+        while _norm(t, p11) <= limit:
+            p11 = elem(300)
+        p12 = elem(rnd.choice((9, 40, 300)))
+
+        def x_norm(c):
+            a, b = _mul(t, p11, c)
+            return _norm(t, (1 + a + p12[0], b + p12[1]))
+
+        want = [c for c in cands if x_norm(c) <= limit ** 2]
+        assert search.solve_near(p11, p12) == want, (t, n, p11, p12)
+        kept += len(want)
+        dropped += len(cands) - len(want)
+    assert kept > 0 and dropped > 0
+
+
 def test_kernels_agree_on_deep_prefixes(compiled_kernel):
     # Zi:6 has more candidates (148) than the old compiled kernel's fixed
     # arrays held (128).  The prefixes are the first four to six entries of
@@ -385,10 +497,17 @@ def test_pure_kernel_leaves_no_reference_cycle():
 OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)])
 
 
+# two free positions: every prefix entry has norm 16, within the limit
+# 17^2, and fourteen 4s have the continuant p11 = 109,552,575, whose norm
+# fits in int64 but whose disc bound 4 * 17^4 * norm(p11) does not
+DISC_OVERFLOW_TASK = (Z.t, 16, [(4, 0)] * 14, [(1, 0), (2, 0), (-3, 0)])
+
+
 def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
-    assert _kernel.search_from_prefix(*OVERFLOW_TASK) == []
-    with pytest.raises(OverflowError):
-        compiled_kernel.search_from_prefix(*OVERFLOW_TASK)
+    for task in (OVERFLOW_TASK, DISC_OVERFLOW_TASK):
+        assert _kernel.search_from_prefix(*task) == []
+        with pytest.raises(OverflowError):
+            compiled_kernel.search_from_prefix(*task)
 
 
 @pytest.mark.parametrize("opt", ["-O1", "-O2"])
@@ -405,7 +524,15 @@ def test_compiled_kernel_source_has_no_warnings(c_compiler, opt, tmp_path):
 
 def test_overflowing_task_reruns_on_pure_kernel(compiled_kernel, monkeypatch):
     monkeypatch.setattr(enumeration, "_default", compiled_kernel)
-    assert enumeration._run_task(OVERFLOW_TASK) == _kernel.search_from_prefix(*OVERFLOW_TASK)
+    for task in (OVERFLOW_TASK, DISC_OVERFLOW_TASK):
+        assert enumeration._run_task(task) == _kernel.search_from_prefix(*task)
+
+
+def test_enumeration_frees_the_kernel_memo(monkeypatch):
+    # the pure kernel's ball and factor-pair memo live for one enumeration
+    monkeypatch.setattr(enumeration, "_default", _kernel)
+    count_nonzero(Zi, 3)
+    assert _kernel._factor_pairs.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ring,n", [(Z, 1), (Zi, 1), (Z, 5)])

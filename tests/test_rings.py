@@ -385,6 +385,33 @@ def test_cyclotomic_division_matches_linear_solve(d):
     assert 0 < divisible < len(ys) * 5
 
 
+def test_disc_rows_match_a_scan():
+    # seeded ellipses norm(d*c - w) <= bound against a scan of the square
+    # around their centre w/d, real-only ones and empty ones included; the
+    # ball of norms up to a limit is w = 0, d = 1
+    rnd = random.Random(29)
+    points = 0
+    for _ in range(300):
+        t, d, real = rnd.choice((0, 1)), rnd.randint(1, 40), rnd.random() < 0.3
+        w = (rnd.randint(-300, 300), 0 if real and rnd.random() < 0.7 else rnd.randint(-300, 300))
+        bound = rnd.randint(-3, 2500)
+        rows = list(rings._disc_rows(t, w, d, bound, real))
+        assert [y for y, _, _ in rows] == sorted({y for y, _, _ in rows})
+        got = {(x, y) for y, lo, hi in rows for x in range(lo, hi + 1)}
+        cx, cy, r = w[0] // d, w[1] // d, 60
+        want = {(x, y) for x in range(cx - r, cx + r + 1)
+                for y in ((0,) if real else range(cy - r, cy + r + 1))
+                if pair_norm(t, (d * x - w[0], d * y - w[1])) <= bound}
+        assert got == want, (t, w, d, bound, real)
+        points += len(got)
+    assert points > 0
+    for t in (0, 1):
+        for limit in range(-2, 40):
+            got = {(a, b) for b, lo, hi in ball_rows(t, limit, False) for a in range(lo, hi + 1)}
+            assert got == {(a, b) for a in range(-8, 9) for b in range(-8, 9)
+                           if pair_norm(t, (a, b)) <= limit}
+
+
 @pytest.mark.parametrize("ring", [Zi, Zzeta6])
 def test_count_norm_at_most_refuses_a_ball_past_the_row_cap(ring):
     # limits on both sides of the cap: the count is refused exactly when the
