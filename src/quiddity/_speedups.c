@@ -18,12 +18,13 @@
 
    Ring elements are pairs of int64.  Every int64 product, sum, difference
    and negation is checked, and the integer square root is exact integer
-   code.  An overflow raises OverflowError instead of returning a wrong
-   list, and the caller reruns that input on the pure kernel, whose
-   integers do not overflow: the ellipse's bound 4 limit^2 norm(p11)
-   leaves int64 once norm(p11) passes about 2^63 / (4 limit^2).  The
-   candidates live in a heap array sized from the input, so any number of
-   them is accepted. */
+   code.  The ellipse's bound 4 limit^2 norm(p11) and the squared term of
+   each of its rows are 128-bit: with limit <= 17^2 and norm(p11) < 2^63
+   they stay below 2^82, and their square roots below 2^41.  An overflow
+   raises OverflowError instead of returning a wrong list, and the caller
+   reruns that input on the pure kernel, whose integers do not overflow.
+   The candidates live in a heap array sized from the input, so any number
+   of them is accepted. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,6 +32,11 @@
 
 #define MAX_DEPTH 16
 #define MAXM (MAX_DEPTH + 3)
+
+/* The ellipse's bound and squared terms; gcc and clang have 128-bit
+   integers on 64-bit targets. */
+__extension__ typedef __int128 wide;
+__extension__ typedef unsigned __int128 uwide;
 
 typedef struct {
     int64_t a, b;
@@ -204,11 +210,11 @@ windows_nonzero(const search *s)
     return 1;
 }
 
-/* floor(sqrt(n)) for n >= 0, digit by digit in integers. */
+/* floor(sqrt(n)) for 0 <= n < 2^126, digit by digit in integers. */
 static int64_t
-isqrt64(int64_t n)
+isqrt_wide(wide n)
 {
-    uint64_t x = (uint64_t)n, r = 0, bit = (uint64_t)1 << 62;
+    uwide x = (uwide)n, r = 0, bit = (uwide)1 << 124;
     while (bit > x)
         bit >>= 2;
     for (; bit != 0; bit >>= 2) {
@@ -243,20 +249,17 @@ ceil_div(int64_t n, int64_t d)
 typedef struct {
     int t;
     elem w;
-    int64_t d, four, first, last;
+    int64_t d, first, last;
+    wide four;
 } disc;
 
-/* 0 on success, -1 on error. */
+/* 0 on success, -1 on error; 0 <= bound < 2^124. */
 static int
-disc_init(disc *r, int t, elem w, int64_t d, int64_t bound, int real)
+disc_init(disc *r, int t, elem w, int64_t d, wide bound, int real)
 {
     int64_t top;
-    *r = (disc){.t = t, .w = w, .d = d, .first = 1, .last = 0};
-    if (__builtin_mul_overflow(bound, 4, &r->four))
-        return overflow();
-    if (r->four < 0)
-        return 0;
-    top = isqrt64(r->four / (4 - t * t));
+    *r = (disc){.t = t, .w = w, .d = d, .first = 1, .last = 0, .four = 4 * bound};
+    top = isqrt_wide(r->four / (4 - t * t));
     if (__builtin_sub_overflow(w.b, top, &r->first) || __builtin_add_overflow(w.b, top, &r->last)
         || r->last == INT64_MAX)  /* so that y can step past last */
         return overflow();
@@ -274,13 +277,14 @@ disc_init(disc *r, int t, elem w, int64_t d, int64_t bound, int real)
 static int
 disc_row(const disc *r, int64_t y, int64_t *lo, int64_t *hi)
 {
-    int64_t b, sq, root, mid, tb, twice_d;
+    int64_t b, root, mid, tb, twice_d;
+    wide sq;
     if (__builtin_mul_overflow(r->d, y, &b) || __builtin_sub_overflow(b, r->w.b, &b)
-        || __builtin_mul_overflow(b, b, &sq) || __builtin_mul_overflow(sq, 4 - r->t * r->t, &sq)
         || __builtin_mul_overflow(b, r->t, &tb) || __builtin_mul_overflow(r->w.a, 2, &mid)
         || __builtin_sub_overflow(mid, tb, &mid) || __builtin_mul_overflow(r->d, 2, &twice_d))
         return overflow();
-    root = isqrt64(r->four - sq);  /* |b| <= top, so sq <= four */
+    sq = (wide)b * b * (4 - r->t * r->t);
+    root = isqrt_wide(r->four - sq);  /* |b| <= top, so sq <= four */
     if (__builtin_sub_overflow(mid, root, lo) || __builtin_add_overflow(mid, root, hi))
         return overflow();
     *lo = ceil_div(*lo, twice_d);
@@ -432,15 +436,13 @@ static Py_ssize_t
 solve_near(search *s, const mat *p, int64_t d)
 {
     elem conj = zero, w;
-    int64_t bound, y, lo, hi, a;
+    int64_t y, lo, hi, a;
     Py_ssize_t nhit = 0;
     disc r;
     if (conjugate(s->t, p->p11, &conj) < 0 || add(one, p->p12, &w) < 0
         || mul(s->t, w, conj, &w) < 0 || sub(zero, w, &w) < 0)
         return -1;
-    if (__builtin_mul_overflow(s->limit * s->limit, d, &bound))
-        return overflow();
-    if (disc_init(&r, s->t, w, d, bound, s->real) < 0)
+    if (disc_init(&r, s->t, w, d, (wide)s->limit * s->limit * d, s->real) < 0)
         return -1;
     for (y = r.first; y <= r.last; y++) {
         if (disc_row(&r, y, &lo, &hi) < 0)

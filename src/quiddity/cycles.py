@@ -150,6 +150,15 @@ def product_interval(cycle: Cycle, i: int, j: int) -> Mat2:
         power = power * power
 
 
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` with these fields and
+    cached properties, without its `__init__` or `__post_init__`: the
+    caller has made every check those make."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _eta_product(entries, one, zero) -> tuple:
     """eta(c_1) ... eta(c_k) of `entries` as (P11, P12, P21, P22), by the
     running-product rule; `one` and `zero` are the ring's."""

@@ -67,7 +67,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from quiddity.bounds import _first_separated_pair
-from quiddity.cycles import Cycle, is_quiddity
+from quiddity.cycles import Cycle, _prechecked, is_quiddity
 from quiddity.errors import (
     InvalidCycleError,
     InvalidLabellingError,
@@ -75,7 +75,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import _ENTRY, _NEGATES, _choose_case, reduce_to_base
+from quiddity.reduction import _ENTRY, _NEGATES, _choose_case, _reduce_entries
 from quiddity.rings import Z, _check_int
 
 __all__ = [
@@ -406,16 +406,6 @@ def _from_triangles(m: int, labels: dict) -> Labelling:
     return _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(dict(labels)))
 
 
-def _prechecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` with these fields and
-    cached properties, without its `__post_init__`: the caller has made
-    every check it makes."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 # the cases whose steps negate their cycle, as step tags
 _NEGATING_TAGS = frozenset(f"T{case}" for case in _NEGATES)
 
@@ -433,30 +423,30 @@ class _Polygon:
         self.boundary, self.sums, self.labels = [0, 1], [0, 0], {}
         self.negative = self.zero = 0
 
-    def glue_back(self, step) -> None:
-        """Undo the reduction `step` on this polygon, a polygon of
-        `step.after`; it becomes a polygon of `step.before`.
+    def glue_back(self, case_tag: str, indices: tuple, before: tuple) -> None:
+        """Undo the reduction step `case_tag` at `indices` on this polygon,
+        a polygon of the step's output; it becomes a polygon of `before`,
+        the entries of the step's input.
 
-        Entry k of `step.before` is 0 where a square was contracted and the
+        Entry k of `before` is 0 where a square was contracted and the
         label of the ear otherwise.  No id ever leaves the boundary, so
         `len(boundary)` is always a fresh one.  An ear s adds s to the sums
         of its two neighbours and puts s at its new vertex; a square x puts
         x and 0 at its two new vertices u and v and subtracts x from the
         vertex b after them; a negating step negates every label and sum.
-        In a pair of squares (j, k), entry j - 1 of `step.before` is still
+        In a pair of squares (j, k), entry j - 1 of `before` is still
         the x of the square at j: the square at k would change it only as
         its vertex k + 1, for (j, k) = (1, m - 1) or (2, m), and then the
         reduced cycle would hold a single entry in {-1, 0, 1}, against the
         small-entry corollary.
         """
         boundary, sums, labels = self.boundary, self.sums, self.labels
-        if step.case_tag in _NEGATING_TAGS:
+        if case_tag in _NEGATING_TAGS:
             for t in labels:
                 labels[t] = -labels[t]
             sums[:] = [-x for x in sums]
             self.negative = len(labels) - self.zero - self.negative
-        before = step.before.entries
-        for k in step.indices:
+        for k in indices:
             s = before[k - 1]
             n = len(boundary) + (1 if s else 2)
             for p in ([k - 1] if s else sorted(((k - 2) % n, k - 1))):
@@ -497,12 +487,14 @@ class _Polygon:
 def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """An admissible labelling whose vertex sums are exactly `cycle`.
 
-    Built by reducing the cycle to (0,0) and undoing the reduction steps
-    backwards on the 2-gon, on one running `_Polygon`.  Every stage is
-    checked with a raise from that state, at the cost of its step: its sums
-    are the step's input, the labels of its ears are +-1 and the sign
-    condition (ii) holds.  Condition (i) holds by construction, since each
-    square is glued as one pair of adjacent opposite labels.  The one
+    Built by reducing the cycle's entries to (0,0) in the reduction loop
+    `_reduce_entries` and undoing its steps backwards on the 2-gon, on one
+    running `_Polygon`, from their raw tuples: no `Cycle` or step object is
+    built on the way.  Every stage is checked with a raise from that state,
+    at the cost of its step: its sums are the step's input, the labels of
+    its ears are +-1 and the sign condition (ii) holds.  Condition (i)
+    holds by construction, since each square is glued as one pair of
+    adjacent opposite labels.  The one
     `Labelling` built at the end is checked: its triangles tile the
     polygon, its sums are `cycle` and its `_facts` show it admissible, so
     the first `reduce_labelling_step` on it checks nothing twice.  The
@@ -510,15 +502,15 @@ def labelling_from_cycle(cycle: Cycle) -> Labelling:
     """
     if cycle.ring is not Z:
         raise UnsupportedRingError("labellings model integer quiddity cycles")
-    # reduce_to_base raises InvalidCycleError unless the cycle is quiddity
-    steps = reduce_to_base(cycle).steps
+    if not is_quiddity(cycle):
+        raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     polygon = _Polygon()
-    for step in reversed(steps):
-        polygon.glue_back(step)
-        before = step.before.entries
+    for case, indices, before, _after in reversed(list(_reduce_entries(cycle.entries))):
+        tag = f"T{case}"
+        polygon.glue_back(tag, indices, before)
         if (tuple(polygon.sums) != before or not polygon.sign_holds()
-                or any(before[k - 1] not in (1, 0, -1) for k in step.indices)):
-            raise RuntimeError(f"undoing {step.case_tag} at {step.indices} missed {step.before}")
+                or any(before[k - 1] not in (1, 0, -1) for k in indices)):
+            raise RuntimeError(f"undoing {tag} at {indices} missed {before}")
     result = polygon.labelling()
     if result.vertex_sums() != cycle.entries or not is_admissible(result):
         raise RuntimeError(f"the labelling glued for {cycle} is inadmissible or has other sums")

@@ -14,12 +14,16 @@ pairing contractions or negating:
     T4  collapse around two separated 0s
     T5  drop two separated -1s
 
-`_choose_case` holds that priority, for the labelling reduction too.  At
-least one case always applies; that is a theorem, and the engine raises
-RuntimeError rather than guessing if none does, or if a step's output is
-not a quiddity cycle.  That check is local, a few products and one
-comparison of tuples per move: each contraction must keep the entries
-outside its window k-1..k+1 and satisfy its window identity,
+`_choose_case` holds that priority, for the labelling reduction too.  The
+cases T1-T5 run in one loop over entry tuples, `_reduce_entries`, which
+takes a quiddity tuple to (0, 0) and yields each step's case, indices and
+tuples before and after it.  Its contractions are the tuple helpers that
+`quiddity.transforms` builds its contractions with.  At least one case
+always applies; that is a theorem, and the loop raises RuntimeError rather
+than guessing if none does, or if a step's output is not a quiddity cycle.
+That check, `_step_holds`, is local, a few products and a few comparisons
+of tuples per move: each contraction must keep the entries outside its
+window k-1..k+1 and satisfy its window identity,
 
     eta(a) eta(1) eta(b)  =  eta(a-1) eta(b-1)
     eta(a) eta(-1) eta(b) = -eta(a+1) eta(b+1)
@@ -27,21 +31,23 @@ outside its window k-1..k+1 and satisfy its window identity,
 
 and a negation of m' entries turns a product +-I into (-1)^m' (+-I).  From
 a quiddity input these facts imply exactly that the output is quiddity.
-`reduce_step_Z` and `reduce_to_base` check their input in full, so each
-cycle of a trace is checked, also under `python -O`.  A step records its
-case, its indices and the cycles before and after it; `quiddity.labelling`
-undoes it from these alone.
+The loop's callers check their input in full, so each cycle of a trace is
+checked, also under `python -O`.  `reduce_to_base` and `reduce_step_Z` wrap
+the steps in `ReductionStep`s of `Cycle`s; `quiddity.labelling` undoes the
+raw steps from their case, indices and input tuple alone, and builds no
+step object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 
 from quiddity.bounds import _first_separated_pair
-from quiddity.cycles import Cycle, _eta_product, is_epsilon_cycle, is_quiddity, negate
+from quiddity.cycles import Cycle, _eta_product, _prechecked, is_epsilon_cycle, is_quiddity
 from quiddity.errors import InvalidCycleError, UnsupportedRingError
 from quiddity.rings import Z
-from quiddity.transforms import contract_minus_one, contract_one, contract_zero
+from quiddity.transforms import _drop_unit, _merge_zero
 
 __all__ = [
     "ReductionStep",
@@ -81,20 +87,6 @@ def _require_integer(cycle: Cycle):
         raise UnsupportedRingError("reduction is an integer-cycle result")
 
 
-def _first_positions(entries: tuple, value, count: int) -> list:
-    """The first `count` 1-based positions of `value` in `entries`, or all
-    of them if there are fewer, each found by one C-level `tuple.index`."""
-    out = []
-    k = 0
-    while len(out) < count:
-        try:
-            k = entries.index(value, k) + 1
-        except ValueError:
-            break
-        out.append(k)
-    return out
-
-
 def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
     """One reduction case for an integer epsilon-cycle.
 
@@ -104,14 +96,17 @@ def reduce_step_epsilon(cycle: Cycle, eps: int) -> ReductionStep:
     _require_integer(cycle)
     if not is_epsilon_cycle(cycle, eps):
         raise InvalidCycleError(f"not a {eps:+d}-cycle: {cycle}")
-    if cycle.entries == (0, 0):
+    entries = cycle.entries
+    if entries == (0, 0):
         return ReductionStep("I0", (), cycle, cycle, eps, eps)
     # cases I1-I3 contract the first 1, 0 or -1 as cases T1-T3 do
     for case in (1, 2, 3):
-        if _ENTRY[case] in cycle.entries:
-            k = cycle.entries.index(_ENTRY[case]) + 1
-            signed = _CONTRACT[case](cycle, k)
-            return ReductionStep(f"I{case}", (k,), cycle, signed.cycle, eps, eps * signed.sign)
+        entry = _ENTRY[case]
+        if entry in entries:
+            k = entries.index(entry) + 1
+            after = _drop_unit(entries, k, entry) if entry else _merge_zero(entries, k)
+            return ReductionStep(f"I{case}", (k,), cycle, Cycle._computed(Z, after),
+                                 eps, eps if entry == 1 else -eps)
     raise RuntimeError("no entry in {-1,0,1}; contradicts the small-entry corollary")
 
 
@@ -128,13 +123,12 @@ def reduce_step_Z(cycle: Cycle) -> ReductionStep:
         raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     if cycle.entries in ((0, 0), (1, 1, 1)):
         return ReductionStep("T0", (), cycle, cycle, -1, -1)
-    return _reduce_step(cycle)
+    case, indices, _before, after = next(_reduce_entries(cycle.entries))
+    return ReductionStep(f"T{case}", indices, cycle, Cycle._computed(Z, after), -1, -1)
 
 
-# The contraction of each case, at the 1, 0 or -1 it chose.  Cases 2 and 3
-# flip the sign of the eta-product, and negating their result restores it.
-_CONTRACT = {1: contract_one, 2: contract_zero, 3: contract_minus_one,
-             4: contract_zero, 5: contract_minus_one}
+# Cases 2 and 3 flip the sign of the eta-product with one contraction, and
+# negating their result restores it.
 _NEGATES = (2, 3)
 # the entry each case contracts
 _ENTRY = {1: 1, 2: 0, 3: -1, 4: 0, 5: -1}
@@ -147,10 +141,11 @@ def _choose_case(m: int, ones: list, zeros: list, minus: list):
     labelled 1, the removable squares and the ears labelled -1 of a
     labelling.
 
-    The first three positions of each list decide the case, so a caller
-    may pass just those.  Of sorted positions p1 < p2 < p3, the pair
-    (p1, p3) is separated unless p3 = m and p1 = 1; then p3 is the last
-    position, and the list has no fourth."""
+    The first three positions of each list decide the case, and the first
+    one of a nonempty `ones` decides it alone, so a caller may pass just
+    those.  Of sorted positions p1 < p2 < p3, the pair (p1, p3) is
+    separated unless p3 = m and p1 = 1; then p3 is the last position, and
+    the list has no fourth."""
     if ones:
         return 1, (ones[0],)
     if zeros and m % 2 == 1:
@@ -166,58 +161,76 @@ def _choose_case(m: int, ones: list, zeros: list, minus: list):
     return None
 
 
-def _reduce_step(cycle: Cycle) -> ReductionStep:
-    """Cases T1-T5 of `reduce_step_Z` on a cycle known to be quiddity.  The
-    result is checked with a raise from the local facts of `_moves_hold`,
-    which imply that it is quiddity.  On (1, 1, 1) this is the T1 at 1 that
-    ends at (0, 0)."""
-    entries = cycle.entries
-    chosen = _choose_case(len(entries), *(_first_positions(entries, value, 3)
-                                          for value in (1, 0, -1)))
-    if chosen is None:
-        raise RuntimeError("no case applies; contradicts the reduction theorem")
-    case, indices = chosen
-    moves = _moves(cycle, case, indices)
-    after = moves[-1]
-    if not _moves_hold(case, indices, moves):
-        raise RuntimeError(f"case T{case} at {indices} gave {after}, not a quiddity cycle")
-    return ReductionStep(f"T{case}", indices, cycle, after, -1, -1)
+def _reduce_entries(entries: tuple):
+    """The steps that take the quiddity tuple `entries` to (0, 0), each as
+    (case, indices, before, after) with `before` and `after` tuples.
+
+    Each step is chosen by `_choose_case` and made of one contraction per
+    index, a pair (j, k) contracted at k first (that removes entries above j
+    only, k - j > 1, so j keeps its index in the middle tuple), then the
+    negation of cases 2 and 3.  It is checked with a raise before it is
+    yielded: `_step_holds` reads from local facts that its output is
+    quiddity, and the output must be shorter.  On (1, 1, 1) the step is the
+    T1 at 1 that ends at (0, 0).  The caller checks that `entries` is
+    quiddity.
+    """
+    while entries != (0, 0):
+        m = len(entries)
+        # the first three positions of 1, 0 and -1 decide the case, and the
+        # first 1 decides it alone
+        if 1 in entries:
+            chosen = _choose_case(m, (entries.index(1) + 1,), (), ())
+        else:
+            zeros, minus = [], []
+            for at, value in ((zeros, 0), (minus, -1)):
+                k = 0
+                try:
+                    while len(at) < 3:
+                        k = entries.index(value, k) + 1
+                        at.append(k)
+                except ValueError:
+                    pass
+            chosen = _choose_case(m, (), zeros, minus)
+        if chosen is None:
+            raise RuntimeError("no case applies; contradicts the reduction theorem")
+        case, indices = chosen
+        entry = _ENTRY[case]
+        moves = [entries]
+        for k in reversed(indices):
+            moves.append(_drop_unit(moves[-1], k, entry) if entry else _merge_zero(moves[-1], k))
+        if case in _NEGATES:
+            moves.append(tuple(map(neg, moves[-1])))
+        after = moves[-1]
+        if not _step_holds(case, indices, moves):
+            raise RuntimeError(f"case T{case} at {indices} gave {after}, not a quiddity cycle")
+        if len(after) >= m:
+            raise RuntimeError(f"case T{case} did not shrink {entries}")
+        yield case, indices, entries, after
+        entries = after
 
 
-def _moves(cycle: Cycle, case: int, indices: tuple) -> list:
-    """`cycle` and the cycles that case `case` at `indices` takes it through:
-    one contraction per index, then the negation of cases 2 and 3."""
-    moves = [cycle]
-    # a pair (j, k) is contracted at k first: that removes entries above j
-    # only (k - j > 1), so j keeps its index in the middle cycle
-    for k in reversed(indices):
-        moves.append(_CONTRACT[case](moves[-1], k).cycle)
-    if case in _NEGATES:
-        moves.append(negate(moves[-1]))
-    return moves
-
-
-def _moves_hold(case: int, indices: tuple, moves: list) -> bool:
-    """Whether the last of `moves`, the cycles that case `case` at `indices`
-    takes the quiddity cycle `moves[0]` through (`_moves`), is quiddity,
-    read from local facts in O(m) comparisons and O(1) products.
+def _step_holds(case: int, indices: tuple, moves: list) -> bool:
+    """Whether the last of `moves`, the tuples that case `case` at `indices`
+    takes the quiddity tuple `moves[0]` through, one per contraction and
+    then the negation of cases 2 and 3, is quiddity, read from local facts
+    in O(m) comparisons and O(1) products.
 
     Each contraction must keep the entries outside its window and satisfy
     the window identity of its rule, which keeps the eta-product (a 1) or
     negates it (a 0 or a -1).  Cases 2 and 3 then negate every entry, which
-    multiplies a product +-I by (-1)^m'.  Given these facts the last cycle
+    multiplies a product +-I by (-1)^m'.  Given these facts the last tuple
     is quiddity exactly when the signs take -I back to -I.
     """
     entry = _ENTRY[case]
     sign = -1
     for k, before, after in zip(reversed(indices), moves, moves[1:]):
-        if not _window_holds(before.entries, after.entries, k, entry):
+        if not _window_holds(before, after, k, entry):
             return False
         if entry != 1:
             sign = -sign
     if case in _NEGATES:
-        before, after = moves[-2].entries, moves[-1].entries
-        if after != tuple([-e for e in before]):
+        before, after = moves[-2], moves[-1]
+        if after != tuple(map(neg, before)):
             return False
         if len(after) % 2:
             sign = -sign
@@ -232,19 +245,22 @@ def _window_holds(before: tuple, after: tuple, k: int, entry: int) -> bool:
     for a 0 or a -1.  The replacement is two entries for a 1 or a -1 and
     one for a 0, and starts at position k-1 of `after`; a 0 at k = 1 leaves
     it at position 1, since the merged entry keeps index 2 and `after`
-    starts there (see `quiddity.transforms`)."""
+    starts there (see `quiddity.transforms`).  A window that wraps is
+    first rotated, in both tuples, to start at position 1; one inside 1..m
+    is compared in place."""
     m, n = len(before), len(after)
     width = 2 if entry else 1
     if n != m - 3 + width or before[k - 1] != entry:
         return False
-    i = (k - 2) % m
-    j = 0 if entry == 0 and k == 1 else (k - 2) % n
-    around = before[i:] + before[:i]
-    replaced = after[j:] + after[:j]
-    if around[3:] != replaced[width:]:
+    if not 1 < k < m:
+        i = (k - 2) % m
+        j = 0 if entry == 0 and k == 1 else (k - 2) % n
+        before, after, k = before[i:] + before[:i], after[j:] + after[:j], 2
+    i = k - 2
+    if before[:i] != after[:i] or before[k + 1:] != after[i + width:]:
         return False
-    p = _eta_product(around[:3], 1, 0)
-    q = _eta_product(replaced[:width], 1, 0)
+    p = _eta_product(before[i:k + 1], 1, 0)
+    q = _eta_product(after[i:i + width], 1, 0)
     return p == (q if entry == 1 else tuple([-x for x in q]))
 
 
@@ -263,12 +279,10 @@ def reduce_to_base(cycle: Cycle) -> ReductionTrace:
     if not is_quiddity(cycle):
         raise InvalidCycleError(f"not a quiddity cycle: {cycle}")
     steps = []
-    current = cycle
-    while current.entries != (0, 0):
-        step = _reduce_step(current)
-        steps.append(step)
-        if step.after.m >= current.m:
-            raise RuntimeError(f"case {step.case_tag} did not shrink {current}")
-        current = step.after
+    before = cycle
+    for case, indices, _before, after_entries in _reduce_entries(cycle.entries):
+        after = Cycle._computed(Z, after_entries)
+        steps.append(_prechecked(ReductionStep, case_tag=f"T{case}", indices=indices,
+                                 before=before, after=after, eps_before=-1, eps_after=-1))
+        before = after
     return ReductionTrace(cycle, tuple(steps))
-

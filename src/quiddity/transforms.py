@@ -92,6 +92,32 @@ def _insert(cycle: Cycle, k: int, value, delta) -> Cycle:
     return Cycle._computed(cycle.ring, tuple(mod))
 
 
+def _drop_unit(entries: tuple, k: int, s) -> tuple:
+    """`entries` with the unit s = +-1 at position k dropped and subtracted
+    from both cyclic neighbours, for m = len(entries) >= 3 and k in 1..m.
+    The result starts at position 2 when k = 1 and at position 1 otherwise.
+    `contract_one`, `contract_minus_one` and the integer reduction build
+    their cycles with it."""
+    m = len(entries)
+    if k == 1:
+        return (entries[1] - s,) + entries[2:m - 1] + (entries[m - 1] - s,)
+    if k == m:
+        return (entries[0] - s,) + entries[1:m - 2] + (entries[m - 2] - s,)
+    return entries[:k - 2] + (entries[k - 2] - s, entries[k] - s) + entries[k + 1:]
+
+
+def _merge_zero(entries: tuple, k: int) -> tuple:
+    """`entries` with the window (a, 0, b) at positions k-1..k+1 merged into
+    a + b at position k+1, for m = len(entries) >= 3 and k in 1..m.
+    `contract_zero` and the integer reduction build their cycles with it."""
+    m = len(entries)
+    if k == 1:
+        return (entries[m - 1] + entries[1],) + entries[2:m - 1]
+    if k == m:
+        return (entries[m - 2] + entries[0],) + entries[1:m - 2]
+    return entries[:k - 2] + (entries[k - 2] + entries[k],) + entries[k + 1:]
+
+
 def _contract_unit(cycle: Cycle, k: int, s: int) -> SignedCycle:
     # drop the entry s = +-1 at position k, subtracting s from both cyclic
     # neighbors; the product is multiplied by s
@@ -101,11 +127,7 @@ def _contract_unit(cycle: Cycle, k: int, s: int) -> SignedCycle:
         raise NotApplicableError(f"entry {k} is {cycle.entries[k - 1]}, not {s}")
     if cycle.m < 3:
         raise NotApplicableError("need two distinct neighbors to adjust")
-    mod = list(cycle.entries)
-    mod[k - 2] = mod[k - 2] - unit          # position k-1 (wraps to m)
-    mod[k % cycle.m] = mod[k % cycle.m] - unit  # position k+1 (wraps to 1)
-    del mod[k - 1]
-    return SignedCycle(Cycle._computed(cycle.ring, tuple(mod)), s)
+    return SignedCycle(Cycle._computed(cycle.ring, _drop_unit(cycle.entries, k, unit)), s)
 
 
 def expand_one(cycle: Cycle, k: int) -> SignedCycle:
@@ -204,12 +226,7 @@ def contract_zero(cycle: Cycle, k: int) -> SignedCycle:
         raise NotApplicableError(f"entry {k} is {cycle.entries[k - 1]}, not 0")
     if cycle.m < 3:
         raise NotApplicableError("result would be empty")
-    m = cycle.m
-    mod = list(cycle.entries)
-    mod[k % m] = mod[k - 2] + mod[k % m]
-    removed = {(k - 2) % m, k - 1}
-    out = [mod[i] for i in range(m) if i not in removed]
-    return SignedCycle(Cycle._computed(ring, tuple(out)), -1)
+    return SignedCycle(Cycle._computed(ring, _merge_zero(cycle.entries, k)), -1)
 
 
 def shift_zero(cycle: Cycle, k: int, u) -> Cycle:

@@ -164,16 +164,18 @@ def glued_cycle():
 
 @pytest.fixture(scope="session")
 def child_python():
-    """`child_python(*args, timeout=60)`: the finished run of a child Python
-    with these arguments, importing the same quiddity as this process
-    wherever pytest found it.  `-O` strips assert statements."""
+    """`child_python(*args, timeout=60, input=None, env=None)`: the finished
+    run of a child Python with these arguments, this text on its standard
+    input and these variables added to its environment, importing the same
+    quiddity as this process wherever pytest found it.  `-O` strips assert
+    statements."""
     src = str(Path(enumeration.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    base = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
-    def run(*args, timeout=60):
-        return subprocess.run([sys.executable, *args],
-                              capture_output=True, text=True, timeout=timeout, env=env)
+    def run(*args, timeout=60, input=None, env=None):
+        return subprocess.run([sys.executable, *args], input=input, capture_output=True,
+                              text=True, timeout=timeout, env={**base, **(env or {})})
 
     return run
 

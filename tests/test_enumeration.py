@@ -12,6 +12,7 @@ import gc
 import hashlib
 import inspect
 import itertools
+import json
 import random
 import subprocess
 import sysconfig
@@ -499,15 +500,78 @@ OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)])
 
 # two free positions: every prefix entry has norm 16, within the limit
 # 17^2, and fourteen 4s have the continuant p11 = 109,552,575, whose norm
-# fits in int64 but whose disc bound 4 * 17^4 * norm(p11) does not
+# fits in int64 but whose disc bound 4 * 17^4 * norm(p11) does not; the
+# compiled kernel keeps that bound and each disc row's squared term in
+# 128-bit integers
 DISC_OVERFLOW_TASK = (Z.t, 16, [(4, 0)] * 14, [(1, 0), (2, 0), (-3, 0)])
 
 
+def _z10_task():
+    # a Z:10 task whose disc arithmetic (L = 11^2) leaves int64
+    return (Z.t, 10, [(-1, 0)] + [(11, 0)] * 5, [Z.to_pair(x) for x in candidate_entries(Z, 10)])
+
+
 def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
-    for task in (OVERFLOW_TASK, DISC_OVERFLOW_TASK):
-        assert _kernel.search_from_prefix(*task) == []
-        with pytest.raises(OverflowError):
-            compiled_kernel.search_from_prefix(*task)
+    # the forced u of OVERFLOW_TASK has a norm past int64, which the
+    # compiled kernel refuses; the disc of DISC_OVERFLOW_TASK it solves
+    assert _kernel.search_from_prefix(*OVERFLOW_TASK) == []
+    with pytest.raises(OverflowError):
+        compiled_kernel.search_from_prefix(*OVERFLOW_TASK)
+    pure = _kernel.search_from_prefix(*DISC_OVERFLOW_TASK)
+    assert compiled_kernel.search_from_prefix(*DISC_OVERFLOW_TASK) == pure == []
+
+
+def test_compiled_kernel_solves_a_disc_past_int64(compiled_kernel):
+    task = _z10_task()
+    assert compiled_kernel.search_from_prefix(*task) == _kernel.search_from_prefix(*task) == []
+
+
+# loads the extension built at argv[1] and prints, as JSON, its list for
+# each task read as JSON from standard input, or "OverflowError"
+UBSAN_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("quiddity._speedups", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+out = []
+for t, n, prefix, cands in json.load(sys.stdin):
+    try:
+        out.append(kernel.search_from_prefix(t, n, [tuple(x) for x in prefix],
+                                             [tuple(x) for x in cands]))
+    except OverflowError:
+        out.append("OverflowError")
+print(json.dumps(out))
+"""
+
+
+def test_compiled_kernel_is_clean_under_ubsan(c_compiler, child_python, tmp_path):
+    # the extension built with UndefinedBehaviorSanitizer, every finding
+    # fatal, runs the overflow tasks, the Z:10 task and every task of one
+    # cell per ring in a child Python that preloads the sanitizer runtime
+    runtime = subprocess.run([*c_compiler, "-print-file-name=libubsan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not Path(runtime).is_absolute() or not Path(runtime).exists():
+        pytest.skip(f"no libubsan for {c_compiler[0]}")
+    source = Path(_kernel.__file__).with_name("_speedups.c")
+    built = tmp_path / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [*c_compiler, "-shared", "-fPIC", "-O1", "-g", "-fsanitize=undefined",
+         "-fno-sanitize-recover=undefined", "-I", sysconfig.get_paths()["include"],
+         str(source), "-o", str(built)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tasks = [OVERFLOW_TASK, DISC_OVERFLOW_TASK, _z10_task()]
+    for ring, n in ((Z, 5), (Zi, 3), (Zzeta6, 3)):
+        elems = candidate_entries(ring, n)
+        pairs = [ring.to_pair(x) for x in elems]
+        tasks += [(ring.t, n, list(prefix), pairs[i:])
+                  for prefix, i in enumeration._canonical_tasks(ring, elems, pairs)]
+    proc = child_python("-c", UBSAN_CHILD, str(built), input=json.dumps(tasks),
+                        env={"LD_PRELOAD": runtime})
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    want = ["OverflowError"] + [_kernel.search_from_prefix(*task) for task in tasks[1:]]
+    assert json.loads(proc.stdout) == json.loads(json.dumps(want))
 
 
 @pytest.mark.parametrize("opt", ["-O1", "-O2"])
@@ -524,8 +588,7 @@ def test_compiled_kernel_source_has_no_warnings(c_compiler, opt, tmp_path):
 
 def test_overflowing_task_reruns_on_pure_kernel(compiled_kernel, monkeypatch):
     monkeypatch.setattr(enumeration, "_default", compiled_kernel)
-    for task in (OVERFLOW_TASK, DISC_OVERFLOW_TASK):
-        assert enumeration._run_task(task) == _kernel.search_from_prefix(*task)
+    assert enumeration._run_task(OVERFLOW_TASK) == _kernel.search_from_prefix(*OVERFLOW_TASK)
 
 
 def test_enumeration_frees_the_kernel_memo(monkeypatch):

@@ -357,7 +357,7 @@ def test_labelling_from_cycle_running_state_matches_a_rebuild(glued_cycle):
             cycle = Cycle(Z, glued_cycle(rng, m, kind))
             polygon = _Polygon()
             for step in reversed(reduce_to_base(cycle).steps):
-                polygon.glue_back(step)
+                polygon.glue_back(step.case_tag, step.indices, step.before.entries)
                 lab = polygon.labelling()
                 assert tuple(polygon.sums) == lab.vertex_sums() == step.before.entries
                 labels = list(lab.labels.values())

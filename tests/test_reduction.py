@@ -23,6 +23,7 @@ from quiddity.reduction import (
     reduce_to_base,
 )
 from quiddity.rings import Q, Z
+from quiddity.transforms import _drop_unit, _merge_zero
 
 
 def test_terminal_cases():
@@ -183,15 +184,30 @@ def test_trace_checks_each_cycle_once(glued_cycle):
 
 
 def test_first_three_positions_decide_the_case():
-    # _reduce_step passes _choose_case only the first three positions of
-    # each entry value; the labelling reduction passes all of them
+    # the reduction loop passes _choose_case only the first 1, or else the
+    # first three positions of 0 and -1; the labelling reduction passes all
+    # of them
     rng = random.Random(3)
     for _ in range(3000):
         m = rng.randint(2, 12)
         ones, zeros, minus = (sorted(rng.sample(range(1, m + 1), rng.randint(0, min(m, 6))))
                               for _ in range(3))
-        assert (reduction._choose_case(m, ones[:3], zeros[:3], minus[:3])
-                == reduction._choose_case(m, ones, zeros, minus))
+        want = reduction._choose_case(m, ones, zeros, minus)
+        assert reduction._choose_case(m, ones[:3], zeros[:3], minus[:3]) == want
+        if ones:
+            assert reduction._choose_case(m, ones[:1], (), ()) == want
+
+
+def _step_tuples(before, case, indices):
+    # the tuples a step takes `before` through: one contraction per index,
+    # a pair at k first, then the negation of cases 2 and 3
+    entry = reduction._ENTRY[case]
+    moves = [before]
+    for k in reversed(indices):
+        moves.append(_drop_unit(moves[-1], k, entry) if entry else _merge_zero(moves[-1], k))
+    if case in reduction._NEGATES:
+        moves.append(tuple(-e for e in moves[-1]))
+    return moves
 
 
 def test_local_step_check_agrees_with_the_whole_cycle(glued_cycle):
@@ -205,16 +221,15 @@ def test_local_step_check_agrees_with_the_whole_cycle(glued_cycle):
             for step in reduce_to_base(Cycle(Z, glued_cycle(rng, m, kind))).steps:
                 tags.add(step.case_tag)
                 case, indices = int(step.case_tag[1:]), step.indices
-                moves = reduction._moves(step.before, case, indices)
-                assert moves[-1] == step.after
-                assert reduction._moves_hold(case, indices, moves) is is_quiddity(step.after) is True
+                moves = _step_tuples(step.before.entries, case, indices)
+                assert moves[-1] == step.after.entries
+                assert reduction._step_holds(case, indices, moves) is is_quiddity(step.after) is True
                 after = step.after.entries
                 n = len(after)
                 for p in (range(n) if n <= 12 else rng.sample(range(n), 6)):
                     wrong = after[:p] + (after[p] + rng.choice((1, -1)),) + after[p + 1:]
-                    wrong = Cycle(Z, wrong)
-                    verdict = reduction._moves_hold(case, indices, moves[:-1] + [wrong])
-                    assert verdict is is_quiddity(wrong) is False
+                    verdict = reduction._step_holds(case, indices, moves[:-1] + [wrong])
+                    assert verdict is is_quiddity(Cycle(Z, wrong)) is False
     assert tags == {"T1", "T2", "T3", "T4", "T5"}
 
 
@@ -246,7 +261,7 @@ def test_every_step_rebuilds_exactly():
         step = reduce_step_epsilon(Cycle(Z, entries), eps)
         assert (step.indices, step.after.entries) == ((1,), (0, 0))
         polygon = _Polygon()
-        polygon.glue_back(step)
+        polygon.glue_back(step.case_tag, step.indices, step.before.entries)
         lab = polygon.labelling()
         assert lab.vertex_sums() == tuple(polygon.sums) == entries
         assert labelling_sign(lab) == -eps
@@ -266,42 +281,36 @@ def test_reduction_engines_hold_no_assert():
 # each child breaks one step of an engine and must stop on that step's check
 BROKEN_UNDER_PYTHON_O = {
     "a contraction with a wrong entry": (
-        "from dataclasses import replace\n"
         "from quiddity import reduction\n"
         "from quiddity.cycles import Cycle\n"
         "from quiddity.rings import Z\n"
-        "contract = reduction._CONTRACT[1]\n"
-        "def wrong(cycle, k):\n"
-        "    out = contract(cycle, k)\n"
-        "    entries = (out.cycle.entries[0] + 1,) + out.cycle.entries[1:]\n"
-        "    return replace(out, cycle=Cycle(Z, entries))\n"
-        "reduction._CONTRACT[1] = wrong\n"
+        "contract = reduction._drop_unit\n"
+        "def wrong(entries, k, s):\n"
+        "    out = contract(entries, k, s)\n"
+        "    return (out[0] + 1,) + out[1:] if s == 1 else out\n"
+        "reduction._drop_unit = wrong\n"
         "reduction.reduce_to_base(Cycle(Z, (1, 4, 1, 2, 2, 2)))\n",
         "RuntimeError: case T1 at (1,) gave (4, 1, 2, 2, 1), not a quiddity cycle"),
     "a 0-contraction with a wrong entry": (
-        "from dataclasses import replace\n"
         "from quiddity import reduction\n"
         "from quiddity.cycles import Cycle\n"
         "from quiddity.rings import Z\n"
-        "contract = reduction._CONTRACT[2]\n"
-        "def wrong(cycle, k):\n"
-        "    out = contract(cycle, k)\n"
-        "    entries = (out.cycle.entries[0] + 1,) + out.cycle.entries[1:]\n"
-        "    return replace(out, cycle=Cycle(Z, entries))\n"
-        "reduction._CONTRACT[2] = wrong\n"
+        "contract = reduction._merge_zero\n"
+        "def wrong(entries, k):\n"
+        "    out = contract(entries, k)\n"
+        "    return (out[0] + 1,) + out[1:]\n"
+        "reduction._merge_zero = wrong\n"
         "reduction.reduce_to_base(Cycle(Z, (-1, 0, 0, -1, -1)))\n",
         "RuntimeError: case T2 at (2,) gave (0, 1, 1), not a quiddity cycle"),
     "a contraction with a wrong entry outside its window": (
-        "from dataclasses import replace\n"
         "from quiddity import reduction\n"
         "from quiddity.cycles import Cycle\n"
         "from quiddity.rings import Z\n"
-        "contract = reduction._CONTRACT[1]\n"
-        "def wrong(cycle, k):\n"
-        "    out = contract(cycle, k)\n"
-        "    entries = out.cycle.entries[:2] + (out.cycle.entries[2] + 1,) + out.cycle.entries[3:]\n"
-        "    return replace(out, cycle=Cycle(Z, entries))\n"
-        "reduction._CONTRACT[1] = wrong\n"
+        "contract = reduction._drop_unit\n"
+        "def wrong(entries, k, s):\n"
+        "    out = contract(entries, k, s)\n"
+        "    return out[:2] + (out[2] + 1,) + out[3:] if s == 1 else out\n"
+        "reduction._drop_unit = wrong\n"
         "reduction.reduce_to_base(Cycle(Z, (1, 4, 1, 2, 2, 2)))\n",
         "RuntimeError: case T1 at (1,) gave (3, 1, 3, 2, 1), not a quiddity cycle"),
     "a labelling stage that does not negate": (

@@ -29,6 +29,8 @@ from quiddity.errors import (
 from quiddity.rings import GaussianRational, Q, Qi, Z
 from quiddity.transforms import (
     SignedCycle,
+    _drop_unit,
+    _merge_zero,
     conjugate_diag,
     contract_minus_one,
     contract_one,
@@ -368,3 +370,23 @@ def test_scale_alternating_on_length_four_quiddity():
     out = scale_alternating(c, Fraction(3))
     assert out.entries == (Fraction(3), Fraction(2, 3), Fraction(3), Fraction(2, 3))
     assert is_quiddity(out)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, Qi], ids=lambda r: r.tag)
+def test_contractions_build_with_the_reduction_tuple_helpers(ring):
+    # contract_one, contract_minus_one and contract_zero build their cycles
+    # with the tuple helpers that the integer reduction loop contracts with,
+    # at windows wrapping past position 1 and past position m and inside
+    rng = random.Random(41)
+    m = 6
+    for k in (1, m, 3):
+        for s, contract in ((1, contract_one), (-1, contract_minus_one), (0, contract_zero)):
+            ints = [rng.randint(-5, 5) for _ in range(m)]
+            ints[k - 1] = s
+            entries = tuple(ring.from_int(x) for x in ints)
+            out = contract(Cycle(ring, entries), k).cycle.entries
+            if s:
+                helper, on_ints = _drop_unit(entries, k, ring.from_int(s)), _drop_unit(tuple(ints), k, s)
+            else:
+                helper, on_ints = _merge_zero(entries, k), _merge_zero(tuple(ints), k)
+            assert out == helper == tuple(ring.from_int(x) for x in on_ints), (k, s)
