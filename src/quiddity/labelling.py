@@ -53,10 +53,15 @@ vertices k-1..k+2.
 A `Labelling` cannot change: its labels are a read-only view of the dict
 that was checked.  So it owns the facts of its admissibility, its square
 partition and its numbers of negative and zero labels, as the cached
-`_facts`, computed on first read.  A reduction step derives its result's
-labels, diagonals and facts from its input's, at the cost of the step, so
-a chain of steps checks each labelling in full at most once and walks no
-triangulation.
+`_facts`, computed on first read.  A reduction step finds its block by
+lookup, each vertex's ear triangle from vertex 1 on: the first ear
+labelled 1 decides the step alone, and the square windows and the ears
+labelled -1 are read only when no ear is labelled 1.  It derives its
+result's labels, diagonals and facts from its input's less the removed
+block, so a chain of steps checks each labelling in full at most once and
+walks no triangulation.  Renumbering the m' kept triangles and chords is
+its one pass over all of them, so a step costs O(m') and a chain to the
+2-gon O(m^2).
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from quiddity.errors import (
     UnsupportedRingError,
     UsageError,
 )
-from quiddity.reduction import _ENTRY, _NEGATES, _choose_case, _reduce_entries
+from quiddity.reduction import _NEGATES, _choose_case, _reduce_entries
 from quiddity.rings import Z, _check_int
 
 __all__ = [
@@ -583,6 +588,18 @@ def _square_windows(partition: list, m: int) -> dict:
     return windows
 
 
+def _ears(m: int):
+    """Each vertex k of an m-gon, m >= 4, with the one triangle that makes
+    it an ear, a vertex in a single triangle: (k-1, k, k+1), or (1, 2, m)
+    for vertex 1 and (1, m-1, m) for vertex m.  Both polygon sides at k
+    border that triangle, so k is an ear exactly when the triangulation
+    has it."""
+    yield 1, (1, 2, m)
+    for k in range(2, m):
+        yield k, (k - 1, k, k + 1)
+    yield m, (1, m - 1, m)
+
+
 def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     """One combinatorial reduction case, chosen by fixed priority
     TC0 > TC1 > TC2 > TC3 > TC4 > TC5 with minimal indices.
@@ -593,20 +610,26 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     squares; remove two separated -1 ears.  One case always applies on
     admissible input.
 
-    The input must be admissible by its `_facts`: computed on first read
-    for a labelling built by hand, and known already for one that
+    The block is found by lookup: each vertex's ear triangle (`_ears`)
+    from vertex 1 on, until the first ear labelled 1, which decides the
+    case alone (`_choose_case`); the removable squares (`_square_windows`)
+    and the ears labelled -1 are read only when no ear is labelled 1.  The
+    input must be admissible by its `_facts`: computed on first read for a
+    labelling built by hand, and known already for one that
     `labelling_from_cycle` or a step returned.  `after` is derived from the
-    input: the surviving vertices are renumbered once, in order, so each
-    triple and the sorted partition stay sorted; its diagonals are the
-    input's less those that the removed triangles border.  Its square
-    partition is the input's less the removed squares and its label counts
-    are the input's less the removed labels, negated with the labels in
-    cases 2 and 3.  The checks are local and raise, also under
-    `python -O`: each removed block is an ear labelled as its case says or
-    a partition pair at a window, the m' - 2 labelled triangles and m' - 3
-    diagonals of an m'-gon are left, and condition (ii) holds from the
-    counts.  `after` has its `_facts` set; like every `Triangulation`, its
-    triangulation stores only its size and diagonals.
+    input less the removed block: a copy of its labels less the removed
+    triangles, its diagonals less their sides, its square partition less
+    the removed squares and its label counts less the removed labels,
+    negated with the labels in cases 2 and 3.  The surviving vertices are
+    renumbered once, in order, so each triple and the sorted partition stay
+    sorted.  That renumbering of the m' kept triangles and chords is the
+    one pass of a step over all of them in Python, so a step costs O(m')
+    and a chain down to the 2-gon O(m^2).  The checks are local and raise,
+    also under `python -O`: each removed block is an ear labelled as its
+    case says or a partition pair at a window, the m' - 2 labelled
+    triangles and m' - 3 diagonals of an m'-gon are left, and condition
+    (ii) holds from the counts.  `after` has its `_facts` set; like every
+    `Triangulation`, its triangulation stores only its size and diagonals.
     """
     if not is_admissible(lab):
         raise InvalidLabellingError("labelling is not admissible")
@@ -616,55 +639,44 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
         return LabellingStep("TC0", (), lab, lab)
 
     labels = lab.labels
-    # an ear, a vertex in one triangle, is the middle corner of a triangle
-    # over a side of length 2, or vertex 1 of (1, 2, m) or m of (1, m-1, m)
-    ears = {}
-    for t in labels:
-        a, c, b = t
-        if b - a == 2:
-            ears[c] = t
-        elif b - a == m - 1:
-            if c == 2:
-                ears[1] = t
-            if c == m - 1:
-                ears[m] = t
-    windows = _square_windows(partition, m)
-    # _first_separated_pair skips the pair (1, m), which admissible input
-    # never holds: both ears, or both squares, would hold the one triangle
-    # on the boundary edge (m, 1)
-    chosen = _choose_case(m, sorted(k for k, t in ears.items() if labels[t] == 1),
-                          sorted(windows),
-                          sorted(k for k, t in ears.items() if labels[t] == -1))
-    if chosen is None:
-        raise RuntimeError("no case applies; contradicts the combinatorial theorem")
-    case, indices = chosen
+    for k, t in _ears(m):
+        if labels.get(t) == 1:
+            case, indices, blocks = 1, (k,), {k: (t,)}
+            break
+    else:
+        windows = _square_windows(partition, m)
+        minus = {k: (t,) for k, t in _ears(m) if labels.get(t) == -1}
+        # _first_separated_pair skips the pair (1, m), which admissible input
+        # never holds: both ears, or both squares, would hold the one triangle
+        # on the boundary edge (m, 1)
+        chosen = _choose_case(m, (), sorted(windows), list(minus))
+        if chosen is None:
+            raise RuntimeError("no case applies; contradicts the combinatorial theorem")
+        case, indices = chosen
+        blocks = windows if case in (2, 4) else minus
     # Cases 2 and 4 remove the squares at windows k, on vertices k-1 .. k+2:
     # both triangles and the two middle vertices.  The others remove ear k
     # and its triangle.
     removed, gone = set(), set()
     for k in indices:
-        if case in (2, 4):
-            block = windows.get(k, ())
-            removed |= {k, k % m + 1}
-        else:
-            t = ears.get(k)
-            block = (t,) if labels.get(t) == _ENTRY[case] else ()
-            removed.add(k)
+        block = blocks.get(k)
         if not block:
             raise RuntimeError(f"case TC{case} at {indices} finds no block at {k}")
         gone.update(block)
+        removed |= {k, k % m + 1} if case in (2, 4) else {k}
 
     # The input less the removed triangles and the chords they border: a
     # removed vertex lies in removed triangles only, and a kept chord whose
     # ends become neighbours is the outer side of a removed block.
     kept_labels = labels.copy()
-    kept_diagonals = set(lab.triangulation.diagonals)
+    sides = set()
     for t in gone:
         x = kept_labels.pop(t)
         negative -= x < 0
         zero -= x == 0
         a, c, b = t
-        kept_diagonals.difference_update(((a, c), (c, b), (a, b)))
+        sides.update(((a, c), (c, b), (a, b)))
+    kept_diagonals = lab.triangulation.diagonals.difference(sides)
     # new[v]: the number of surviving vertex v; None for a removed one
     new, start = [], 0
     for shift, v in enumerate(sorted(removed)):
@@ -674,17 +686,19 @@ def reduce_labelling_step(lab: Labelling) -> LabellingStep:
     size = m - len(removed)
     new += range(start - len(removed), size + 1)
 
-    sign = -1 if case in _NEGATES else 1
-    after_labels = {(new[a], new[c], new[b]): sign * x for (a, c, b), x in kept_labels.items()}
+    if case in _NEGATES:
+        after_labels = {(new[a], new[c], new[b]): -x for (a, c, b), x in kept_labels.items()}
+        negative = size - 2 - zero - negative
+    else:
+        after_labels = {(new[a], new[c], new[b]): x for (a, c, b), x in kept_labels.items()}
     diagonals = frozenset([(new[i], new[j]) for i, j in kept_diagonals])
     pairs = [((new[a], new[c], new[b]), (new[d], new[e], new[f]))
              for (a, c, b), (d, e, f) in partition if (a, c, b) not in gone]
-    if sign < 0:
-        negative = size - 2 - zero - negative
     if (len(after_labels) != size - 2 or len(diagonals) != max(size - 3, 0)
             or not _sign_holds(negative, zero)):
         raise RuntimeError(f"case TC{case} at {indices} left an inadmissible labelling")
     tri = _prechecked(Triangulation, m=size, diagonals=diagonals)
     after = _prechecked(Labelling, triangulation=tri, labels=MappingProxyType(after_labels),
                         _facts=(pairs, negative, zero))
-    return LabellingStep(f"TC{case}", indices, lab, after)
+    return _prechecked(LabellingStep, case_tag=f"TC{case}", indices=indices, before=lab,
+                       after=after)

@@ -644,6 +644,80 @@ def test_labelling_steps_match_a_reference_step(glued_cycle):
     assert tags == {"TC1", "TC2", "TC3", "TC4", "TC5"}
 
 
+def random_triangulation(rng: random.Random, m: int) -> Triangulation:
+    """A random triangulation of the m-gon, cut by random splits from the
+    side (1, m) on."""
+    diagonals, stack = set(), [(1, m)]
+    while stack:
+        a, b = stack.pop()
+        c = rng.randrange(a + 1, b)
+        for side in ((a, c), (c, b)):
+            if side[1] - side[0] >= 2:
+                diagonals.add(side)
+                stack.append(side)
+    return Triangulation(m, diagonals)
+
+
+def random_admissible_labelling(rng: random.Random, m: int) -> Labelling:
+    """A random admissible labelling of a random triangulation of the m-gon,
+    built by hand with `Labelling`: labels +-1 and squares x, -x (x = 0
+    included) on triangles adjacent in the dual tree, the sign condition
+    met by flipping one +-1 label."""
+    while True:
+        tri = random_triangulation(rng, m)
+        walk, parent = tri._dual
+        p_square, p_one = rng.random(), rng.random()
+        labels = {}
+        for t in reversed(walk):
+            up = parent[t]
+            if t in labels:
+                continue
+            if up is not None and up not in labels and rng.random() < p_square:
+                x = rng.choice((-3, -2, 0, 0, 2, 3))
+                labels[t], labels[up] = x, -x
+            else:
+                labels[t] = 1 if rng.random() < p_one else -1
+        values = list(labels.values())
+        if (sum(x < 0 for x in values) + values.count(0) // 2) % 2:
+            units = [t for t, x in labels.items() if x in (1, -1)]
+            if not units:
+                continue
+            t = rng.choice(units)
+            labels[t] = -labels[t]
+        lab = Labelling(tri, labels)
+        assert "_facts" not in vars(lab) and is_admissible(lab)
+        return lab
+
+
+def test_steps_on_hand_built_labellings_match_a_reference_step():
+    rng = random.Random(35)
+    tags = set()
+    for _ in range(300):
+        lab = random_admissible_labelling(rng, rng.randrange(4, 25))
+        while lab.m >= 4:
+            step = reduce_labelling_step(lab)
+            assert (step.case_tag, step.indices, step.after) == reference_step(lab)
+            tags.add(step.case_tag)
+            lab = step.after
+            if rng.random() < 0.5:
+                lab = Labelling(lab.triangulation, dict(lab.labels))
+    assert tags == {"TC1", "TC2", "TC3", "TC4", "TC5"}
+
+
+def test_an_ear_labelled_1_steps_without_reading_the_squares(monkeypatch):
+    def no_windows(partition, m):
+        raise AssertionError("the square windows were read")
+
+    monkeypatch.setattr(labelling, "_square_windows", no_windows)
+    tri = random_triangulation(random.Random(40), 40)
+    steps = reduce_labelling_fully(Labelling(tri, dict.fromkeys(tri.triangles, 1)))
+    assert [s.case_tag for s in steps] == ["TC1"] * 37 + ["TC0"]
+    for m, labels, want in EARS_AT_THE_WRAP:
+        if want[0] == "TC1":
+            step = reduce_labelling_step(_from_triangles(m, labels))
+            assert (step.case_tag, step.indices) == want
+
+
 def test_labels_are_read_only(glued_cycle):
     tri = Triangulation(4, {(1, 3)})
     by_hand = Labelling(tri, {(1, 2, 3): 1, (1, 3, 4): 1})
