@@ -6,7 +6,7 @@ import sys
 import types
 from pathlib import Path
 
-from quiddity.rings import GaussianRational, GaussianRationalField
+from quiddity.rings import CycloElement, GaussianRational, GaussianRationalField
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,6 +35,7 @@ def test_traced_names_exist():
 
 
 def test_traced_methods_are_plain_functions():
-    # the fields tracer wraps these two by name on their classes
-    for cls, name in ((GaussianRational, "__mul__"), (GaussianRationalField, "exact_div")):
+    # the fields tracer wraps these three by name on their classes
+    for cls, name in ((GaussianRational, "__mul__"), (GaussianRationalField, "exact_div"),
+                      (CycloElement, "__mul__")):
         assert isinstance(cls.__dict__.get(name), types.FunctionType), (cls, name)

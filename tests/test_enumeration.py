@@ -779,6 +779,20 @@ def test_unit_family_over_fifth_cyclotomic():
         assert cyc.entry(5) * cyc.entry(6) == ring.from_int(2)
 
 
+def test_cyclotomic_unit_families_are_pinned():
+    # SHA-256 of every member of unit_family(Cyclotomic(d), n, 10), written
+    # as "t:e1,e2,..." through str, over d in {5, 7, 8, 9, 12, 15} and
+    # n = 1-6: the arithmetic of Z[zeta_d] may change, these outputs not
+    digest = hashlib.sha256()
+    for d in (5, 7, 8, 9, 12, 15):
+        for n in range(1, 7):
+            for t, cyc in unit_family(Cyclotomic(d), n, 10):
+                line = str(t) + ":" + ",".join(str(e) for e in cyc.entries) + "\n"
+                digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "1c1a0f7d72d918124ddff8e6d23e4f5ee12e00263110722a0944ca37932127f7")
+
+
 def test_unit_family_over_gaussian_rationals_is_pinned():
     members = [(str(t), [str(c) for c in cyc.entries]) for t, cyc in unit_family(Qi, 2, 3)]
     assert members == [("-i", ["1-i", "1", "1+2i", "-i", "2i"]),

@@ -239,6 +239,34 @@ def test_rings_survive_pickle_and_deepcopy(ring):
     assert copy.copy(ring) is ring
 
 
+def test_cyclotomic_elements_of_different_index_do_not_combine():
+    a = Cyclotomic(5).element_from_json([1, 2, 3, 4])
+    b = Cyclotomic(7).element_from_json([1, 2, 3, 4, 5, 6])
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        for x, y in ((a, b), (b, a), (a, 2), (2, a), (a, Zi.one), (a, Fraction(1))):
+            with pytest.raises(TypeError):
+                op(x, y)
+    assert a != b and a != 1 and Cyclotomic(5).one != Cyclotomic(7).one
+    # equal indices combine whether or not the ring objects are one
+    fresh = rings.CyclotomicRing(5)
+    assert fresh.one + a == Cyclotomic(5).one + a
+    assert fresh.zeta * a == Cyclotomic(5).zeta * a and fresh.zeta == Cyclotomic(5).zeta
+
+
+@pytest.mark.parametrize("coeffs", [[1.5], [True], "12", [1, None], 5, [Fraction(1)]])
+def test_cyclotomic_element_takes_only_int_coefficients(coeffs):
+    with pytest.raises(UsageError):
+        rings.CycloElement(Cyclotomic(5), coeffs)
+
+
+def test_cyclotomic_element_folds_high_powers():
+    ring = Cyclotomic(5)
+    assert rings.CycloElement(ring, [0, 0, 0, 0, 1]).coeffs == (-1, -1, -1, -1)
+    assert rings.CycloElement(ring, [7] + [0] * 10 + [1]).coeffs == (7, 1, 0, 0)
+    with pytest.raises(UsageError):
+        rings.CycloElement(Zi, [1])
+
+
 def test_check_element_rejects_impostors():
     with pytest.raises(UsageError):
         Z.check_element(True)
@@ -335,6 +363,42 @@ def test_cyclotomic_polynomials_multiply_to_x_power_minus_one():
             if d % e == 0:
                 prod = _poly_product(prod, _cyclotomic_poly(e))
         assert prod == [-1] + [0] * (d - 1) + [1]
+
+
+def _poly_mod_monic(p, m):
+    """The remainder of p by the monic polynomial m, by long division."""
+    p, k = list(p), len(m) - 1
+    while len(p) > k:
+        c = p.pop()
+        for i in range(k):
+            p[len(p) - k + i] -= c * m[i]
+    return p + [0] * (k - len(p))
+
+
+@pytest.mark.parametrize("d", [d for d in range(5, 41) if d != 6] + [105, 199, 200])
+def test_cyclotomic_product_matches_polynomial_reference(d):
+    # Phi_105 has a coefficient -2; 199 and 200 are the largest indices served
+    ring = Cyclotomic(d)
+    phi = ring.phi
+    rng = random.Random(4400 + d)
+
+    def element():
+        # dense ones up to d = 40; a few terms above, where each exact_div
+        # takes the product of phi - 1 conjugates
+        terms = phi if d <= 40 else 3
+        coeffs = [0] * phi
+        for i in rng.sample(range(phi), terms):
+            coeffs[i] = rng.randint(-3, 3)
+        return ring.element_from_json(coeffs)
+
+    pairs = [(element(), element()) for _ in range(4 if d <= 40 else 1)]
+    pairs.append((ring.zeta, ring.element_from_json([0] * (phi - 1) + [1])))
+    for x, y in pairs:
+        prod = x * y
+        assert list(prod.coeffs) == _poly_mod_monic(
+            _poly_product(x.coeffs, y.coeffs), _cyclotomic_poly(d))
+        if any(y.coeffs):
+            assert ring.exact_div(prod, y) == x
 
 
 def _solve_by_multiplication_matrix(ring, x, y):
