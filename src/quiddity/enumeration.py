@@ -11,11 +11,29 @@ rotation or reflection) is searched for: the first entry is fixed to the
 cycle's least one, which has norm below 4, and later entries range only
 over candidates at least as large.  The kernel tests each completion for
 that least form itself and returns the survivors with their orbit sizes.
+
+A second group G acts on the orbits.  Complex conjugation, applied to
+every entry, is a ring automorphism, so it keeps a cycle nonzero; when the
+length m is even, so does the twist by a unit u, which multiplies the
+entries at even positions by u and those at odd positions by 1/u
+(`transforms.scale_alternating`).  G is the conjugation and, for even m,
+the twists, composed either way: 2 maps for odd m, 2 per unit for even m
+(over Z, conjugation is the identity).  A first entry that some map sends
+to a smaller candidate starts no task: a cycle through it has an image
+with a smaller least entry, so every G-orbit has a cycle whose least entry
+is the least of its class under G, and the kept tasks find that cycle.
+The canonical cycles the kernel returns are then mapped through every map
+of G, as permutations of the candidate ranks at even and at odd positions,
+and each image's canonical form and orbit size are read off its dihedral
+orbit.  That gives the canonical cycle of every orbit, exactly as the
+search over all first entries would.
+
 This module prepares the candidate set, splits the search into one
-independent task per first entry, merges their canonical cycles, and
-expands each orbit when every cycle is asked for.  It also builds the
-one-parameter family of cycles indexed by divisors of 2, which exists over
-every ring where 2 has infinitely many divisors.
+independent task per kept first entry, merges their canonical cycles with
+those of their images under G, and expands each orbit when every cycle is
+asked for.  It also builds the one-parameter family of cycles indexed by
+divisors of 2, which exists over every ring where 2 has infinitely many
+divisors.
 """
 
 from __future__ import annotations
@@ -28,7 +46,7 @@ from quiddity.bounds import candidate_entries
 from quiddity.cycles import Cycle
 from quiddity.errors import NotRepresentableError, UnsupportedRingError, UsageError
 from quiddity.frieze import frieze_from_cycle, is_nonzero
-from quiddity.rings import Ring, _check_int, divisors_of_two
+from quiddity.rings import Ring, _check_int, divisors_of_two, pair_conj, pair_mul, pair_norm
 
 __all__ = [
     "EnumerationResult",
@@ -64,7 +82,8 @@ def _canonical_tasks(ring: Ring, elems: list, pairs: list) -> list:
     over the candidates of norm below 4, which lead the norm-first order,
     and every later choice, the second entry included, is made by the
     kernel from the suffix elems[i:].  The kernel skips a second entry with
-    c1 * c2 = 1, as it skips every neighbour's inverse.
+    c1 * c2 = 1, as it skips every neighbour's inverse.  `_search_orbits`
+    runs only the tasks whose first entry is the least of its class under G.
     """
     tasks = []
     for i, c1 in enumerate(elems):
@@ -72,6 +91,31 @@ def _canonical_tasks(ring: Ring, elems: list, pairs: list) -> list:
             break
         tasks.append(((pairs[i],), i))
     return tasks
+
+
+def _symmetry_maps(ring: Ring, n: int, pairs: list) -> list:
+    """The maps of G on cycles of candidates other than the identity, each
+    as a pair of permutations of the candidate ranks: the one at even
+    positions and the one at odd positions.
+
+    A map is x -> u * x or u * conj(x) at even positions and the same with
+    1/u = conj(u) at odd ones, u a unit when n + 3 is even and u = 1 when
+    it is odd.  Both keep the norm, so the candidates, every element up to
+    a norm bound, map onto themselves.
+    """
+    t = ring.t
+    rank = {p: i for i, p in enumerate(pairs)}
+    units = [u for u in pairs if pair_norm(t, u) == 1] if (n + 3) % 2 == 0 else [(1, 0)]
+    scale = {u: [rank[pair_mul(t, u, p)] for p in pairs] for u in units}
+    conj = [rank[pair_conj(t, p)] for p in pairs]
+    maps = set()
+    for u, even in scale.items():
+        odd = scale[pair_conj(t, u)]
+        maps.add((tuple(even), tuple(odd)))
+        maps.add((tuple([even[k] for k in conj]), tuple([odd[k] for k in conj])))
+    identity = tuple(range(len(pairs)))
+    maps.discard((identity, identity))
+    return list(maps)
 
 
 def _run_task(args):
@@ -99,8 +143,10 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
     lie in it and that are the least of their rotations and reflections,
     with positions in the suffix; adding i gives the indices.  The result
     is sorted and independent of the number of workers, and no more workers
-    start than there are tasks, one per first entry; `jobs` must be at
-    least 1.
+    start than there are tasks, one per first entry that no map of G sends
+    to a smaller candidate; `jobs` must be at least 1.  The canonical cycles
+    of the other orbits are the canonical forms of the G-images of those
+    the tasks find.
     """
     if not ring.is_discrete:
         raise UnsupportedRingError(f"{ring.tag} is not discrete")
@@ -112,7 +158,9 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    tasks = _canonical_tasks(ring, elems, pairs)
+    maps = _symmetry_maps(ring, n, pairs)
+    tasks = [(prefix, i) for prefix, i in _canonical_tasks(ring, elems, pairs)
+             if all(even[i] >= i for even, _ in maps)]
     argl = [(ring.t, n, prefix, pairs[i:]) for prefix, i in tasks]
     workers = min(jobs, len(argl))
     try:
@@ -121,12 +169,24 @@ def _search_orbits(ring: Ring, n: int, jobs: int = 1):
         else:
             with get_context("fork").Pool(workers) as pool:
                 chunks = pool.map(_run_task, argl, chunksize=1)
-        canonical = sorted((tuple([i + k for k in key]), size)
-                           for (_, i), chunk in zip(tasks, chunks) for key, size in chunk)
+        found = [(tuple([i + k for k in key]), size)
+                 for (_, i), chunk in zip(tasks, chunks) for key, size in chunk]
     finally:
         # the pure kernel's ball and memo serve this enumeration's tasks only
         _pure._factor_pairs.cache_clear()
-    return elems, canonical
+    sizes = {}
+    for key, size in found:
+        if key in sizes:
+            continue  # its G-orbit is expanded already
+        sizes[key] = size
+        evens, odds = key[::2], key[1::2]
+        image = list(key)
+        for even, odd in maps:
+            image[::2] = [even[k] for k in evens]
+            image[1::2] = [odd[k] for k in odds]
+            orbit = _orbit(tuple(image))
+            sizes[min(orbit)] = len(orbit)
+    return elems, sorted(sizes.items())
 
 
 def enumerate_nonzero(ring: Ring, n: int, jobs: int = 1) -> list:

@@ -460,6 +460,12 @@ class Ring:
         raise UnsupportedRingError(f"{self.tag} has no pair encoding")
 
 
+def _not_elements(ring: Ring, x, y) -> UsageError:
+    """The error of an `exact_div` given anything but two of the ring's
+    elements, which it takes as they are, with no conversion."""
+    return UsageError(f"exact_div needs two elements of {ring.tag}, got {x!r} and {y!r}")
+
+
 class IntegerRing(Ring):
     tag = "Z"
     is_discrete = True
@@ -483,6 +489,8 @@ class IntegerRing(Ring):
         return (x * x, x, 0)
 
     def exact_div(self, x: int, y: int):
+        if type(x) is not int or type(y) is not int:
+            raise _not_elements(self, x, y)
         if y == 0 or x % y != 0:
             return None
         return x // y
@@ -522,6 +530,8 @@ class RationalField(Ring):
         return (x * x, x, 0)
 
     def exact_div(self, x: Fraction, y: Fraction):
+        if type(x) is not Fraction or type(y) is not Fraction:
+            raise _not_elements(self, x, y)
         if y == 0:
             return None
         return x / y
@@ -596,6 +606,8 @@ class PairIntegerRing(Ring):
         return (x.norm(), 2 * x._a + self.t * x._b, x._b)
 
     def exact_div(self, x, y):
+        if type(x) is not self.element or type(y) is not self.element:
+            raise _not_elements(self, x, y)
         q = pair_div(self.t, (x._a, x._b), (y._a, y._b))
         return None if q is None else self.element(*q)
 
@@ -636,6 +648,8 @@ class GaussianRationalField(Ring):
         return (x.norm(), x.re, x.im)
 
     def exact_div(self, x: GaussianRational, y: GaussianRational):
+        if type(x) is not GaussianRational or type(y) is not GaussianRational:
+            raise _not_elements(self, x, y)
         if not (y._a or y._b):
             return None
         return x._over(y)
@@ -687,6 +701,9 @@ class CyclotomicRing(Ring):
         return x
 
     def exact_div(self, x: CycloElement, y: CycloElement):
+        if (type(x) is not CycloElement or type(y) is not CycloElement
+                or x.ring.d != self.d or y.ring.d != self.d):
+            raise _not_elements(self, x, y)
         # r is the product of the sigma_k(y), so y * r is the norm N(y), not 0 for y != 0
         d, phi, table = self.d, self.phi, self._pow
         terms = [(j, c) for j, c in enumerate(y.coeffs) if c]

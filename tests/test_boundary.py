@@ -21,6 +21,9 @@ from quiddity.errors import UsageError
 from quiddity.frieze import FriezeWindow, frieze_from_cycle
 from quiddity.labelling import cc_quiddity, enumerate_triangulations
 from quiddity.rings import (
+    Cyclotomic,
+    Q,
+    Qi,
     Z,
     Zi,
     Zzeta6,
@@ -216,6 +219,14 @@ USAGE_ERRORS = {
     "short conjugation window": lambda: conjugate_diag(Z, (1, 2), 1),
     "long conjugation window": lambda: conjugate_diag(Z, (1, 2, 3, 4), 1),
     "conjugation window of an int": lambda: conjugate_diag(Z, 5, 1),
+    # exact_div takes two of the ring's elements as they are; Q once
+    # returned the float 0.5 here and Z returned None for a float
+    "exact_div of ints over Zi": lambda: Zi.exact_div(1, 2),
+    "exact_div of ints over Qi": lambda: Qi.exact_div(1, 2),
+    "exact_div across cyclotomic rings": lambda: Cyclotomic(5).exact_div(Cyclotomic(7).one,
+                                                                         Cyclotomic(5).one),
+    "exact_div of ints over Q": lambda: Q.exact_div(1, 2),
+    "exact_div of a float over Z": lambda: Z.exact_div(1.5, 1),
 }
 
 

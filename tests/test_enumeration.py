@@ -40,6 +40,7 @@ from quiddity.frieze import frieze_from_cycle, is_nonzero
 from quiddity.jsonio import dumps, result_to_json
 from quiddity.labelling import cc_quiddity, enumerate_triangulations
 from quiddity.rings import Cyclotomic, Q, Qi, Z, Zi, Zzeta6
+from quiddity.transforms import scale_alternating
 
 
 def naive_nonzero(ring, n):
@@ -598,7 +599,63 @@ def test_enumeration_frees_the_kernel_memo(monkeypatch):
     assert _kernel._factor_pairs.cache_info().currsize == 0
 
 
-@pytest.mark.parametrize("ring,n", [(Z, 1), (Zi, 1), (Z, 5)])
+def record_tasks(monkeypatch):
+    """The list, filled as the enumeration goes, of the search tasks it runs
+    in this process."""
+    run = []
+    task = enumeration._run_task
+
+    def recorded(args):
+        run.append(args)
+        return task(args)
+
+    monkeypatch.setattr(enumeration, "_run_task", recorded)
+    return run
+
+
+# tasks run per cell, (even m, odd m): one per first entry of norm below 4
+# that no conjugation or unit twist sends to a smaller candidate
+KEPT_TASKS = {"Z": (1, 2), "Zi": (2, 5), "Zzeta6": (2, 7)}
+
+
+def kept_tasks(ring, n):
+    return KEPT_TASKS[ring.tag][(n + 3) % 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ring", [Z, Zi, Zzeta6])
+def test_one_task_per_first_entry_class(ring, n, monkeypatch):
+    run = record_tasks(monkeypatch)
+    count_nonzero(ring, n)
+    assert len(run) == kept_tasks(ring, n)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, id=f"{row['ring']}:{row['height']}") for row in CELLS
+    if row["ring"] != "Z" or (row["height"] + 3) % 2 == 0])
+def test_cells_are_closed_under_conjugation_and_unit_twists(row, request, monkeypatch):
+    # The group the enumeration expands its tasks' cycles by, built from
+    # public calls only: entrywise conjugation over Z[i] and Z[w], and for
+    # even m the twist by every unit (over Z at odd m the group is trivial).
+    # The image of each representative is a rotation or reflection of a
+    # representative, that is, its canonical form is one.  A twist by u
+    # after a rotation or reflection is that symmetry after the twist by u
+    # or 1/u, so the whole cell is closed.
+    search_on(row["kernels"][0], request, monkeypatch)
+    ring, n = RINGS[row["ring"]], row["height"]
+    reps = count_nonzero(ring, n).representatives
+    closed = {v for rep in reps for v in dihedral_images(rep.entries)}
+    maps = [] if ring is Z else [lambda c: Cycle(ring, [x.conjugate() for x in c.entries])]
+    if (n + 3) % 2 == 0:
+        units = [x for x in candidate_entries(ring, 1) if ring.norm_sq(x) == 1]
+        assert len(units) == {"Z": 2, "Zi": 4, "Zzeta6": 6}[ring.tag]
+        maps += [lambda c, u=u: scale_alternating(c, u) for u in units]
+    for rep in reps:
+        for g in maps:
+            assert g(rep).entries in closed, rep
+
+
+@pytest.mark.parametrize("ring,n", [(Z, 1), (Zi, 1), (Z, 5), (Zi, 2)])
 def test_jobs_never_exceed_tasks(ring, n, monkeypatch):
     sizes = []
 
@@ -619,14 +676,17 @@ def test_jobs_never_exceed_tasks(ring, n, monkeypatch):
 
     monkeypatch.setattr(enumeration, "get_context",
                         lambda method: SimpleNamespace(Pool=SerialPool))
-    elems = candidate_entries(ring, n)
-    tasks = len(enumeration._canonical_tasks(ring, elems, [ring.to_pair(x) for x in elems]))
+    run = record_tasks(monkeypatch)
     serial = enumerate_nonzero(ring, n, jobs=1)
+    tasks = len(run)
+    assert tasks == kept_tasks(ring, n)
     assert sizes == []
     assert enumerate_nonzero(ring, n, jobs=2) == serial
     assert enumerate_nonzero(ring, n, jobs=tasks + 6) == serial
     assert count_nonzero(ring, n, jobs=tasks + 6) == count_nonzero(ring, n, jobs=1)
-    assert sizes == [2, tasks, tasks]
+    assert len(run) == 5 * tasks
+    # a single task runs in this process, with no pool
+    assert sizes == [size for size in (min(2, tasks), tasks, tasks) if size > 1]
 
 
 def test_height_above_kernel_depth_is_a_usage_error(monkeypatch):
