@@ -462,7 +462,12 @@ class Ring:
 
 def _not_elements(ring: Ring, x, y) -> UsageError:
     """The error of an `exact_div` given anything but two of the ring's
-    elements, which it takes as they are, with no conversion."""
+    elements, which it takes as they are, with no conversion.
+
+    Each `exact_div` tests its operands with isinstance against the type its
+    `check_element` returns, so whatever `check_element` passes through, a
+    subclass of int or Fraction included, `exact_div` accepts too.
+    """
     return UsageError(f"exact_div needs two elements of {ring.tag}, got {x!r} and {y!r}")
 
 
@@ -489,7 +494,7 @@ class IntegerRing(Ring):
         return (x * x, x, 0)
 
     def exact_div(self, x: int, y: int):
-        if type(x) is not int or type(y) is not int:
+        if not isinstance(x, int) or not isinstance(y, int):
             raise _not_elements(self, x, y)
         if y == 0 or x % y != 0:
             return None
@@ -530,7 +535,7 @@ class RationalField(Ring):
         return (x * x, x, 0)
 
     def exact_div(self, x: Fraction, y: Fraction):
-        if type(x) is not Fraction or type(y) is not Fraction:
+        if not isinstance(x, Fraction) or not isinstance(y, Fraction):
             raise _not_elements(self, x, y)
         if y == 0:
             return None
@@ -606,7 +611,7 @@ class PairIntegerRing(Ring):
         return (x.norm(), 2 * x._a + self.t * x._b, x._b)
 
     def exact_div(self, x, y):
-        if type(x) is not self.element or type(y) is not self.element:
+        if not isinstance(x, self.element) or not isinstance(y, self.element):
             raise _not_elements(self, x, y)
         q = pair_div(self.t, (x._a, x._b), (y._a, y._b))
         return None if q is None else self.element(*q)
@@ -648,7 +653,7 @@ class GaussianRationalField(Ring):
         return (x.norm(), x.re, x.im)
 
     def exact_div(self, x: GaussianRational, y: GaussianRational):
-        if type(x) is not GaussianRational or type(y) is not GaussianRational:
+        if not isinstance(x, GaussianRational) or not isinstance(y, GaussianRational):
             raise _not_elements(self, x, y)
         if not (y._a or y._b):
             return None
@@ -701,7 +706,7 @@ class CyclotomicRing(Ring):
         return x
 
     def exact_div(self, x: CycloElement, y: CycloElement):
-        if (type(x) is not CycloElement or type(y) is not CycloElement
+        if (not isinstance(x, CycloElement) or not isinstance(y, CycloElement)
                 or x.ring.d != self.d or y.ring.d != self.d):
             raise _not_elements(self, x, y)
         # r is the product of the sigma_k(y), so y * r is the norm N(y), not 0 for y != 0

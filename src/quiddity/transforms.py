@@ -260,7 +260,7 @@ def conjugate_diag(ring: Ring, window, z):
     except (TypeError, ValueError):
         raise UsageError(f"the window holds three entries (a, u, b), got {window!r}") from None
     a, u, b = ring.check_element(a), ring.check_element(u), ring.check_element(b)
-    ring.check_element(z)
+    z = ring.check_element(z)
     if u == ring.zero or z == ring.zero:
         raise SingularError("u and z must be nonzero")
     z2 = z * z

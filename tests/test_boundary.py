@@ -31,7 +31,7 @@ from quiddity.rings import (
     elements_norm_at_most,
     ring_from_tag,
 )
-from quiddity.transforms import conjugate_diag
+from quiddity.transforms import conjugate_diag, rescale_lambda, scale_alternating
 
 RINGS = ("Z", "Zi", "Zzeta6", "Q", "Qi", "Zzeta5")
 BAD_TAGS = ("Moonstone", "zi", "Zzeta0", "Zzeta", "Zzeta05", "Zzeta-5", "Zzeta 5", "Zzeta201", "",
@@ -234,6 +234,27 @@ USAGE_ERRORS = {
 def test_odd_plain_arguments_raise_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+class SubInt(int):
+    pass
+
+
+class SubFraction(Fraction):
+    pass
+
+
+def test_subclass_elements_divide_like_their_base():
+    # check_element passes a subclass of int or Fraction through unchanged,
+    # so exact_div, and the transforms that divide, take it too
+    assert Z.exact_div(SubInt(6), SubInt(-3)) == -2
+    assert Q.exact_div(SubFraction(1), SubFraction(2)) == Fraction(1, 2)
+    c = Cycle(Z, tuple(SubInt(x) for x in (1, 2, 1, 2)))
+    assert scale_alternating(c, SubInt(-1)).entries == (-1, -2, -1, -2)
+    c = Cycle(Q, tuple(SubFraction(x) for x in (1, 2, 1, 2)))
+    assert scale_alternating(c, SubFraction(3)).entries == (3, Fraction(2, 3), 3, Fraction(2, 3))
+    assert rescale_lambda(c, 2, SubFraction(2)) == rescale_lambda(
+        Cycle(Q, tuple(Fraction(x) for x in (1, 2, 1, 2))), 2, Fraction(2))
 
 
 @pytest.mark.parametrize("ring", [Z, Zi, Zzeta6], ids=lambda r: r.tag)

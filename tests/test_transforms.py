@@ -360,6 +360,14 @@ def test_singular_errors():
         conjugate_diag(Q, (Fraction(1), Fraction(0), Fraction(2)), Fraction(3))
 
 
+def test_conjugate_diag_takes_an_int_z():
+    # z passes through check_element like the window, so an int is taken
+    # over the fields: a' = 1/4 + (3/4)/2 and b' = 4*3 - 3/2
+    want = (Fraction(5, 8), Fraction(2), Fraction(21, 2))
+    assert conjugate_diag(Q, (1, 2, 3), 2) == want
+    assert conjugate_diag(Qi, (1, 2, 3), 2) == tuple(GaussianRational(x) for x in want)
+
+
 def test_signed_cycle_validates_sign():
     with pytest.raises(UsageError):
         SignedCycle(Cycle(Z, (0, 0)), 2)
