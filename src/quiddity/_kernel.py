@@ -11,11 +11,10 @@ keeping the running eta-matrix product.  Extending by c sends the product
 top-left entry is a first-row frieze entry; any zero there, or any adjacent
 product equal to 1, prunes the branch.  At depth m-3 the last three entries
 are forced: position m-1 must be u = P11 and the outer two are (1 - P12)/u
-and (1 + P21)/u, which must divide exactly, stay inside the candidate norm
-bound and be candidates themselves.
+and (1 + P21)/u, which must divide exactly and be candidates themselves.
 
 Only canonical cycles are kept, as in orderly generation: an entry ranks
-by its first position in the candidate list, and a cycle survives when no
+by its position in the candidate list, and a cycle survives when no
 rotation or reflection of its ranks compares smaller.  It comes back as
 its ranks with its orbit size, 2m over the number of rotations and
 reflections that leave it unchanged.  The full cyclic window check runs
@@ -23,17 +22,19 @@ only on the canonical survivors.
 
 Every entry has norm at most the limit (n + 1)^2, the square of the entry
 bound n + 1 over a ring whose nonzero norms are at least 1
-(`bounds.quiddity_bound`).  The prefix entries are placed by the same step
-as the searched ones, each as the one choice at its position.
+(`bounds.quiddity_bound`).  The candidates are distinct nonzero elements
+of that ball and include the prefix entries, so a rank is the one test an
+entry needs.  The prefix entries are placed by the same step as the
+searched ones, each as the one choice at its position.
 
 The last two free positions are solved, not scanned.  At the last one c
 gives u = P11*c + P12 and the forced a = (1 + P11)/u, so a*u = x = 1 + P11
 whatever c is: every surviving c comes from a factor pair (a, u) of x with
 both norms within the limit, as c = (u - P12)/P11.  The pairs come from
 the ball of norms up to the limit (`rings.ball_rows`), walked grouped by
-norm; the ball holds only b = 0 elements when every prefix entry and
-candidate has b = 0, since Z is closed under the product.  With D =
-N(P11), c = (u - P12)*conj(P11)/D is exact exactly when u*conj(P11) and
+norm; the ball holds only b = 0 elements when every candidate has b = 0,
+since Z is closed under the product.  With D = N(P11), c = (u -
+P12)*conj(P11)/D is exact exactly when u*conj(P11) and
 P12*conj(P11) agree mod D in both coordinates.  So from the second query
 of a P11 on, its cofactors are indexed by that residue and the solve
 touches only the u that give an exact c; the first query scans them, as
@@ -48,32 +49,28 @@ norm radius limit^2/D (`rings._disc_rows`).  It is smaller than the ball
 exactly when D > limit; then its points are looked up among the
 candidates, and otherwise every candidate is tried.
 
-Either way the chosen c that are candidates, taken once per occurrence in
-the candidate list and in its order, go through the same step as a
-scanned one.
+Either way the chosen c that are candidates, in candidate order, go
+through the same step as a scanned one.
 
 `quiddity._speedups` is the compiled twin of this module: the same
-`search_from_prefix`, the same lists, except that the twin raises
-OverflowError where its int64 arithmetic would overflow.  `_Search` mirrors
-the twin's `search` struct and its methods are the C functions of the same
-names, with four differences that measured faster here:
+`search_from_prefix`, the same lists and the same ValueErrors, except that
+the twin raises OverflowError where its int64 arithmetic would overflow.
+`_Search` mirrors the twin's `search` struct and its methods are the C
+functions of the same names, with four differences that measured faster
+here:
 - C's `step` is inline in `extend`'s loop (a call per node cost 5-20%);
 - the factor pairs, memoised per x, are cached across the tasks of a cell
   (`enumeration` frees them when its tasks are done), where C walks its
   ball on every call;
 - a P11's cofactors are indexed by residue from its second query on;
 - `_Search` has `__slots__`.
-The candidate positions are built per task, as C's `prepare_ranks` builds
-`byval`.
-A prefix entry that is not a candidate ends a task here before it starts;
-C finds it when it ranks the entries at the tail, so the twin may raise
-OverflowError on such a task where this kernel returns [].
+The ranks are a dict built per task, as C's `prepare_ranks` fills its
+table over a box around the ball.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 from quiddity.rings import _disc_rows, ball_rows, pair_conj, pair_div, pair_mul, pair_norm
 
@@ -160,15 +157,6 @@ class _FactorPairs:
 _factor_pairs = lru_cache(maxsize=1)(_FactorPairs)
 
 
-def _positions(candidates):
-    """Each candidate's indices, all of a duplicate's, and its rank, the
-    first of them."""
-    where = {}
-    for i, cand in enumerate(candidates):
-        where.setdefault(cand, []).append(i)
-    return where, {cand: ix[0] for cand, ix in where.items()}
-
-
 def _orbit_size(key):
     # 2m over the number of rotations and reflections of `key` equal to it,
     # or 0 when one of them is smaller; only images that start with key[0]
@@ -191,27 +179,37 @@ class _Search:
     """One task's search state; `e` holds the cycle being built."""
 
     __slots__ = ("t", "m", "free", "npre", "limit", "pre", "cand", "e", "results",
-                 "pairs", "where", "rank")
+                 "pairs", "rank")
 
     def __init__(self, t, n, prefix, candidates):
         self.t, self.m, self.free, self.npre, self.limit = t, n + 3, n, len(prefix), (n + 1) ** 2
         self.pre, self.cand, self.e, self.results = prefix, candidates, [None] * (n + 3), []
-        self.where, self.rank = _positions(candidates)
+        self.prepare_ranks()
         if self.npre < n:
-            real = not any(b for _, b in chain(prefix, candidates))
-            self.pairs = _factor_pairs(t, self.limit, real)
+            self.pairs = _factor_pairs(t, self.limit, not any(b for _, b in candidates))
+
+    def prepare_ranks(self):
+        # each candidate's position, refusing the inputs outside the contract
+        t, limit, rank = self.t, self.limit, {}
+        for i, c in enumerate(self.cand):
+            if c == (0, 0):
+                raise ValueError("a candidate is zero")
+            if pair_norm(t, c) > limit:
+                raise ValueError("a candidate has norm above (n + 1)^2")
+            if rank.setdefault(c, i) != i:
+                raise ValueError("a candidate is repeated")
+        if not all(c in rank for c in self.pre):
+            raise ValueError("a prefix entry is not a candidate")
+        self.rank = rank
 
     def solve_near(self, p11, p12):
         # the candidates c whose x = 1 + p11*c + p12 has norm within limit^2,
         # the only ones whose last position can be solved, in candidate order
-        t, where, d = self.t, self.where, pair_norm(self.t, p11)
+        t, rank, d = self.t, self.rank, pair_norm(self.t, p11)
         w = pair_mul(t, (-1 - p12[0], -p12[1]), pair_conj(t, p11))
-        hits = []
-        for y, lo, hi in _disc_rows(t, w, d, self.limit * self.limit * d, self.pairs.real):
-            for x in range(lo, hi + 1):
-                hits += where.get((x, y), ())
-        hits.sort()
-        return [self.cand[i] for i in hits]
+        rows = _disc_rows(t, w, d, self.limit * self.limit * d, self.pairs.real)
+        hits = [(x, y) for y, lo, hi in rows for x in range(lo, hi + 1) if (x, y) in rank]
+        return sorted(hits, key=rank.__getitem__)
 
     def solve_last(self, p11, p12):
         # the candidates c whose u = p11*c + p12 has a ball cofactor a with
@@ -220,26 +218,25 @@ class _Search:
         us = self.pairs.congruent(p11, p12)
         if not us:
             return ()
-        t, where = self.t, self.where
+        t, rank = self.t, self.rank
         d, conj = pair_norm(t, p11), pair_conj(t, p11)
         hits = []
         for ua, ub in us:
             ca, cb = pair_mul(t, (ua - p12[0], ub - p12[1]), conj)
-            if not (ca % d or cb % d):
-                hits += where.get((ca // d, cb // d), ())
-        hits.sort()
-        return [self.cand[i] for i in hits]
+            if not (ca % d or cb % d) and (ca // d, cb // d) in rank:
+                hits.append((ca // d, cb // d))
+        return sorted(hits, key=rank.__getitem__)
 
     def solve_tail(self, u, p12, p21):
-        # `extend` checked u against the norm limit when it placed it
-        t, limit, e, free, rank = self.t, self.limit, self.e, self.free, self.rank
+        # a rank is the one test; pair_div's None (no exact quotient) has none
+        t, e, free, rank = self.t, self.e, self.free, self.rank
         if u not in rank:
             return
         a = pair_div(t, (1 - p12[0], -p12[1]), u)
-        if a is None or a not in rank or a == (0, 0) or pair_norm(t, a) > limit:
+        if a not in rank:
             return
         b = pair_div(t, (1 + p21[0], p21[1]), u)
-        if b is None or b not in rank or b == (0, 0) or pair_norm(t, b) > limit:
+        if b not in rank:
             return
         if (pair_mul(t, e[free - 1], a) == ONE or pair_mul(t, a, u) == ONE
                 or pair_mul(t, u, b) == ONE or pair_mul(t, b, e[0]) == ONE):
@@ -254,10 +251,9 @@ class _Search:
         if depth == self.free:
             return self.solve_tail(p11, p12, p21)
         t, e = self.t, self.e
-        last = depth + 1 == self.free  # then q11 is the forced entry u
         if depth < self.npre:
             choices = self.pre[depth:depth + 1]
-        elif last:
+        elif depth + 1 == self.free:
             choices = self.solve_last(p11, p12)
         elif depth + 2 == self.free and pair_norm(t, p11) > self.limit:
             choices = self.solve_near(p11, p12)
@@ -272,7 +268,7 @@ class _Search:
                 continue
             ta, tb = pair_mul(t, p11, cand)
             q11 = (ta + p12[0], tb + p12[1])
-            if q11 == (0, 0) or (last and pair_norm(t, q11) > self.limit):
+            if q11 == (0, 0):
                 continue
             ta, tb = pair_mul(t, p21, cand)
             q21 = (ta + p22[0], tb + p22[1])
@@ -286,20 +282,21 @@ def search_from_prefix(t, n, prefix, candidates):
     t: 0 or 1, the ring's omega^2 = t*omega - 1 (0 for Z);
     n: the height, so cycles have n + 3 entries of norm at most (n + 1)^2;
     prefix: the first search entries (at least one), already chosen;
-    candidates: allowed entries in search order.
+    candidates: the allowed entries in search order, which may be any
+    order, distinct, nonzero, of norm at most (n + 1)^2 and including
+    every prefix entry.
     Entries are (a, b) tuples, and every entry of a cycle, prefix and
-    forced entries included, must be a candidate.  An entry's rank is its
-    first position in `candidates`; a cycle is kept when its tuple of ranks
-    is the least of its 2m rotations and reflections, and its orbit size
-    is 2m over the number of them equal to it.  Results follow the
-    candidate order, once per occurrence of a repeated candidate, so
-    disjoint prefixes partition the search deterministically.
+    forced entries included, is a candidate.  An entry's rank is its
+    position in `candidates`; a cycle is kept when its tuple of ranks is
+    the least of its 2m rotations and reflections, and its orbit size is
+    2m over the number of them equal to it.  Results follow the candidate
+    order, so disjoint prefixes partition the search deterministically.
+    An input outside this contract raises ValueError before the search.
     """
     if t not in (0, 1):
         raise ValueError(f"t must be 0 or 1, got {t!r}")
     if not (1 <= len(prefix) <= n <= MAX_DEPTH):
         raise ValueError("bad prefix length or height")
     search = _Search(t, n, prefix, candidates)
-    if all(0 < pair_norm(t, c) <= search.limit and c in search.rank for c in prefix):
-        search.extend(0, ONE, (0, 0), (0, 0), ONE)
+    search.extend(0, ONE, (0, 0), (0, 0), ONE)
     return search.results

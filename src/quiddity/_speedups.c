@@ -10,11 +10,15 @@
    memoises them and indexes them by residue).  The one before it, when
    norm(p11) exceeds the limit, takes the candidates among the lattice
    points of an ellipse, walked row by row as quiddity.rings._disc_rows
-   walks them; the ball is the same walk with centre 0.  At the tail every
-   entry is ranked by its first position among the candidates, found by
-   binary search over the candidates sorted by value; an entry that is no
-   candidate, or a rotation or reflection of the ranks that compares
-   smaller, rejects the cycle before its window check.
+   walks them; the ball is the same walk with centre 0.  An entry ranks by
+   its position among the candidates, read from a table over the box
+   |a|, |b| <= isqrt(2 limit), which holds the ball since a^2 + b^2 <=
+   2 norm; the table is filled once per task, as the pure kernel fills its
+   rank dict, and refuses the inputs outside the contract.  A rank is the
+   one test an entry needs, as a candidate is nonzero and inside the ball.
+   At the tail a forced entry that is no candidate, or a rotation or
+   reflection of the ranks that compares smaller, rejects the cycle before
+   its window check.
 
    Ring elements are pairs of int64.  Every int64 product, sum, difference
    and negation is checked, and the integer square root is exact integer
@@ -23,8 +27,7 @@
    they stay below 2^82, and their square roots below 2^41.  An overflow
    raises OverflowError instead of returning a wrong list, and the caller
    reruns that input on the pure kernel, whose integers do not overflow.
-   The candidates live in a heap array sized from the input, so any number
-   of them is accepted. */
+   The candidates live in a heap array sized from the input. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -56,21 +59,15 @@ typedef struct {
     Py_ssize_t next;
 } ball_elem;
 
-/* A candidate and its position in the candidate list. */
-typedef struct {
-    elem c;
-    Py_ssize_t pos;
-} ranked;
-
 typedef struct {
     int t, m, free, npre, real;
     Py_ssize_t ncand;
-    int64_t limit;
+    int64_t limit, box;      /* box = isqrt(2 limit) */
     const elem *pre, *cand;  /* the prefix entries and the candidates */
     elem e[MAXM];            /* the cycle being built */
-    Py_ssize_t rank[MAXM];   /* the first position of each entry of e */
+    Py_ssize_t key[MAXM];    /* the rank of each entry of e */
     PyObject *results;
-    ranked *byval;           /* the candidates by value, then position */
+    Py_ssize_t *rank;        /* the rank of each element of the box, or -1 */
     /* The solve of the last two free positions. */
     Py_ssize_t nball;
     ball_elem *ball;         /* by norm, largest first */
@@ -174,18 +171,6 @@ product_is_one(int t, elem x, elem y)
     if (mul(t, x, y, &p) < 0)
         return -1;
     return p.a == 1 && p.b == 0;
-}
-
-/* 1 if x is zero or its norm exceeds the limit, 0 if not, -1 on error. */
-static int
-out_of_range(const search *s, elem x)
-{
-    int64_t n;
-    if (is_zero(x))
-        return 1;
-    if ((n = norm(s->t, x)) < 0)
-        return -1;
-    return n > s->limit;
 }
 
 /* Every cyclic continuant over 1..m-3 consecutive entries is nonzero:
@@ -300,17 +285,6 @@ by_norm_descending(const void *x, const void *y)
 }
 
 static int
-by_value(const void *x, const void *y)
-{
-    const ranked *p = x, *q = y;
-    if (p->c.a != q->c.a)
-        return p->c.a < q->c.a ? -1 : 1;
-    if (p->c.b != q->c.b)
-        return p->c.b < q->c.b ? -1 : 1;
-    return (p->pos > q->pos) - (p->pos < q->pos);
-}
-
-static int
 by_position(const void *x, const void *y)
 {
     Py_ssize_t p = *(const Py_ssize_t *)x, q = *(const Py_ssize_t *)y;
@@ -342,19 +316,58 @@ fill_ball(const search *s, ball_elem *ball)
     return n;
 }
 
-/* Sort the candidates by value for the ranks.  0 on success, -1 on error. */
+/* c's slot in the rank table, or NULL when c lies outside the box. */
+static Py_ssize_t *
+slot(const search *s, elem c)
+{
+    int64_t r = s->box;
+    if (c.a < -r || c.a > r || c.b < -r || c.b > r)
+        return NULL;
+    return &s->rank[(c.a + r) * (2 * r + 1) + c.b + r];
+}
+
+/* The position of c among the candidates, or -1 if c is none of them. */
+static Py_ssize_t
+rank_of(const search *s, elem c)
+{
+    Py_ssize_t *at = slot(s, c);
+    return at != NULL ? *at : -1;
+}
+
+static int
+refuse(const char *why)
+{
+    PyErr_SetString(PyExc_ValueError, why);
+    return -1;
+}
+
+/* Fill the rank table with each candidate's position, refusing the inputs
+   outside the contract with the pure kernel's ValueErrors, in its order.
+   Inside the box a norm cannot overflow.  0 on success, -1 on error. */
 static int
 prepare_ranks(search *s)
 {
-    Py_ssize_t i;
-    s->byval = PyMem_New(ranked, s->ncand);
-    if (s->byval == NULL) {
+    Py_ssize_t i, side, *at;
+    s->box = isqrt_wide(2 * s->limit);
+    side = 2 * s->box + 1;
+    if ((s->rank = PyMem_New(Py_ssize_t, side * side)) == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    for (i = 0; i < s->ncand; i++)
-        s->byval[i] = (ranked){s->cand[i], i};
-    qsort(s->byval, s->ncand, sizeof *s->byval, by_value);
+    for (i = 0; i < side * side; i++)
+        s->rank[i] = -1;
+    for (i = 0; i < s->ncand; i++) {
+        if (is_zero(s->cand[i]))
+            return refuse("a candidate is zero");
+        if ((at = slot(s, s->cand[i])) == NULL || norm(s->t, s->cand[i]) > s->limit)
+            return refuse("a candidate has norm above (n + 1)^2");
+        if (*at >= 0)
+            return refuse("a candidate is repeated");
+        *at = i;
+    }
+    for (i = 0; i < s->npre; i++)
+        if (rank_of(s, s->pre[i]) < 0)
+            return refuse("a prefix entry is not a candidate");
     return 0;
 }
 
@@ -363,10 +376,10 @@ prepare_ranks(search *s)
 static int
 prepare_solve(search *s)
 {
-    Py_ssize_t i, n = s->npre + s->ncand;
+    Py_ssize_t i;
     s->real = 1;
-    for (i = 0; i < n; i++)  /* the prefix entries, then the candidates */
-        s->real &= s->pre[i].b == 0;
+    for (i = 0; i < s->ncand; i++)
+        s->real &= s->cand[i].b == 0;
     if ((s->nball = fill_ball(s, NULL)) < 0)
         return -1;
     s->ball = PyMem_New(ball_elem, s->nball);
@@ -384,48 +397,6 @@ prepare_solve(search *s)
     return 0;
 }
 
-/* The index in byval of c's first occurrence, or of where it would go. */
-static Py_ssize_t
-first_of(const search *s, elem c)
-{
-    Py_ssize_t lo = 0, hi = s->ncand, mid;
-    ranked key = {c, -1};
-    while (lo < hi) {
-        mid = lo + (hi - lo) / 2;
-        if (by_value(&s->byval[mid], &key) < 0)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-/* 1 if byval[i] exists and holds c, 0 if not. */
-static int
-found_at(const search *s, Py_ssize_t i, elem c)
-{
-    return i < s->ncand && s->byval[i].c.a == c.a && s->byval[i].c.b == c.b;
-}
-
-/* The first position of c in the candidates, or -1 if c is none of them. */
-static Py_ssize_t
-rank_of(const search *s, elem c)
-{
-    Py_ssize_t i = first_of(s, c);
-    return found_at(s, i, c) ? s->byval[i].pos : -1;
-}
-
-/* Append to hits, from nhit on, every position of c in the candidates;
-   the new count. */
-static Py_ssize_t
-add_hits(const search *s, Py_ssize_t *hits, elem c, Py_ssize_t nhit)
-{
-    Py_ssize_t i;
-    for (i = first_of(s, c); found_at(s, i, c); i++)
-        hits[nhit++] = s->byval[i].pos;
-    return nhit;
-}
-
 /* The positions, in order, of the candidates c for the last free position
    but one whose x = 1 + p11 c + p12 has norm at most limit^2, the only c
    whose last free position can be solved.  With d = norm(p11) and w =
@@ -437,7 +408,7 @@ solve_near(search *s, const mat *p, int64_t d)
 {
     elem conj = zero, w;
     int64_t y, lo, hi, a;
-    Py_ssize_t nhit = 0;
+    Py_ssize_t k, nhit = 0;
     disc r;
     if (conjugate(s->t, p->p11, &conj) < 0 || add(one, p->p12, &w) < 0
         || mul(s->t, w, conj, &w) < 0 || sub(zero, w, &w) < 0)
@@ -448,7 +419,8 @@ solve_near(search *s, const mat *p, int64_t d)
         if (disc_row(&r, y, &lo, &hi) < 0)
             return -1;
         for (a = lo; a <= hi; a++)
-            nhit = add_hits(s, s->near, (elem){a, y}, nhit);
+            if ((k = rank_of(s, (elem){a, y})) >= 0)
+                s->near[nhit++] = k;
     }
     qsort(s->near, nhit, sizeof *s->near, by_position);
     return nhit;
@@ -464,7 +436,7 @@ solve_last(search *s, const mat *p)
 {
     elem x, a, num, c;
     int64_t nx, d;
-    Py_ssize_t i, k, nhit = 0;
+    Py_ssize_t i, k, j, nhit = 0;
     int r;
     if (add(one, p->p11, &x) < 0)
         return -1;
@@ -485,8 +457,8 @@ solve_last(search *s, const mat *p)
                 continue;
             if (sub(s->ball[k].u, p->p12, &num) < 0 || (r = divide(s->t, num, p->p11, &c)) < 0)
                 return -1;
-            if (r)
-                nhit = add_hits(s, s->hits, c, nhit);
+            if (r && (j = rank_of(s, c)) >= 0)
+                s->hits[nhit++] = j;
         }
     }
     qsort(s->hits, nhit, sizeof *s->hits, by_position);
@@ -500,8 +472,8 @@ compare_image(const search *s, int start, int dir)
 {
     int k, j = start, m = s->m;
     for (k = 0; k < m; k++, j = (j + dir + m) % m)
-        if (s->rank[j] != s->rank[k])
-            return s->rank[j] < s->rank[k] ? -1 : 1;
+        if (s->key[j] != s->key[k])
+            return s->key[j] < s->key[k] ? -1 : 1;
     return 0;
 }
 
@@ -529,7 +501,7 @@ emit(search *s, int size)
     if (ranks == NULL)
         return -1;
     for (i = 0; i < s->m; i++) {
-        PyObject *rank = PyLong_FromSsize_t(s->rank[i]);
+        PyObject *rank = PyLong_FromSsize_t(s->key[i]);
         if (rank == NULL) {
             Py_DECREF(ranks);
             return -1;
@@ -545,18 +517,15 @@ emit(search *s, int size)
 
 /* Place c at position depth and extend the product p by it into q.
    1 if the branch survives, 0 if it is pruned, -1 on error.  The new p11 is
-   a frieze entry, so it must not be zero; at the last free position it is
-   the forced entry u, so it must also stay inside the norm limit. */
+   a frieze entry, so it must not be zero. */
 static int
 step(search *s, int depth, const mat *p, elem c, mat *q)
 {
     elem pc;
-    int r;
     if (mul(s->t, p->p11, c, &pc) < 0 || add(pc, p->p12, &q->p11) < 0)
         return -1;
-    r = depth + 1 == s->free ? out_of_range(s, q->p11) : is_zero(q->p11);
-    if (r != 0)
-        return r < 0 ? -1 : 0;
+    if (is_zero(q->p11))
+        return 0;
     if (mul(s->t, p->p21, c, &pc) < 0 || add(pc, p->p22, &q->p21) < 0
         || sub(zero, p->p11, &q->p12) < 0 || sub(zero, p->p21, &q->p22) < 0)
         return -1;
@@ -566,31 +535,26 @@ step(search *s, int depth, const mat *p, elem c, mat *q)
 
 /* The last three entries are forced: u = p11 at position m-1, and
    (1 - p12)/u and (1 + p21)/u on either side of it.  Each must be a
-   candidate; `step` checked u against the norm limit when it placed it.
-   The prefix entries are ranked here too, so a prefix entry that is no
-   candidate rejects every cycle. */
+   candidate, which makes it nonzero and inside the ball; every entry
+   placed before them is one. */
 static int
 solve_tail(search *s, const mat *p)
 {
     int t = s->t, r, i, size, f = s->free;
     elem u = p->p11, a, b, num;
-    if ((s->rank[f + 1] = rank_of(s, u)) < 0)
+    if ((s->key[f + 1] = rank_of(s, u)) < 0)
         return 0;
     if (sub(one, p->p12, &num) < 0)
         return -1;
     if ((r = divide(t, num, u, &a)) <= 0)
         return r;
-    if ((r = out_of_range(s, a)) != 0)
-        return r < 0 ? -1 : 0;
-    if ((s->rank[f] = rank_of(s, a)) < 0)
+    if ((s->key[f] = rank_of(s, a)) < 0)
         return 0;
     if (add(one, p->p21, &num) < 0)
         return -1;
     if ((r = divide(t, num, u, &b)) <= 0)
         return r;
-    if ((r = out_of_range(s, b)) != 0)
-        return r < 0 ? -1 : 0;
-    if ((s->rank[f + 2] = rank_of(s, b)) < 0)
+    if ((s->key[f + 2] = rank_of(s, b)) < 0)
         return 0;
     if ((r = product_is_one(t, s->e[f - 1], a)) != 0
         || (r = product_is_one(t, a, u)) != 0
@@ -601,8 +565,7 @@ solve_tail(search *s, const mat *p)
     s->e[f + 1] = u;
     s->e[f + 2] = b;
     for (i = 0; i < f; i++)
-        if ((s->rank[i] = rank_of(s, s->e[i])) < 0)
-            return 0;
+        s->key[i] = rank_of(s, s->e[i]);
     if ((size = orbit_size(s)) == 0)
         return 0;
     if ((r = windows_nonzero(s)) <= 0)
@@ -656,6 +619,17 @@ extend(search *s, int depth, const mat *p)
     return 0;
 }
 
+/* A coordinate, or INT64_MAX for one beyond int64: outside the box either
+   way, so a candidate is refused as outside the ball and a prefix entry as
+   no candidate, as in the pure kernel. */
+static int64_t
+coordinate(PyObject *x)
+{
+    int beyond;
+    long long v = PyLong_AsLongLongAndOverflow(x, &beyond);
+    return beyond ? INT64_MAX : v;
+}
+
 static int
 to_elem(PyObject *pair, elem *out)
 {
@@ -667,8 +641,8 @@ to_elem(PyObject *pair, elem *out)
         PyErr_SetString(PyExc_ValueError, "a ring element must be an (a, b) pair");
         return -1;
     }
-    out->a = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, 0));
-    out->b = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(seq, 1));
+    out->a = coordinate(PySequence_Fast_GET_ITEM(seq, 0));
+    out->b = coordinate(PySequence_Fast_GET_ITEM(seq, 1));
     Py_DECREF(seq);
     return PyErr_Occurred() ? -1 : 0;
 }
@@ -676,14 +650,15 @@ to_elem(PyObject *pair, elem *out)
 PyDoc_STRVAR(search_from_prefix_doc,
 "search_from_prefix(t, n, prefix, candidates)\n--\n\n"
 "The canonical cycles completing `prefix`, each as (ranks, orbit size).\n\n"
-"Same contract and output as the pure kernel's search_from_prefix; raises\n"
-"OverflowError where int64 arithmetic would overflow.");
+"Same contract, output and ValueErrors as the pure kernel's\n"
+"search_from_prefix; raises OverflowError where int64 arithmetic would\n"
+"overflow.");
 
 static PyObject *
 search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"t", "n", "prefix", "candidates", NULL};
-    int t, n, r = 0;
+    int t, n, r;
     PyObject *prefix_arg, *cand_arg, *prefix = NULL, *cands = NULL;
     elem *pool = NULL;
     Py_ssize_t i, npre, ncand;
@@ -723,10 +698,7 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
                  .results = PyList_New(0)};
     if (s.results == NULL)
         goto done;
-    for (i = 0; i < npre && r == 0; i++)
-        r = out_of_range(&s, pool[i]);
-    if (r == 0)
-        r = prepare_ranks(&s);
+    r = prepare_ranks(&s);
     if (r == 0 && npre < n)
         r = prepare_solve(&s);
     if (r == 0)
@@ -735,7 +707,7 @@ search_from_prefix(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_CLEAR(s.results);
 done:
     PyMem_Free(s.ball);
-    PyMem_Free(s.byval);
+    PyMem_Free(s.rank);
     PyMem_Free(s.hits);
     PyMem_Free(s.near);
     PyMem_Free(pool);

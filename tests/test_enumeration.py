@@ -145,53 +145,78 @@ def kernel(request):
     return request.getfixturevalue("compiled_kernel")
 
 
-@pytest.mark.parametrize("t,n,prefix,message", [
-    pytest.param(0, 3, [], "bad prefix length or height", id="3-prefix0"),
-    pytest.param(0, 3, [(1, 0)] * 4, "bad prefix length or height", id="3-prefix1"),
-    pytest.param(0, 17, [(1, 0)], "bad prefix length or height", id="17-prefix2"),
+OUTSIDE = "a candidate has norm above (n + 1)^2"
+NOT_CANDIDATE = "a prefix entry is not a candidate"
+
+# inputs outside the kernel contract, each with the ValueError message both
+# kernels raise on it before the search starts; at height 3 the ball holds
+# the norms up to 16
+REJECTED = [
+    pytest.param(0, 3, [], [(1, 0)], "bad prefix length or height", id="3-prefix0"),
+    pytest.param(0, 3, [(1, 0)] * 4, [(1, 0)], "bad prefix length or height", id="3-prefix1"),
+    pytest.param(0, 17, [(1, 0)], [(1, 0)], "bad prefix length or height", id="17-prefix2"),
     # t outside {0, 1} names no ring; both kernels once fell through to a
     # formula of their own here (the pure one to Z[w]'s, the compiled to Z[i]'s)
-    pytest.param(7, 3, [(1, 0)], "t must be 0 or 1", id="t7"),
-    pytest.param(-1, 3, [(1, 0)], "t must be 0 or 1", id="t-1"),
-    pytest.param(2, 3, [(1, 0)], "t must be 0 or 1", id="t2"),
-])
-def test_kernel_rejects_bad_prefix_or_height(kernel, t, n, prefix, message):
-    with pytest.raises(ValueError, match=message):
-        kernel.search_from_prefix(t, n, prefix, [(1, 0)])
+    pytest.param(7, 3, [(1, 0)], [(1, 0)], "t must be 0 or 1, got 7", id="t7"),
+    pytest.param(-1, 3, [(1, 0)], [(1, 0)], "t must be 0 or 1, got -1", id="t-1"),
+    pytest.param(2, 3, [(1, 0)], [(1, 0)], "t must be 0 or 1, got 2", id="t2"),
+    pytest.param(0, 3, [(1, 0)], [(1, 0), (2, 0), (1, 0)], "a candidate is repeated",
+                 id="duplicate"),
+    pytest.param(0, 3, [(1, 0)], [(1, 0), (0, 0)], "a candidate is zero", id="zero"),
+    pytest.param(0, 3, [(1, 0)], [(1, 0), (5, 0)], OUTSIDE, id="outside"),
+    # inside the compiled kernel's box |a|, |b| <= isqrt(32) but not in the ball
+    pytest.param(1, 3, [(1, 0)], [(1, 0), (3, 2)], OUTSIDE, id="outside-in-box"),
+    # the norm leaves int64, and then the coordinate itself
+    pytest.param(0, 3, [(1, 0)], [(1, 0), (2**62, 0)], OUTSIDE, id="int64"),
+    pytest.param(0, 3, [(1, 0)], [(1, 0), (0, -2**64)], OUTSIDE, id="beyond-int64"),
+    # the candidates are checked in order, before the prefix
+    pytest.param(0, 3, [(9, 0)], [(1, 0), (1, 0), (0, 0)], "a candidate is repeated",
+                 id="first-fault"),
+    pytest.param(0, 3, [(0, 0)], [(1, 0), (2, 0)], NOT_CANDIDATE, id="zero-prefix-entry"),
+    pytest.param(0, 3, [(5, 0)], [(1, 0), (2, 0)], NOT_CANDIDATE, id="outside-prefix-entry"),
+    pytest.param(0, 3, [(1, 0), (3, 0)], [(1, 0), (2, 0)], NOT_CANDIDATE,
+                 id="prefix-entry-not-candidate"),
+    pytest.param(0, 3, [(2**64, 0)], [(1, 0)], NOT_CANDIDATE, id="beyond-int64-prefix-entry"),
+]
 
 
-@pytest.mark.parametrize("prefix", [[(0, 0)], [(5, 0)], [(1, 0), (1, 0)], [(1, 0), (-1, 0)]])
+@pytest.mark.parametrize("t,n,prefix,candidates,message", REJECTED)
+def test_kernel_rejects_bad_prefix_or_height(kernel, t, n, prefix, candidates, message):
+    with pytest.raises(ValueError) as err:
+        kernel.search_from_prefix(t, n, prefix, candidates)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("prefix", [pytest.param([(1, 0), (1, 0)], id="prefix2"),
+                                    pytest.param([(1, 0), (-1, 0)], id="prefix3")])
 def test_kernel_prunes_bad_prefix_entries(kernel, prefix):
-    # a zero entry, an entry above the norm limit 16, an adjacent product 1,
-    # and a zero continuant (1 * -1 + 1)
-    assert kernel.search_from_prefix(Z.t, 3, prefix, [(1, 0), (2, 0)]) == []
+    # an adjacent product 1, and a prefix whose one quiddity cycle over these
+    # candidates, (1, -1, -1, -1, 1, 1), has a zero in its frieze
+    assert kernel.search_from_prefix(Z.t, 3, prefix, [(1, 0), (2, 0), (-1, 0)]) == []
 
 
 def test_compiled_kernel_is_exact_or_raises(compiled_kernel):
-    # entries near the int64 range: the compiled kernel returns the pure
-    # kernel's list or raises OverflowError, never a wrong list.  A prefix
-    # inside the norm limit passes the kernel's first check, so an overflow
-    # there comes from the search itself.
+    # Heights up to 16, with prefixes of up to n entries that are often the
+    # largest of the ball, so the running product can leave int64: the
+    # compiled kernel returns the pure kernel's list or raises
+    # OverflowError, never a wrong list.  The inputs keep the kernel
+    # contract, so an overflow comes from the search itself.
     rnd = random.Random(5)
     outcomes = set()
     for _ in range(400):
-        ring, n = rnd.choice([Z, Zi, Zzeta6]), rnd.randrange(1, 7)
-
-        def elem(big):
-            return rnd.randint(-big, big), 0 if ring is Z else rnd.randint(-big, big)
-
-        inside = rnd.random() < 0.5
-        prefix = [elem(1 if inside else rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1]))
-                  for _ in range(rnd.randint(1, n))]
-        big = rnd.choice([3, 10**6, 2**31, 2**62, 2**63 - 1])
-        cands = [elem(big) for _ in range(3)]
+        ring, n = rnd.choice([Z, Zi, Zzeta6]), rnd.randint(1, 16)
+        pairs = [ring.to_pair(x) for x in candidate_entries(ring, n)]
+        pool = pairs[-8:] if rnd.random() < 0.5 else pairs
+        prefix = [rnd.choice(pool) for _ in range(rnd.randint(max(1, n - 2), n))]
+        cands = list(dict.fromkeys(prefix + rnd.sample(pairs, rnd.randint(0, min(30, len(pairs))))))
+        rnd.shuffle(cands)
         pure = _kernel.search_from_prefix(ring.t, n, prefix, cands)
         try:
             assert compiled_kernel.search_from_prefix(ring.t, n, prefix, cands) == pure
-            outcomes.add("equal")
+            outcomes.add("equal" if pure else "equal, empty")
         except OverflowError:
-            outcomes.add("search overflow" if inside else "overflow")
-    assert outcomes == {"equal", "overflow", "search overflow"}
+            outcomes.add("search overflow")
+    assert outcomes == {"equal", "equal, empty", "search overflow"}
 
 
 def _mul(t, x, y):
@@ -214,14 +239,12 @@ def _div(t, x, y):
 def scan_search(t, n, prefix, candidates):
     """The kernel contract computed by scanning: every candidate is tried at
     every free position, in order, and the last three entries are forced.
-    A cycle of candidates is ranked by first positions and kept, with the
+    A cycle of candidates is ranked by positions and kept, with the
     number of its distinct images, when no rotation or reflection of the
     ranks is smaller.  Its arithmetic and its ranking are its own, so it
     shares no code with either kernel."""
-    m, limit = n + 3, (n + 1) ** 2
-    rank = {}
-    for i, c in enumerate(candidates):
-        rank.setdefault(c, i)
+    m = n + 3
+    rank = {c: i for i, c in enumerate(candidates)}
     out = []
 
     def windows_nonzero(cycle):
@@ -242,8 +265,7 @@ def scan_search(t, n, prefix, candidates):
             if a is None or b is None:
                 return
             cycle = entries + (a, u, b)
-            if not (all(x != (0, 0) and _norm(t, x) <= limit for x in (a, u, b))
-                    and all(x in rank for x in cycle)
+            if not (all(x in rank for x in cycle)
                     and all(_mul(t, cycle[i - 1], cycle[i]) != (1, 0) for i in range(m))
                     and windows_nonzero(cycle)):
                 return
@@ -264,35 +286,33 @@ def scan_search(t, n, prefix, candidates):
             walk(entries + (c,), q11, (-p11[0], -p11[1]), (ta + p22[0], tb + p22[1]),
                  (-p21[0], -p21[1]))
 
-    if all(c != (0, 0) and _norm(t, c) <= limit for c in prefix):
-        walk((), (1, 0), (0, 0), (0, 0), (1, 0))
+    walk((), (1, 0), (0, 0), (0, 0), (1, 0))
     return out
 
 
 def test_last_position_solve_matches_the_scan(kernel):
     # Both kernels solve the last free position unless the prefix fills it.
     # Seeded draws cover both, with candidate lists that are unsorted,
-    # duplicated, real-only or mixed, and reach outside the ball of norms up
-    # to the limit (n + 1)^2.
+    # real-only or mixed: distinct elements of the ball of norms up to the
+    # limit (n + 1)^2, within a box of a drawn width, prefix entries
+    # included.
     rnd = random.Random(19)
-    small = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
-    found = {"solve": 0, "prefix": 0, "outside": 0}
+    found = {"solve": 0, "prefix": 0}
     for _ in range(400):
         t, real = rnd.choice((0, 1)), rnd.random() < 0.4
         n = rnd.randint(1, 5)
         width = rnd.choice((1, 2, 3, 5, 9))
         pool = [(a, b) for a in range(-width, width + 1)
-                for b in ((0,) if real else range(-width, width + 1)) if (a, b) != (0, 0)]
-        cands = [rnd.choice(pool) for _ in range(rnd.randint(1, 60))]
-        cands += rnd.sample(cands, rnd.randint(0, min(4, len(cands))))
+                for b in ((0,) if real else range(-width, width + 1))
+                if (a, b) != (0, 0) and _norm(t, (a, b)) <= (n + 1) ** 2]
+        small = [c for c in pool if max(map(abs, c)) <= 2]
+        prefix = [rnd.choice(small) for _ in range(rnd.randint(max(1, n - 2), n))]
+        cands = list(dict.fromkeys(prefix + rnd.sample(pool, rnd.randint(0, min(60, len(pool))))))
         rnd.shuffle(cands)
-        prefix = [rnd.choice([c for c in small if not real or c[1] == 0])
-                  for _ in range(rnd.randint(max(1, n - 2), n))]
         expected = scan_search(t, n, prefix, cands)
         assert kernel.search_from_prefix(t, n, prefix, cands) == expected, \
             (t, n, prefix, cands)
         found["solve" if len(prefix) < n else "prefix"] += len(expected)
-        found["outside"] += any(_norm(t, c) > (n + 1) ** 2 for c in cands)
     assert min(found.values()) > 0, found
 
 
@@ -314,8 +334,7 @@ def test_last_two_positions_solve_matches_the_scan(kernel):
     # Half the candidate lists start with the cycle's entries in the order
     # it reads them, so the cycle is often canonical even where it carries
     # an entry on the rim of the ball; the other half shuffle them in.
-    # Both add a part of the ball, entries outside it and duplicates,
-    # real-only over Z.
+    # Both add a part of the ball, real-only over Z.
     rnd = random.Random(23)
     cells = []
     for ring, n in ((Z, 5), (Z, 6), (Zi, 4), (Zzeta6, 4)):
@@ -323,18 +342,15 @@ def test_last_two_positions_solve_matches_the_scan(kernel):
         images = [v for cyc in count_nonzero(ring, n).representatives
                   for v in dihedral_images(tuple(ring.to_pair(x) for x in cyc.entries))]
         cells.append((ring.t, n, pairs, images))
-    found = dict.fromkeys(["disc", "outside", "duplicate", "real"]
-                          + (["indexed"] if kernel is _kernel else []), 0)
+    found = dict.fromkeys(["disc", "real"] + (["indexed"] if kernel is _kernel else []), 0)
     for _ in range(150):
         t, n, pairs, images = rnd.choice(cells)
         cycle, limit = rnd.choice(images), (n + 1) ** 2
-        far = [(a + 2 * (n + 1), b) for a, b in rnd.sample(pairs, rnd.randint(0, 3))]
-        cands = rnd.sample(pairs, rnd.randint(0, len(pairs))) + far
-        cands += rnd.sample(cands, min(len(cands), rnd.randint(0, 3)))
+        part = rnd.sample(pairs, rnd.randint(0, len(pairs)))
         if rnd.random() < 0.5:
-            cands = list(dict.fromkeys(cycle)) + cands
+            cands = list(dict.fromkeys(cycle + tuple(part)))
         else:
-            cands += cycle
+            cands = list(dict.fromkeys(part + list(cycle)))
             rnd.shuffle(cands)
         prefix = list(cycle[:n - 2])
         expected = scan_search(t, n, prefix, cands)
@@ -344,8 +360,6 @@ def test_last_two_positions_solve_matches_the_scan(kernel):
                 (t, n, prefix, cands)
         k, real = len(expected), not any(b for _, b in prefix + cands)
         found["disc"] += k * (_norm(t, _continuant(t, prefix)) > limit)
-        found["outside"] += k * any(_norm(t, c) > limit for c in cands)
-        found["duplicate"] += k * (len(set(cands)) < len(cands))
         found["real"] += k * real
         if kernel is _kernel:
             found["indexed"] += k * any(_kernel._factor_pairs(t, limit, real).index)
@@ -380,17 +394,19 @@ def test_cycles_through_the_rim_of_the_ball(kernel, ring, n):
 def test_disc_query_keeps_the_candidates_that_can_complete():
     # the pure kernel's query at the last free position but one returns, in
     # candidate order, the candidates c with norm(1 + p11*c + p12) within
-    # limit^2, the only ones whose last free position has a factor pair
+    # limit^2, the only ones whose last free position has a factor pair;
+    # the candidates are drawn from the ball, in a shuffled order
     rnd = random.Random(31)
     kept = dropped = 0
     for _ in range(300):
-        t, n = rnd.choice((0, 1)), rnd.randint(3, 6)
-        limit, real = (n + 1) ** 2, rnd.random() < 0.3
+        ring, n = rnd.choice([Z, Zi, Zzeta6]), rnd.randint(3, 6)
+        t, limit, real = ring.t, (n + 1) ** 2, ring is Z
 
         def elem(big):
             return rnd.randint(-big, big), 0 if real else rnd.randint(-big, big)
 
-        cands = [elem(n + 2) for _ in range(rnd.randint(1, 80))]
+        pairs = [ring.to_pair(x) for x in candidate_entries(ring, n)]
+        cands = rnd.sample(pairs, rnd.randint(1, min(80, len(pairs))))
         search = _kernel._Search(t, n, [cands[0]], cands)
         p11 = elem(rnd.choice((9, 40, 300)))
         while _norm(t, p11) <= limit:
@@ -431,15 +447,22 @@ def test_kernels_agree_on_deep_prefixes(compiled_kernel):
 @pytest.mark.parametrize("ring,n", [(Z, 5), (Zi, 3), (Zzeta6, 3)])
 def test_kernels_agree_on_every_task(compiled_kernel, ring, n):
     # the same (ranks, orbit size) list from both kernels on every prefix
-    # task of the cell, and one result per orbit over all of them
+    # task of the cell, and one result per orbit over all of them; the
+    # kernels agree too on a seeded shuffle of each task's candidates, which
+    # the compiled kernel ranks through its table, not by their order
     elems = candidate_entries(ring, n)
     pairs = [ring.to_pair(x) for x in elems]
-    found = 0
+    rnd = random.Random(f"agree {ring.tag}:{n}")
+    found = found_shuffled = 0
     for prefix, i in enumeration._canonical_tasks(ring, elems, pairs):
         pure = _kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:])
         assert compiled_kernel.search_from_prefix(ring.t, n, list(prefix), pairs[i:]) == pure
         found += len(pure)
-    assert found == ROW[ring.tag, n]["orbits"]
+        shuffled = rnd.sample(pairs[i:], len(pairs) - i)
+        pure = _kernel.search_from_prefix(ring.t, n, list(prefix), shuffled)
+        assert compiled_kernel.search_from_prefix(ring.t, n, list(prefix), shuffled) == pure
+        found_shuffled += len(pure)
+    assert found == ROW[ring.tag, n]["orbits"] and found_shuffled > 0
 
 
 @pytest.mark.parametrize("ring,n", [(Z, 1), (Z, 5), (Zi, 3), (Zzeta6, 3)])
@@ -482,7 +505,7 @@ def test_pure_kernel_leaves_no_reference_cycle():
     # and one whose prefix is pruned at once; so is the recursion that lists
     # triangulations
     pairs = [Zi.to_pair(x) for x in candidate_entries(Zi, 3)]
-    tasks = [[(1, 0)], [(3, 0), (3, 0)], [(1, 0), (2, 0), (3, 0)], [(9, 0)]]
+    tasks = [[(1, 0)], [(3, 0), (3, 0)], [(1, 0), (2, 0), (3, 0)], [(1, 0), (1, 0)]]
     gc.collect()
     gc.disable()
     try:
@@ -495,8 +518,10 @@ def test_pure_kernel_leaves_no_reference_cycle():
         gc.enable()
 
 
-# the forced entry u (about 2.6e18) fits in int64 but its norm does not
-OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)])
+# after fifteen 17s the continuant p11 (about 2.6e18) fits in int64, but
+# the norm of x = 1 + p11, whose factor pairs solve the last free position,
+# does not
+OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0), (17, 0)])
 
 
 # two free positions: every prefix entry has norm 16, within the limit
@@ -504,7 +529,7 @@ OVERFLOW_TASK = (Z.t, 16, [(17, 0)] * 15, [(1, 0)])
 # fits in int64 but whose disc bound 4 * 17^4 * norm(p11) does not; the
 # compiled kernel keeps that bound and each disc row's squared term in
 # 128-bit integers
-DISC_OVERFLOW_TASK = (Z.t, 16, [(4, 0)] * 14, [(1, 0), (2, 0), (-3, 0)])
+DISC_OVERFLOW_TASK = (Z.t, 16, [(4, 0)] * 14, [(1, 0), (2, 0), (-3, 0), (4, 0)])
 
 
 def _z10_task():
@@ -513,7 +538,7 @@ def _z10_task():
 
 
 def test_compiled_kernel_raises_on_int64_overflow(compiled_kernel):
-    # the forced u of OVERFLOW_TASK has a norm past int64, which the
+    # the solve of OVERFLOW_TASK needs a norm past int64, which the
     # compiled kernel refuses; the disc of DISC_OVERFLOW_TASK it solves
     assert _kernel.search_from_prefix(*OVERFLOW_TASK) == []
     with pytest.raises(OverflowError):
@@ -528,8 +553,9 @@ def test_compiled_kernel_solves_a_disc_past_int64(compiled_kernel):
 
 
 # loads the extension built at argv[1] and prints, as JSON, its list for
-# each task read as JSON from standard input, or "OverflowError"
-UBSAN_CHILD = """
+# each task read as JSON from standard input, "OverflowError", or the
+# ValueError's message
+SANITIZED_CHILD = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("quiddity._speedups", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
@@ -541,38 +567,59 @@ for t, n, prefix, cands in json.load(sys.stdin):
                                              [tuple(x) for x in cands]))
     except OverflowError:
         out.append("OverflowError")
+    except ValueError as err:
+        out.append(str(err))
 print(json.dumps(out))
 """
 
 
-def test_compiled_kernel_is_clean_under_ubsan(c_compiler, child_python, tmp_path):
-    # the extension built with UndefinedBehaviorSanitizer, every finding
-    # fatal, runs the overflow tasks, the Z:10 task and every task of one
-    # cell per ring in a child Python that preloads the sanitizer runtime
-    runtime = subprocess.run([*c_compiler, "-print-file-name=libubsan.so"],
+def run_sanitized(c_compiler, child_python, tmp_path, runtime, flags, env):
+    """Build the extension with the sanitizer `flags` and run, in a child
+    Python that preloads the sanitizer's `runtime` library, the overflow
+    tasks, the Z:10 task, the rejected inputs and every task of one cell
+    per ring; each must give the pure kernel's answer."""
+    runtime = subprocess.run([*c_compiler, f"-print-file-name={runtime}"],
                              capture_output=True, text=True).stdout.strip()
     if not Path(runtime).is_absolute() or not Path(runtime).exists():
-        pytest.skip(f"no libubsan for {c_compiler[0]}")
+        pytest.skip(f"no {Path(runtime).name} for {c_compiler[0]}")
     source = Path(_kernel.__file__).with_name("_speedups.c")
     built = tmp_path / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
-        [*c_compiler, "-shared", "-fPIC", "-O1", "-g", "-fsanitize=undefined",
-         "-fno-sanitize-recover=undefined", "-I", sysconfig.get_paths()["include"],
-         str(source), "-o", str(built)],
+        [*c_compiler, "-shared", "-fPIC", "-O1", "-g", *flags,
+         "-I", sysconfig.get_paths()["include"], str(source), "-o", str(built)],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     tasks = [OVERFLOW_TASK, DISC_OVERFLOW_TASK, _z10_task()]
+    tasks += [tuple(param.values[:4]) for param in REJECTED]
     for ring, n in ((Z, 5), (Zi, 3), (Zzeta6, 3)):
         elems = candidate_entries(ring, n)
         pairs = [ring.to_pair(x) for x in elems]
         tasks += [(ring.t, n, list(prefix), pairs[i:])
                   for prefix, i in enumeration._canonical_tasks(ring, elems, pairs)]
-    proc = child_python("-c", UBSAN_CHILD, str(built), input=json.dumps(tasks),
-                        env={"LD_PRELOAD": runtime})
+    proc = child_python("-c", SANITIZED_CHILD, str(built), input=json.dumps(tasks),
+                        env={"LD_PRELOAD": runtime, **env})
     assert proc.returncode == 0, proc.stderr[-4000:]
-    want = ["OverflowError"] + [_kernel.search_from_prefix(*task) for task in tasks[1:]]
+    want = ["OverflowError"]
+    for task in tasks[1:]:
+        try:
+            want.append(_kernel.search_from_prefix(*task))
+        except ValueError as err:
+            want.append(str(err))
     assert json.loads(proc.stdout) == json.loads(json.dumps(want))
+
+
+def test_compiled_kernel_is_clean_under_ubsan(c_compiler, child_python, tmp_path):
+    # UndefinedBehaviorSanitizer, every finding fatal
+    run_sanitized(c_compiler, child_python, tmp_path, "libubsan.so",
+                  ["-fsanitize=undefined", "-fno-sanitize-recover=undefined"], {})
+
+
+def test_compiled_kernel_is_clean_under_asan(c_compiler, child_python, tmp_path):
+    # AddressSanitizer bounds-checks the heap arrays, the rank table among
+    # them; the interpreter's own allocations are left out of its leak check
+    run_sanitized(c_compiler, child_python, tmp_path, "libasan.so",
+                  ["-fsanitize=address"], {"ASAN_OPTIONS": "detect_leaks=0"})
 
 
 @pytest.mark.parametrize("opt", ["-O1", "-O2"])
